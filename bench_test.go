@@ -46,18 +46,11 @@ func prepare(b *testing.B, bench programs.Benchmark, cfg opt.Config, params spec
 	if err != nil {
 		b.Fatal(err)
 	}
-	oo := opt.Options{Config: cfg}
-	switch cfg {
-	case opt.CustMM:
-		oo.Lazy = true
-	case opt.Selective:
-		cg, err := p.CollectProfile(driver.RunOptions{Overrides: bench.Train})
-		if err != nil {
-			b.Fatal(err)
-		}
-		oo.Specializations = specialize.Run(p.Prog, cg, params).Specializations
-	}
-	c, err := opt.Compile(p.Prog, oo)
+	c, _, err := p.Build(driver.BuildOptions{
+		Opt:   opt.Options{Config: cfg},
+		Spec:  params,
+		Train: driver.RunOptions{Overrides: bench.Train},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

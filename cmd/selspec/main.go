@@ -154,12 +154,16 @@ func run() error {
 	defer stop()
 	guards := driver.RunOptions{StepLimit: *stepLimit, DepthLimit: *depthLimit, Timeout: *timeout, Context: ctx}
 
-	// Profile-writing mode.
+	// Profile-writing mode: an instrumented Base run on the training input.
 	if *writeProf != "" {
-		ro := guards
-		ro.Overrides = train
-		cg, err := p.CollectProfile(ro)
+		c, _, err := p.Build(driver.BuildOptions{Opt: opt.Options{Config: opt.Base}})
 		if err != nil {
+			return err
+		}
+		cg := profile.NewCallGraph(p.Prog)
+		ro := guards
+		ro.Overrides, ro.Profile = train, cg
+		if _, err := driver.Execute(c, ro); err != nil {
 			return err
 		}
 		data, err := cg.MarshalJSON()
@@ -176,69 +180,25 @@ func run() error {
 		return nil
 	}
 
-	oo := opt.Options{Config: cfg, DisableInlining: *noInline, Lazy: *lazy,
-		ReturnTypeAnalysis: *retTypes, InstantiationAnalysis: *rta}
-	if cfg == opt.CustMM {
-		oo.Lazy = true
+	bo := driver.BuildOptions{
+		Opt: opt.Options{Config: cfg, DisableInlining: *noInline, Lazy: *lazy,
+			ReturnTypeAnalysis: *retTypes, InstantiationAnalysis: *rta},
+		Spec:  specialize.Params{Threshold: *threshold},
+		Train: guards,
 	}
+	bo.Train.Overrides = train
 	if cfg == opt.Selective {
-		var cg *profile.CallGraph
-		switch {
-		case *profDBDir != "":
-			if *benchName == "" {
-				return fmt.Errorf("-profile-db requires -bench")
-			}
-			if *useProf != "" {
-				return fmt.Errorf("-profile-db and -use-profile are mutually exclusive")
-			}
-			db, err := profdb.Open(*profDBDir, profdb.Config{})
-			if err != nil {
-				return fmt.Errorf("opening profile database: %w", err)
-			}
-			wire, werr := db.Export(*benchName)
-			db.Close()
-			if werr != nil {
-				return fmt.Errorf("profile database: %w", werr)
-			}
-			data, err := wire.Marshal()
-			if err != nil {
-				return err
-			}
-			cg = profile.NewCallGraph(p.Prog)
-			if err := cg.UnmarshalInto(data); err != nil {
-				return fmt.Errorf("database profile does not match program: %w", err)
-			}
-		case *useProf != "":
-			data, err := os.ReadFile(*useProf)
-			if err != nil {
-				return err
-			}
-			cg = profile.NewCallGraph(p.Prog)
-			if err := cg.UnmarshalInto(data); err != nil {
-				return err
-			}
-		default:
-			ro := guards
-			ro.Overrides = train
-			cg, err = p.CollectProfile(ro)
-			if err != nil {
-				return fmt.Errorf("training run: %w", err)
-			}
-		}
-		res, err := pipeline.Specialize(label, p.Prog, cg, specialize.Params{Threshold: *threshold})
-		if err != nil {
+		if bo.Profile, err = p.ReadProfile(*useProf, *profDBDir, "-profile-db", *benchName); err != nil {
 			return err
 		}
-		oo.Specializations = res.Specializations
-		if *stats {
-			fmt.Fprintf(os.Stderr, "specialized %d methods (+%d versions, max %d, avg %.2f)\n",
-				res.Stats.MethodsSpecialized, res.Stats.AddedSpecs, res.Stats.MaxPerMethod, res.Stats.AvgPerMethod)
-		}
 	}
-
-	c, err := pipeline.Compile(label, p.Prog, oo)
+	c, spec, err := p.Build(bo)
 	if err != nil {
 		return err
+	}
+	if *stats && spec != nil {
+		fmt.Fprintf(os.Stderr, "specialized %d methods (+%d versions, max %d, avg %.2f)\n",
+			spec.MethodsSpecialized, spec.AddedSpecs, spec.MaxPerMethod, spec.AvgPerMethod)
 	}
 	in := interp.New(c)
 	in.Out = os.Stdout

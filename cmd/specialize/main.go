@@ -26,7 +26,7 @@ import (
 	"strings"
 
 	"selspec/internal/driver"
-	"selspec/internal/profdb"
+	"selspec/internal/opt"
 	"selspec/internal/profile"
 	"selspec/internal/programs"
 	"selspec/internal/specialize"
@@ -77,50 +77,28 @@ func run() error {
 		return err
 	}
 
-	var cg *profile.CallGraph
-	switch {
-	case *fromDB != "":
-		// The database is keyed by benchmark name; a file program has no
-		// stable identity to look up.
-		if *benchName == "" {
-			return fmt.Errorf("-from-db requires -bench")
-		}
-		if *useProf != "" {
-			return fmt.Errorf("-from-db and -use-profile are mutually exclusive")
-		}
-		// Open replays the WAL synchronously, so the export reflects
-		// exactly the acked uploads — same bytes a restart would serve.
-		db, err := profdb.Open(*fromDB, profdb.Config{})
-		if err != nil {
-			return fmt.Errorf("opening profile database: %w", err)
-		}
-		defer db.Close()
-		wire, err := db.Export(*benchName)
-		if err != nil {
-			return fmt.Errorf("profile database: %w", err)
-		}
-		data, err := wire.Marshal()
-		if err != nil {
-			return err
-		}
+	cg, err := p.ReadProfile(*useProf, *fromDB, "-from-db", *benchName)
+	if err != nil {
+		return err
+	}
+	bo := driver.BuildOptions{
+		Opt: opt.Options{Config: opt.Selective},
+		Spec: specialize.Params{
+			Threshold:          *threshold,
+			DisableCascade:     *noCascade,
+			DisableCombination: *noCombine,
+		},
+		Train:   driver.RunOptions{Overrides: train, StepLimit: *stepLimit},
+		Profile: cg,
+	}
+	if cg == nil {
+		// Keep the training run's call graph for -arcs.
 		cg = profile.NewCallGraph(p.Prog)
-		if err := cg.UnmarshalInto(data); err != nil {
-			return fmt.Errorf("database profile does not match program: %w", err)
-		}
-	case *useProf != "":
-		data, err := os.ReadFile(*useProf)
-		if err != nil {
-			return err
-		}
-		cg = profile.NewCallGraph(p.Prog)
-		if err := cg.UnmarshalInto(data); err != nil {
-			return err
-		}
-	default:
-		cg, err = p.CollectProfile(driver.RunOptions{Overrides: train, StepLimit: *stepLimit})
-		if err != nil {
-			return fmt.Errorf("training run: %w", err)
-		}
+		bo.Train.Profile = cg
+	}
+	c, st, err := p.Build(bo)
+	if err != nil {
+		return err
 	}
 
 	if *dumpArcs {
@@ -131,11 +109,7 @@ func run() error {
 		fmt.Println()
 	}
 
-	res := specialize.Run(p.Prog, cg, specialize.Params{
-		Threshold:          *threshold,
-		DisableCascade:     *noCascade,
-		DisableCombination: *noCombine,
-	})
+	res := &specialize.Result{Specializations: c.Opts.Specializations, Stats: *st}
 	fmt.Printf("arcs: %d total, %d specializable, %d above threshold %d, %d cascade requests\n",
 		res.Stats.ArcsTotal, res.Stats.ArcsSpecializable, res.Stats.ArcsAboveThreshold,
 		*threshold, res.Stats.CascadeRequests)

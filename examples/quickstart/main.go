@@ -58,9 +58,9 @@ func main() {
 
 	run := func(cfg opt.Config) *driver.Result {
 		res, err := p.RunConfig(driver.ConfigOptions{
-			Config:     cfg,
-			SpecParams: specialize.Params{Threshold: 1000},
-			RunExtra:   func(ro *driver.RunOptions) { ro.CaptureOutput = true },
+			Opt:  opt.Options{Config: cfg},
+			Spec: specialize.Params{Threshold: 1000},
+			Run:  driver.RunOptions{CaptureOutput: true},
 		})
 		if err != nil {
 			log.Fatalf("%v: %v", cfg, err)

@@ -36,9 +36,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 1. Training run with instrumentation, persisted to disk.
-	cg, err := p.CollectProfile(driver.RunOptions{Overrides: b.Train})
+	// 1. An instrumented Base run on the training input, persisted to
+	// disk.
+	base, _, err := p.Build(driver.BuildOptions{Opt: opt.Options{Config: opt.Base}})
 	if err != nil {
+		log.Fatal(err)
+	}
+	cg := profile.NewCallGraph(p.Prog)
+	if _, err := driver.Execute(base, driver.RunOptions{Overrides: b.Train, Profile: cg}); err != nil {
 		log.Fatal(err)
 	}
 	profPath := filepath.Join(os.TempDir(), "richards-profile.json")
@@ -52,30 +57,22 @@ func main() {
 	fmt.Printf("training profile: %d arcs, total weight %d → %s\n",
 		cg.Len(), cg.TotalWeight(), profPath)
 
-	// 2. Reload the profile (as a later compilation session would) and
-	// run the algorithm.
-	reloaded := profile.NewCallGraph(p.Prog)
-	persisted, err := os.ReadFile(profPath)
+	// 2. Reload the profile (as a later compilation session would), run
+	// the algorithm and compile with its directives.
+	reloaded, err := p.ReadProfile(profPath, "", "", "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := reloaded.UnmarshalInto(persisted); err != nil {
+	sel, st, err := p.Build(driver.BuildOptions{Opt: opt.Options{Config: opt.Selective}, Profile: reloaded})
+	if err != nil {
 		log.Fatal(err)
 	}
-	directives := specialize.Run(p.Prog, reloaded, specialize.Params{})
+	directives := &specialize.Result{Specializations: sel.Opts.Specializations, Stats: *st}
 	fmt.Printf("\nspecialization directives (threshold %d):\n%s\n",
 		specialize.DefaultThreshold, directives.Describe(p.Prog.H))
 
-	// 3. Compile Base and Selective; measure both on the test input.
-	for _, cfg := range []opt.Config{opt.Base, opt.Selective} {
-		oo := opt.Options{Config: cfg}
-		if cfg == opt.Selective {
-			oo.Specializations = directives.Specializations
-		}
-		c, err := opt.Compile(p.Prog, oo)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// 3. Measure Base and Selective on the test input.
+	for _, c := range []*opt.Compiled{base, sel} {
 		res, err := driver.Execute(c, driver.RunOptions{
 			Overrides:     b.Test,
 			Mechanism:     interp.MechPIC,
@@ -85,7 +82,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10s %s   dispatches=%d cycles=%d versions=%d wall=%v\n",
-			cfg, res.Output[:len(res.Output)-1],
+			c.Opts.Config, res.Output[:len(res.Output)-1],
 			res.Counters.DynamicDispatches(), res.Counters.Cycles, res.Stats.Versions, res.Wall)
 	}
 	_ = os.Remove(profPath)

@@ -32,11 +32,11 @@ func main() {
 	var baseDispatch uint64
 	for _, cfg := range opt.Configs() {
 		res, err := p.RunConfig(driver.ConfigOptions{
-			Config:     cfg,
-			Train:      b.Train,
-			Test:       b.Test,
-			SpecParams: specialize.Params{Threshold: 200},
-			RunExtra:   func(ro *driver.RunOptions) { ro.CaptureOutput = true },
+			Opt:   opt.Options{Config: cfg},
+			Spec:  specialize.Params{Threshold: 200},
+			Train: b.Train,
+			Test:  b.Test,
+			Run:   driver.RunOptions{CaptureOutput: true},
 		})
 		if err != nil {
 			log.Fatalf("%v: %v", cfg, err)

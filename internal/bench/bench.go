@@ -117,9 +117,9 @@ func (ho Options) suitePrograms() []programs.Benchmark {
 // exact (benchmark, config) cells without bench threading test-only
 // closures through its options.
 
-// runOptions assembles the per-cell RunOptions for one benchmark.
-func (ho Options) runOptions(b programs.Benchmark, cfg opt.Config, overrides map[string]int64) driver.RunOptions {
-	ro := driver.RunOptions{
+// runOptions assembles a cell's RunOptions for one input.
+func (ho Options) runOptions(overrides map[string]int64) driver.RunOptions {
+	return driver.RunOptions{
 		Overrides:  overrides,
 		Mechanism:  interp.MechPIC,
 		StepLimit:  ho.StepLimit,
@@ -130,7 +130,6 @@ func (ho Options) runOptions(b programs.Benchmark, cfg opt.Config, overrides map
 		Engine:     ho.Engine,
 		Verify:     ho.Verify,
 	}
-	return ro
 }
 
 // Failure records one contained grid-cell fault: the cell (or whole
@@ -185,7 +184,7 @@ func RunOn(p *driver.Pipeline, b programs.Benchmark, cfg opt.Config, ho Options)
 	if err != nil {
 		return nil, err
 	}
-	out, err := measure(c, b, cfg, ho)
+	out, err := measure(c, b, ho)
 	if err != nil {
 		return nil, err
 	}
@@ -193,54 +192,41 @@ func RunOn(p *driver.Pipeline, b programs.Benchmark, cfg opt.Config, ho Options)
 	return out, nil
 }
 
-// prepare compiles one cell's program — for Selective, after the
-// training-input profile run and the specialization pass. The returned
+// prepare compiles one cell's program (see driver.Build). The returned
 // stats are non-nil only for Selective.
 func prepare(p *driver.Pipeline, b programs.Benchmark, cfg opt.Config, ho Options) (*opt.Compiled, *specialize.Stats, error) {
-	oo := opt.Options{Config: cfg}
-	switch cfg {
-	case opt.CustMM:
-		oo.Lazy = true
-	case opt.Selective:
-		cg, err := p.CollectProfile(ho.runOptions(b, cfg, b.Train))
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s profile: %w", b.Name, err)
-		}
-		res, err := pipeline.Specialize(b.Name, p.Prog, cg, ho.SpecParams)
-		if err != nil {
-			return nil, nil, err
-		}
-		oo.Specializations = res.Specializations
-		c, err := pipeline.Compile(b.Name, p.Prog, oo)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c, &res.Stats, nil
+	return p.Build(driver.BuildOptions{
+		Opt:   opt.Options{Config: cfg},
+		Spec:  ho.SpecParams,
+		Train: ho.runOptions(b.Train),
+	})
+}
+
+// testInput is the measurement input: the benchmark's test input, or
+// its training input under Quick.
+func (ho Options) testInput(b programs.Benchmark) map[string]int64 {
+	if ho.Quick {
+		return b.Train
 	}
-	c, err := pipeline.Compile(b.Name, p.Prog, oo)
-	return c, nil, err
+	return b.Test
 }
 
 // runCell is one measured execution of a prepared cell.
-func runCell(c *opt.Compiled, b programs.Benchmark, cfg opt.Config, ho Options, rep int) (*driver.Result, error) {
-	test := b.Test
-	if ho.Quick {
-		test = b.Train
-	}
-	res, err := driver.Execute(c, ho.runOptions(b, cfg, test))
+func runCell(c *opt.Compiled, b programs.Benchmark, ho Options, rep int) (*driver.Result, error) {
+	res, err := driver.Execute(c, ho.runOptions(ho.testInput(b)))
 	if err != nil {
 		return nil, fmt.Errorf("%s under %v (rep %d): %w", b.Name, c.Opts.Config, rep, err)
 	}
 	return res, nil
 }
 
-func measure(c *opt.Compiled, b programs.Benchmark, cfg opt.Config, ho Options) (*Result, error) {
-	res, err := runCell(c, b, cfg, ho, 0)
+func measure(c *opt.Compiled, b programs.Benchmark, ho Options) (*Result, error) {
+	res, err := runCell(c, b, ho, 0)
 	if err != nil {
 		return nil, err
 	}
 	for rep := 1; rep < ho.Reps; rep++ {
-		again, err := runCell(c, b, cfg, ho, rep)
+		again, err := runCell(c, b, ho, rep)
 		if err != nil {
 			return nil, err
 		}
@@ -462,7 +448,7 @@ func RunSuitePair(a, b Options) (*Suite, *Suite, error) {
 			for rep := 0; rep < reps && !failed; rep++ {
 				for e := range opts {
 					res, err := pipeline.Guard(pipeline.StageHarness, bm.Name, cfg.String(),
-						func() (*driver.Result, error) { return runCell(cs[e], bm, cfg, opts[e], rep) })
+						func() (*driver.Result, error) { return runCell(cs[e], bm, opts[e], rep) })
 					if err != nil {
 						suites[e].Failures = append(suites[e].Failures, failureOf(bm.Name, cfg.String(), err))
 						failed = true
@@ -757,27 +743,15 @@ func extensionRowsRaw(w io.Writer, b programs.Benchmark, ho Options) error {
 		{"Selective+ext", opt.Selective, true},
 	}
 	for _, row := range rows {
-		oo := opt.Options{Config: row.cfg, ReturnTypeAnalysis: row.ext, InstantiationAnalysis: row.ext}
-		if row.cfg == opt.Selective {
-			cg, err := p.CollectProfile(ho.runOptions(b, row.cfg, b.Train))
-			if err != nil {
-				return err
-			}
-			res, err := pipeline.Specialize(b.Name, p.Prog, cg, ho.SpecParams)
-			if err != nil {
-				return err
-			}
-			oo.Specializations = res.Specializations
-		}
-		c, err := pipeline.Compile(b.Name, p.Prog, oo)
+		c, _, err := p.Build(driver.BuildOptions{
+			Opt:   opt.Options{Config: row.cfg, ReturnTypeAnalysis: row.ext, InstantiationAnalysis: row.ext},
+			Spec:  ho.SpecParams,
+			Train: ho.runOptions(b.Train),
+		})
 		if err != nil {
 			return err
 		}
-		test := b.Test
-		if ho.Quick {
-			test = b.Train
-		}
-		res, err := driver.Execute(c, ho.runOptions(b, row.cfg, test))
+		res, err := driver.Execute(c, ho.runOptions(ho.testInput(b)))
 		if err != nil {
 			return err
 		}

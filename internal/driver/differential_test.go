@@ -29,13 +29,10 @@ func TestDifferentialAllProgramsAllConfigs(t *testing.T) {
 			run := func(cfg opt.Config) (string, string) {
 				t.Helper()
 				res, err := p.RunConfig(ConfigOptions{
-					Config: cfg,
-					Train:  b.Train,
-					Test:   b.Train, // training-size measurement input
-					RunExtra: func(ro *RunOptions) {
-						ro.CaptureOutput = true
-						ro.StepLimit = 500_000_000
-					},
+					Opt:   opt.Options{Config: cfg},
+					Train: b.Train,
+					Test:  b.Train, // training-size measurement input
+					Run:   RunOptions{CaptureOutput: true, StepLimit: 500_000_000},
 				})
 				if err != nil {
 					t.Fatalf("%s under %v: %v", b.Name, cfg, err)
@@ -78,13 +75,10 @@ func TestDifferentialWithMetricsAttached(t *testing.T) {
 	var vals []string
 	for _, cfg := range opt.Configs() {
 		res, err := p.RunConfig(ConfigOptions{
-			Config: cfg,
-			Train:  b.Train,
-			Test:   b.Train,
-			RunExtra: func(ro *RunOptions) {
-				ro.CaptureOutput = true
-				ro.Metrics = reg
-			},
+			Opt:   opt.Options{Config: cfg},
+			Train: b.Train,
+			Test:  b.Train,
+			Run:   RunOptions{CaptureOutput: true, Metrics: reg},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"selspec/internal/hier"
@@ -17,6 +18,7 @@ import (
 	"selspec/internal/obs"
 	"selspec/internal/opt"
 	"selspec/internal/pipeline"
+	"selspec/internal/profdb"
 	"selspec/internal/profile"
 	"selspec/internal/specialize"
 	"selspec/internal/vm"
@@ -296,18 +298,113 @@ func restoreGlobals(c *opt.Compiled, saved map[int]ir.Node) {
 	}
 }
 
-// CollectProfile compiles the program under Base with instrumentation
-// and runs it on the training input, returning the weighted call graph
-// (the paper gathers profiles the same way: an instrumented run of the
-// unspecialized system, §3.7.2).
-func (p *Pipeline) CollectProfile(ro RunOptions) (*profile.CallGraph, error) {
+// BuildOptions describes one compile of a loaded program.
+type BuildOptions struct {
+	// Opt is the configuration and its ablation flags.
+	Opt opt.Options
+	// Spec tunes the specialization algorithm (Selective only).
+	Spec specialize.Params
+	// Train is the Selective training run, passed to Execute as is: its
+	// overrides select the training input, and its guards, mechanism and
+	// engine apply to the run. A non-nil Train.Profile receives the
+	// recorded call graph, so the caller can keep it.
+	Train RunOptions
+	// Profile, when set, is an already-loaded profile (see ReadProfile)
+	// that replaces the training run.
+	Profile *profile.CallGraph
+}
+
+// Build compiles the program under bo.Opt.Config. For Selective it
+// follows the paper's compile path (§3.7.2, Figure 4): profile the
+// unspecialized program on the training input (or take bo.Profile), run
+// the specialization algorithm, then compile with its directives. The
+// returned stats are non-nil only for Selective.
+func (p *Pipeline) Build(bo BuildOptions) (*opt.Compiled, *specialize.Stats, error) {
+	oo := bo.Opt
+	var stats *specialize.Stats
+	if oo.Config == opt.Selective {
+		cg := bo.Profile
+		if cg == nil {
+			var err error
+			if cg, err = p.collectProfile(bo.Train); err != nil {
+				return nil, nil, fmt.Errorf("training run: %w", err)
+			}
+		}
+		res, err := pipeline.Specialize(p.Label, p.Prog, cg, bo.Spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		oo.Specializations, stats = res.Specializations, &res.Stats
+	}
+	c, err := pipeline.Compile(p.Label, p.Prog, oo)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, stats, nil
+}
+
+// collectProfile compiles the program under Base and runs it with
+// instrumentation on the training input, returning the weighted call
+// graph (the paper gathers profiles the same way: an instrumented run of
+// the unspecialized system, §3.7.2).
+func (p *Pipeline) collectProfile(ro RunOptions) (*profile.CallGraph, error) {
 	c, err := pipeline.Compile(p.Label, p.Prog, opt.Options{Config: opt.Base})
 	if err != nil {
 		return nil, err
 	}
-	cg := profile.NewCallGraph(p.Prog)
-	ro.Profile = cg
+	if ro.Profile == nil {
+		ro.Profile = profile.NewCallGraph(p.Prog)
+	}
 	if _, err := Execute(c, ro); err != nil {
+		return nil, err
+	}
+	return ro.Profile, nil
+}
+
+// ReadProfile loads a saved profile in place of a training run: the
+// aggregate the profile database in dbDir holds for the benchmark named
+// bench, or else the JSON file at path (as "selspec -profile" writes
+// it). dbFlag names the database option in usage errors. It returns nil
+// when neither source is set.
+func (p *Pipeline) ReadProfile(path, dbDir, dbFlag, bench string) (*profile.CallGraph, error) {
+	var data []byte
+	switch {
+	case dbDir != "":
+		// The database is keyed by benchmark name; a file program has no
+		// stable identity to look up.
+		if bench == "" {
+			return nil, fmt.Errorf("%s requires -bench", dbFlag)
+		}
+		if path != "" {
+			return nil, fmt.Errorf("%s and -use-profile are mutually exclusive", dbFlag)
+		}
+		// Open replays the WAL synchronously, so the export reflects
+		// exactly the acked uploads — same bytes a restart would serve.
+		db, err := profdb.Open(dbDir, profdb.Config{})
+		if err != nil {
+			return nil, fmt.Errorf("opening profile database: %w", err)
+		}
+		wire, err := db.Export(bench)
+		db.Close()
+		if err != nil {
+			return nil, fmt.Errorf("profile database: %w", err)
+		}
+		if data, err = wire.Marshal(); err != nil {
+			return nil, err
+		}
+	case path != "":
+		var err error
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, nil
+	}
+	cg := profile.NewCallGraph(p.Prog)
+	if err := cg.UnmarshalInto(data); err != nil {
+		if dbDir != "" {
+			return nil, fmt.Errorf("database profile does not match program: %w", err)
+		}
 		return nil, err
 	}
 	return cg, nil
@@ -315,52 +412,31 @@ func (p *Pipeline) CollectProfile(ro RunOptions) (*profile.CallGraph, error) {
 
 // ConfigOptions describes one full configuration run.
 type ConfigOptions struct {
-	Config opt.Config
+	// Opt is the configuration and its ablation flags; Spec tunes the
+	// specialization algorithm.
+	Opt  opt.Options
+	Spec specialize.Params
 	// Train holds the training-input overrides for Selective's profile
 	// run; Test the measurement input.
 	Train map[string]int64
 	Test  map[string]int64
-
-	SpecParams specialize.Params
-	OptExtra   func(*opt.Options) // optional tweaks (inlining ablation, lazy, ...)
-	RunExtra   func(*RunOptions)  // optional tweaks (mechanism, step limit)
+	// Run is the guards, engine and capture settings of both runs. The
+	// training run always dispatches through PICs.
+	Run RunOptions
 }
 
-// RunConfig executes the complete pipeline for one configuration:
-// for Selective it first collects a profile on the training input and
-// runs the specialization algorithm; then it compiles and measures on
-// the test input.
+// RunConfig executes the complete pipeline for one configuration: it
+// builds the program (for Selective, after a training run on Train) and
+// measures it on the test input.
 func (p *Pipeline) RunConfig(co ConfigOptions) (*Result, error) {
-	oo := opt.Options{Config: co.Config}
-	if co.Config == opt.CustMM {
-		oo.Lazy = true
-	}
-	if co.Config == opt.Selective {
-		ro := RunOptions{Overrides: co.Train, StepLimit: 0}
-		if co.RunExtra != nil {
-			co.RunExtra(&ro)
-		}
-		ro.Mechanism = interp.MechPIC
-		cg, err := p.CollectProfile(ro)
-		if err != nil {
-			return nil, fmt.Errorf("profile run: %w", err)
-		}
-		res, err := pipeline.Specialize(p.Label, p.Prog, cg, co.SpecParams)
-		if err != nil {
-			return nil, err
-		}
-		oo.Specializations = res.Specializations
-	}
-	if co.OptExtra != nil {
-		co.OptExtra(&oo)
-	}
-	c, err := pipeline.Compile(p.Label, p.Prog, oo)
+	train := co.Run
+	train.Overrides = co.Train
+	train.Mechanism = interp.MechPIC
+	c, _, err := p.Build(BuildOptions{Opt: co.Opt, Spec: co.Spec, Train: train})
 	if err != nil {
 		return nil, err
 	}
-	ro := RunOptions{Overrides: co.Test}
-	if co.RunExtra != nil {
-		co.RunExtra(&ro)
-	}
+	ro := co.Run
+	ro.Overrides = co.Test
 	return Execute(c, ro)
 }

@@ -106,11 +106,11 @@ func runSet(t *testing.T, cfg opt.Config) *Result {
 	t.Helper()
 	p := MustLoad(setProgram)
 	res, err := p.RunConfig(ConfigOptions{
-		Config:     cfg,
-		Train:      map[string]int64{"inputSize": 4},
-		Test:       map[string]int64{"inputSize": 6},
-		SpecParams: specialize.Params{Threshold: 50},
-		RunExtra:   func(ro *RunOptions) { ro.CaptureOutput = true; ro.StepLimit = 50_000_000 },
+		Opt:   opt.Options{Config: cfg},
+		Train: map[string]int64{"inputSize": 4},
+		Test:  map[string]int64{"inputSize": 6},
+		Spec:  specialize.Params{Threshold: 50},
+		Run:   RunOptions{CaptureOutput: true, StepLimit: 50_000_000},
 	})
 	if err != nil {
 		t.Fatalf("%v under %v", err, cfg)

@@ -39,11 +39,11 @@ var crash := 1;
 method main() { if crash == 1 { abort("training boom"); } 0; }
 `)
 	_, err := p.RunConfig(ConfigOptions{
-		Config: opt.Selective,
-		Train:  map[string]int64{"crash": 1},
-		Test:   map[string]int64{"crash": 0},
+		Opt:   opt.Options{Config: opt.Selective},
+		Train: map[string]int64{"crash": 1},
+		Test:  map[string]int64{"crash": 0},
 	})
-	if err == nil || !strings.Contains(err.Error(), "profile run") || !strings.Contains(err.Error(), "training boom") {
+	if err == nil || !strings.Contains(err.Error(), "training run") || !strings.Contains(err.Error(), "training boom") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -54,13 +54,64 @@ var crash := 1;
 method main() { if crash == 1 { abort("boom"); } 42; }
 `)
 	res, err := p.RunConfig(ConfigOptions{
-		Config:     opt.Selective,
-		Train:      map[string]int64{"crash": 0},
-		Test:       map[string]int64{"crash": 0},
-		SpecParams: specialize.Params{Threshold: -1},
+		Opt:   opt.Options{Config: opt.Selective},
+		Train: map[string]int64{"crash": 0},
+		Test:  map[string]int64{"crash": 0},
+		Spec:  specialize.Params{Threshold: -1},
 	})
 	if err != nil || res.Value != "42" {
 		t.Fatalf("res=%v err=%v", res, err)
+	}
+}
+
+// TestDispatchErrorsAgreeAcrossConfigs: a send that fails dispatch
+// must fail the same way under every configuration, since evaluation
+// order is preserved. Generated programs cannot fail dispatch, so these
+// cases cover that half of the cross-configuration property. The
+// training input stays clear of the failing class, so Selective fails in
+// its specialized code rather than in the training run.
+func TestDispatchErrorsAgreeAcrossConfigs(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"not-understood", `
+class A
+class B
+method f(x@A) { 1; }
+method pick(i) { if i < 3 { new A(); } else { new B(); } }
+var n := 5;
+method main() { var i := 0; var acc := 0; while i < n { acc := acc + f(pick(i)); i := i + 1; } acc; }
+`, "message not understood"},
+		{"ambiguous", `
+class A
+class B
+class C isa A, B
+method f(x@A) { 1; }
+method f(x@B) { 2; }
+method pick(i) { if i < 3 { new A(); } else { new C(); } }
+var n := 5;
+method main() { var i := 0; var acc := 0; while i < n { acc := acc + f(pick(i)); i := i + 1; } acc; }
+`, "message ambiguous"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := MustLoad(tc.src)
+			var base string
+			for _, cfg := range opt.Configs() {
+				_, err := p.RunConfig(ConfigOptions{
+					Opt:   opt.Options{Config: cfg},
+					Spec:  specialize.Params{Threshold: -1},
+					Train: map[string]int64{"n": 3},
+					Run:   RunOptions{CaptureOutput: true},
+				})
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%v: err = %v, want %q", cfg, err, tc.want)
+				}
+				if cfg == opt.Base {
+					base = err.Error()
+				} else if err.Error() != base {
+					t.Errorf("%v fails differently:\n got: %s\nBase: %s", cfg, err, base)
+				}
+			}
+		})
 	}
 }
 
@@ -78,7 +129,7 @@ func TestExecuteRuntimeErrorSurfaced(t *testing.T) {
 
 func TestCollectProfileOnErroringProgram(t *testing.T) {
 	p := MustLoad(`method main() { abort("nope"); }`)
-	if _, err := p.CollectProfile(RunOptions{}); err == nil {
+	if _, err := p.collectProfile(RunOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -1,209 +1,41 @@
-package driver
+package driver_test
 
-// Property test: randomly generated Mini-Cecil programs must compute
-// identical results and output under every compiler configuration.
-// This is the broadest soundness check of the optimizer, the
-// specializer and the version-selection machinery: any unsound static
-// binding, bad inline substitution, wrong closure capture, or invalid
-// version choice shows up as a divergence.
+// Property test: generated Mini-Cecil programs must compute identical
+// results and output under every compiler configuration. This is the
+// broadest soundness check of the optimizer, the specializer and the
+// version-selection machinery: any unsound static binding, bad inline
+// substitution, wrong closure capture, or invalid version choice shows
+// up as a divergence. Generated programs never fail dispatch; the
+// dispatch-failure half of the property lives in errors_test.go.
 
 import (
-	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
+	"selspec/internal/driver"
+	"selspec/internal/gen"
 	"selspec/internal/opt"
+	"selspec/internal/programs"
 	"selspec/internal/specialize"
 )
 
-// progGen generates random but guaranteed-terminating programs:
-// methods only send generic functions with strictly larger indexes, so
-// the call graph is acyclic; there are no loops in generated bodies.
-type progGen struct {
-	rng        *rand.Rand
-	classes    []string
-	numGFs     int
-	gfArity    []int
-	b          strings.Builder
-	depthLimit int
-}
-
-func newProgGen(seed int64) *progGen {
-	g := &progGen{
-		rng:        rand.New(rand.NewSource(seed)),
-		numGFs:     5 + rand.New(rand.NewSource(seed^0x5a5a)).Intn(5),
-		depthLimit: 3,
-	}
-	n := 3 + g.rng.Intn(4)
-	for i := 0; i < n; i++ {
-		g.classes = append(g.classes, fmt.Sprintf("K%d", i))
-	}
-	return g
-}
-
-func (g *progGen) class() string { return g.classes[g.rng.Intn(len(g.classes))] }
-
-// expr emits a random integer-valued expression. params are the
-// in-scope formal names known to hold objects; iparams hold integers.
-func (g *progGen) expr(depth, gfMin int, objParams, intParams []string) string {
-	r := g.rng
-	if depth <= 0 {
-		if len(intParams) > 0 && r.Intn(2) == 0 {
-			return intParams[r.Intn(len(intParams))]
-		}
-		return fmt.Sprintf("%d", r.Intn(20))
-	}
-	switch k := r.Intn(14); {
-	case k < 3: // arithmetic
-		op := []string{"+", "-", "*"}[r.Intn(3)]
-		return fmt.Sprintf("(%s %s %s)",
-			g.expr(depth-1, gfMin, objParams, intParams), op,
-			g.expr(depth-1, gfMin, objParams, intParams))
-	case k < 5 && gfMin < g.numGFs: // send to a later GF
-		gf := gfMin + r.Intn(g.numGFs-gfMin)
-		var args []string
-		for i := 0; i < g.gfArity[gf]; i++ {
-			if i == 0 || r.Intn(3) > 0 {
-				args = append(args, g.objExpr(objParams))
-			} else {
-				args = append(args, g.objExpr(objParams))
-			}
-		}
-		return fmt.Sprintf("f%d(%s)", gf, strings.Join(args, ", "))
-	case k < 6: // field read of a fresh object
-		return fmt.Sprintf("(new %s(%d)).v", g.class(), r.Intn(9))
-	case k < 7: // conditional (parenthesized if-expression)
-		return fmt.Sprintf("(if %s < %s { %s; } else { %s; })",
-			g.expr(depth-1, gfMin, objParams, intParams),
-			g.expr(depth-1, gfMin, objParams, intParams),
-			g.expr(depth-1, gfMin, objParams, intParams),
-			g.expr(depth-1, gfMin, objParams, intParams))
-	case k < 8 && len(objParams) > 0: // field read of a param
-		return fmt.Sprintf("%s.v", objParams[r.Intn(len(objParams))])
-	case k < 9: // immediately-invoked closure (captures params)
-		return fmt.Sprintf("(fn(z) { z + %s; })(%d)",
-			g.expr(depth-1, gfMin, objParams, intParams), r.Intn(9))
-	case k < 10: // bounded loop accumulating an expression
-		return fmt.Sprintf(
-			"(if true { var li := 0; var lacc := 0; while li < %d { lacc := lacc + %s; li := li + 1; } lacc; })",
-			1+r.Intn(4), g.expr(depth-1, gfMin, objParams, intParams))
-	case k < 11 && len(objParams) > 0: // field write, then read back
-		p := objParams[r.Intn(len(objParams))]
-		return fmt.Sprintf("(if true { %s.v := %s; %s.v; })",
-			p, g.expr(depth-1, gfMin, objParams, intParams), p)
-	default:
-		return fmt.Sprintf("%d", r.Intn(50))
-	}
-}
-
-// objExpr emits an expression guaranteed to evaluate to an object.
-func (g *progGen) objExpr(objParams []string) string {
-	if len(objParams) > 0 && g.rng.Intn(2) == 0 {
-		return objParams[g.rng.Intn(len(objParams))]
-	}
-	return fmt.Sprintf("new %s(%d)", g.class(), g.rng.Intn(9))
-}
-
-func (g *progGen) generate() string {
-	r := g.rng
-	// Class DAG: Ki may inherit from earlier classes. Every class gets
-	// one Int field v via the root.
-	fmt.Fprintf(&g.b, "class %s { field v : Int := 0; }\n", g.classes[0])
-	for i := 1; i < len(g.classes); i++ {
-		if r.Intn(3) == 0 {
-			// An independent root: declares its own v so construction
-			// is uniform across all classes.
-			fmt.Fprintf(&g.b, "class %s { field v : Int := 0; }\n", g.classes[i])
-		} else {
-			fmt.Fprintf(&g.b, "class %s isa %s\n", g.classes[i], g.classes[r.Intn(i)])
-		}
-	}
-
-	// Generic functions f0..fn with 1–3 methods each.
-	g.gfArity = make([]int, g.numGFs)
-	for i := range g.gfArity {
-		g.gfArity[i] = 1 + r.Intn(2)
-	}
-	for i := 0; i < g.numGFs; i++ {
-		// A catch-all method (specialized on Any everywhere) keeps the
-		// message-not-understood rate low; specific overriders follow.
-		{
-			var params, objParams []string
-			for p := 0; p < g.gfArity[i]; p++ {
-				name := fmt.Sprintf("a%d", p)
-				params = append(params, name)
-				objParams = append(objParams, name)
-			}
-			fmt.Fprintf(&g.b, "method f%d(%s) { %s; }\n",
-				i, strings.Join(params, ", "),
-				g.expr(g.depthLimit, i+1, objParams, nil))
-		}
-		seen := map[string]bool{}
-		nm := 1 + r.Intn(3)
-		for m := 0; m < nm; m++ {
-			specs := make([]string, g.gfArity[i])
-			for p := range specs {
-				specs[p] = g.class()
-			}
-			key := strings.Join(specs, "/")
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			var params []string
-			var objParams []string
-			for p := range specs {
-				name := fmt.Sprintf("a%d", p)
-				params = append(params, fmt.Sprintf("%s@%s", name, specs[p]))
-				objParams = append(objParams, name)
-			}
-			fmt.Fprintf(&g.b, "method f%d(%s) { %s; }\n",
-				i, strings.Join(params, ", "),
-				g.expr(g.depthLimit, i+1, objParams, nil))
-		}
-	}
-
-	// main: call f0 with a spread of classes, accumulate, print.
-	g.b.WriteString("method main() {\n  var acc := 0;\n")
-	for k := 0; k < 12; k++ {
-		var args []string
-		for p := 0; p < g.gfArity[0]; p++ {
-			args = append(args, fmt.Sprintf("new %s(%d)", g.class(), r.Intn(9)))
-		}
-		// Sends may fail dispatch (not-understood/ambiguous) — that is
-		// part of the property: all configs must fail identically. But
-		// to keep most programs running, route through f0's specializer
-		// classes often enough by retrying class choice.
-		fmt.Fprintf(&g.b, "  acc := acc * 31 + f%d(%s);\n", 0, strings.Join(args, ", "))
-	}
-	g.b.WriteString("  println(str(acc));\n  acc;\n}\n")
-	return g.b.String()
-}
-
-// runProgram compiles and runs src under cfg, returning a canonical
-// outcome string (value+output, or the error text). rta additionally
-// enables the §6 return-type-analysis extension.
-func runProgram(t *testing.T, src string, cfg opt.Config, rta bool) string {
+// runProgram compiles and runs b under cfg, returning value+output. ext
+// additionally enables the §6 return-type analysis and the
+// instantiation analysis.
+func runProgram(t *testing.T, b programs.Benchmark, cfg opt.Config, ext bool) string {
 	t.Helper()
-	p, err := Load(src)
+	p, err := driver.LoadNamed(b.Name, b.Source)
 	if err != nil {
-		t.Fatalf("generated program does not load: %v\n%s", err, src)
+		t.Fatalf("%s does not load: %v", b.Name, err)
 	}
-	res, err := p.RunConfig(ConfigOptions{
-		Config:     cfg,
-		SpecParams: specialize.Params{Threshold: -1}, // specialize everything
-		OptExtra: func(oo *opt.Options) {
-			oo.ReturnTypeAnalysis = rta
-			oo.InstantiationAnalysis = rta // exercise both extensions together
-		},
-		RunExtra: func(ro *RunOptions) {
-			ro.CaptureOutput = true
-			ro.StepLimit = 5_000_000
-		},
+	res, err := p.RunConfig(driver.ConfigOptions{
+		Opt:   opt.Options{Config: cfg, ReturnTypeAnalysis: ext, InstantiationAnalysis: ext},
+		Spec:  specialize.Params{Threshold: -1}, // specialize everything
+		Train: b.Train,
+		Test:  b.Test,
+		Run:   driver.RunOptions{CaptureOutput: true, StepLimit: 50_000_000},
 	})
 	if err != nil {
-		return "error: " + err.Error()
+		t.Fatalf("%s under %v/ext=%t: %v", b.Name, cfg, ext, err)
 	}
 	return res.Value + "\n" + res.Output
 }
@@ -212,40 +44,21 @@ func TestRandomProgramsAllConfigsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	ran, errored := 0, 0
-	for seed := int64(1); seed <= 80; seed++ {
-		src := newProgGen(seed).generate()
-		base := runProgram(t, src, opt.Base, false)
-		variants := []struct {
-			cfg opt.Config
-			rta bool
-		}{
-			{opt.Cust, false}, {opt.CustMM, false}, {opt.CHA, false},
-			{opt.Selective, false}, {opt.CHA, true}, {opt.Selective, true},
-		}
-		if strings.HasPrefix(base, "error: ") {
-			errored++
-			// Errors must still be consistent across configurations
-			// (same failure, since evaluation order is preserved).
-			for _, v := range variants {
-				got := runProgram(t, src, v.cfg, v.rta)
-				if !strings.HasPrefix(got, "error: ") {
-					t.Fatalf("seed %d: Base errored (%s) but %v/rta=%t succeeded (%s)\n%s",
-						seed, base, v.cfg, v.rta, got, src)
-				}
-			}
-			continue
-		}
-		ran++
-		for _, v := range variants {
-			if got := runProgram(t, src, v.cfg, v.rta); got != base {
-				t.Fatalf("seed %d: %v/rta=%t diverges\nBase: %q\ngot:  %q\nprogram:\n%s",
-					seed, v.cfg, v.rta, base, got, src)
-			}
-		}
+	variants := []struct {
+		cfg opt.Config
+		ext bool
+	}{
+		{opt.Cust, false}, {opt.CustMM, false}, {opt.CHA, false},
+		{opt.Selective, false}, {opt.CHA, true}, {opt.Selective, true},
 	}
-	t.Logf("random programs: %d ran to completion, %d errored consistently", ran, errored)
-	if ran < 20 {
-		t.Fatalf("too few successful random programs (%d) — generator broken?", ran)
+	for seed := uint64(1); seed <= 24; seed++ {
+		b := gen.New(gen.Config{Seed: seed, Classes: 12, Methods: 40}).Benchmark()
+		base := runProgram(t, b, opt.Base, false)
+		for _, v := range variants {
+			if got := runProgram(t, b, v.cfg, v.ext); got != base {
+				t.Fatalf("seed %d: %v/ext=%t diverges\nBase: %q\ngot:  %q\nprogram:\n%s",
+					seed, v.cfg, v.ext, base, got, b.Source)
+			}
+		}
 	}
 }

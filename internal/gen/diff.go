@@ -53,17 +53,17 @@ func Observe(b programs.Benchmark, cfg opt.Config, eng driver.Engine, gd Guards)
 		return Observation{}, fmt.Errorf("load %s: %w", b.Name, err)
 	}
 	res, err := p.RunConfig(driver.ConfigOptions{
-		Config:     cfg,
-		Train:      b.Train,
-		Test:       b.Test,
-		SpecParams: specialize.Params{Threshold: 1}, // tiny profiles still specialize
-		RunExtra: func(ro *driver.RunOptions) {
-			ro.CaptureOutput = true
-			ro.Engine = eng
-			ro.StepLimit = gd.StepLimit
-			ro.DepthLimit = gd.DepthLimit
-			ro.Timeout = gd.Timeout
-			ro.Verify = true
+		Opt:   opt.Options{Config: cfg},
+		Spec:  specialize.Params{Threshold: 1}, // tiny profiles still specialize
+		Train: b.Train,
+		Test:  b.Test,
+		Run: driver.RunOptions{
+			CaptureOutput: true,
+			Engine:        eng,
+			StepLimit:     gd.StepLimit,
+			DepthLimit:    gd.DepthLimit,
+			Timeout:       gd.Timeout,
+			Verify:        true,
 		},
 	})
 	if err != nil {

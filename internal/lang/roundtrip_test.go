@@ -20,10 +20,7 @@ func runSource(src string) (string, error) {
 		return "", err
 	}
 	res, err := p.RunConfig(driver.ConfigOptions{
-		RunExtra: func(ro *driver.RunOptions) {
-			ro.CaptureOutput = true
-			ro.StepLimit = 100_000_000
-		},
+		Run: driver.RunOptions{CaptureOutput: true, StepLimit: 100_000_000},
 	})
 	if err != nil {
 		return "", err

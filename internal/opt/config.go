@@ -92,7 +92,8 @@ type Options struct {
 
 	// Lazy defers version body compilation to first invocation and, for
 	// CustMM, creates version entries on demand — the paper's dynamic
-	// compilation mode (§3.7.3, Figure 6 right).
+	// compilation mode (§3.7.3, Figure 6 right). Compile sets it for
+	// CustMM.
 	Lazy bool
 
 	// InstantiationAnalysis restricts CHA/Selective class sets to
@@ -185,10 +186,9 @@ func Compile(p *ir.Program, opts Options) (*Compiled, error) {
 	if opts.Config == Selective && opts.Specializations == nil {
 		return nil, fmt.Errorf("opt: Selective configuration requires Specializations")
 	}
-	if opts.Config == CustMM && !opts.Lazy {
-		return nil, fmt.Errorf("opt: Cust-MM is only supported with Lazy compilation (the paper: %q)",
-			"Cust-MM is practical only for dynamic compilation systems")
-	}
+	// The paper: Cust-MM "is practical only for dynamic compilation
+	// systems", so it always compiles lazily.
+	opts.Lazy = opts.Lazy || opts.Config == CustMM
 	c := &Compiled{
 		Prog:          p,
 		Opts:          opts,

@@ -135,16 +135,23 @@ func findVersionWithClass(t *testing.T, c *Compiled, gf string, class string) *i
 	return nil
 }
 
+// TestCustMMRequiresLazy: Cust-MM is practical only under dynamic
+// compilation, so Compile derives Lazy for it — no caller sets it.
 func TestCustMMRequiresLazy(t *testing.T) {
-	prog, err := ir.Lower(lang.MustParse(optSrc))
-	if err != nil {
+	c := compile(t, optSrc, Options{Config: CustMM})
+	if !c.Opts.Lazy {
+		t.Fatal("Cust-MM compiled eagerly")
+	}
+	if n := c.Stats().CompiledBodies; n != 0 {
+		t.Fatalf("%d version bodies compiled before any call", n)
+	}
+	a, _ := c.Prog.H.Class("A")
+	v := c.SelectVersion(methodByName(t, c, "m", "A"), []*hier.Class{a})
+	if err := c.EnsureBody(v); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(prog, Options{Config: CustMM}); err == nil {
-		t.Fatal("eager Cust-MM should be rejected")
-	}
-	if _, err := Compile(prog, Options{Config: CustMM, Lazy: true}); err != nil {
-		t.Fatalf("lazy Cust-MM: %v", err)
+	if n := c.Stats().CompiledBodies; n != 1 {
+		t.Fatalf("first call compiled %d bodies, want 1", n)
 	}
 }
 
@@ -297,7 +304,7 @@ method f(x@A, y@A) { 1; }
 }
 
 func TestCustMMLazyVersionCreation(t *testing.T) {
-	c := compile(t, optSrc, Options{Config: CustMM, Lazy: true})
+	c := compile(t, optSrc, Options{Config: CustMM})
 	m := methodByName(t, c, "m", "A")
 	a, _ := c.Prog.H.Class("A")
 	cc, _ := c.Prog.H.Class("C")
@@ -528,7 +535,7 @@ method f(x@A, y@A) { 1; }
 method g(x) { 2; }
 method main() { f(new A(), new B()); g(1); }
 `
-	c := compile(t, src, Options{Config: CustMM, Lazy: true})
+	c := compile(t, src, Options{Config: CustMM})
 	// f: 2×2 combinations; g: 1; main: 1 → 6.
 	if got := c.StaticVersionCount(); got != 6 {
 		t.Errorf("StaticVersionCount = %d, want 6", got)

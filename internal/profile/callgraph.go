@@ -9,6 +9,7 @@
 package profile
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -85,14 +86,16 @@ func (g *CallGraph) RecordEntry(m *hier.Method, classes []*hier.Class) {
 	if ts.overflow {
 		return
 	}
-	key := make([]byte, 0, 2*len(classes))
-	ids := make([]int, len(classes))
-	for i, c := range classes {
-		ids[i] = c.ID
-		key = append(key, byte(c.ID), byte(c.ID>>8))
+	// Four little-endian bytes per class ID, so full-width IDs never
+	// collide; Entries sorts by this key, low byte first, which keeps
+	// profile JSON stable. The key lives on the stack: a tuple already
+	// seen costs no allocation.
+	var buf [32]byte
+	key := buf[:0]
+	for _, c := range classes {
+		key = binary.LittleEndian.AppendUint32(key, uint32(c.ID))
 	}
-	k := string(key)
-	if _, ok := ts.seen[k]; ok {
+	if _, ok := ts.seen[string(key)]; ok {
 		return
 	}
 	if len(ts.seen) >= MaxTupleSample {
@@ -100,7 +103,11 @@ func (g *CallGraph) RecordEntry(m *hier.Method, classes []*hier.Class) {
 		ts.seen = nil
 		return
 	}
-	ts.seen[k] = ids
+	ids := make([]int, len(classes))
+	for i, c := range classes {
+		ids[i] = c.ID
+	}
+	ts.seen[string(key)] = ids
 }
 
 // Entries returns the argument-tuple sample for a method, or nil when

@@ -269,3 +269,22 @@ method main() { g; }
 		t.Errorf("String = %q", a.String())
 	}
 }
+
+// RecordEntry keys class IDs at full width: tuples that differ only
+// above bit 16 stay distinct, and a tuple already seen is recorded
+// without allocating.
+func TestRecordEntryWideClassIDs(t *testing.T) {
+	p := load(t)
+	mA, _, _ := methods(t, p)
+	lo, hi := &hier.Class{ID: 7}, &hier.Class{ID: 7 | 1<<16}
+	cg := NewCallGraph(p)
+	cg.RecordEntry(mA, []*hier.Class{lo})
+	cg.RecordEntry(mA, []*hier.Class{hi})
+	ts := cg.Entries(mA)
+	if ts == nil || len(ts.Tuples) != 2 || ts.Tuples[0][0] != lo.ID || ts.Tuples[1][0] != hi.ID {
+		t.Fatalf("Entries = %+v, want tuples [%d] and [%d]", ts, lo.ID, hi.ID)
+	}
+	if n := testing.AllocsPerRun(100, func() { cg.RecordEntry(mA, []*hier.Class{hi}) }); n != 0 {
+		t.Errorf("RecordEntry on a seen tuple allocates %v times", n)
+	}
+}

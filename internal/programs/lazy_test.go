@@ -5,8 +5,6 @@ import (
 
 	"selspec/internal/driver"
 	"selspec/internal/opt"
-	"selspec/internal/profile"
-	"selspec/internal/specialize"
 )
 
 // TestLazyCompilationEquivalence: §3.7.3 — compiling method versions
@@ -75,14 +73,10 @@ func TestProfileStabilityAcrossInputs(t *testing.T) {
 	}
 	var dispatches []uint64
 	for _, train := range trainInputs {
-		cg := profile.NewCallGraph(p.Prog)
-		cgRun, err := p.CollectProfile(driver.RunOptions{Overrides: train})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = cg
-		res := specialize.Run(p.Prog, cgRun, specialize.Params{})
-		c, err := opt.Compile(p.Prog, opt.Options{Config: opt.Selective, Specializations: res.Specializations})
+		c, _, err := p.Build(driver.BuildOptions{
+			Opt:   opt.Options{Config: opt.Selective},
+			Train: driver.RunOptions{Overrides: train},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,12 +18,9 @@ func runPrelude(t *testing.T, body string, cfg opt.Config) *driver.Result {
 		t.Fatal(err)
 	}
 	res, err := p.RunConfig(driver.ConfigOptions{
-		Config:     cfg,
-		SpecParams: specialize.Params{Threshold: -1},
-		RunExtra: func(ro *driver.RunOptions) {
-			ro.CaptureOutput = true
-			ro.StepLimit = 100_000_000
-		},
+		Opt:  opt.Options{Config: cfg},
+		Spec: specialize.Params{Threshold: -1},
+		Run:  driver.RunOptions{CaptureOutput: true, StepLimit: 100_000_000},
 	})
 	if err != nil {
 		t.Fatalf("%v: %v", cfg, err)
@@ -170,15 +167,11 @@ func TestCollectionsProgramAllConfigs(t *testing.T) {
 	}
 	run := func(cfg opt.Config, rta bool) *driver.Result {
 		res, err := p.RunConfig(driver.ConfigOptions{
-			Config:     cfg,
-			Train:      b.Train,
-			Test:       b.Test,
-			SpecParams: specialize.Params{Threshold: specialize.DefaultThreshold},
-			OptExtra:   func(oo *opt.Options) { oo.ReturnTypeAnalysis = rta },
-			RunExtra: func(ro *driver.RunOptions) {
-				ro.CaptureOutput = true
-				ro.StepLimit = 500_000_000
-			},
+			Opt:   opt.Options{Config: cfg, ReturnTypeAnalysis: rta},
+			Train: b.Train,
+			Test:  b.Test,
+			Spec:  specialize.Params{Threshold: specialize.DefaultThreshold},
+			Run:   driver.RunOptions{CaptureOutput: true, StepLimit: 500_000_000},
 		})
 		if err != nil {
 			t.Fatalf("%v/rta=%t: %v", cfg, rta, err)

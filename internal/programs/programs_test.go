@@ -17,14 +17,11 @@ func runBench(t *testing.T, b Benchmark, cfg opt.Config) *driver.Result {
 		t.Fatalf("%s does not load: %v", b.Name, err)
 	}
 	res, err := p.RunConfig(driver.ConfigOptions{
-		Config:     cfg,
-		Train:      b.Train,
-		Test:       b.Test,
-		SpecParams: specialize.Params{Threshold: specialize.DefaultThreshold},
-		RunExtra: func(ro *driver.RunOptions) {
-			ro.CaptureOutput = true
-			ro.StepLimit = testStepLimit
-		},
+		Opt:   opt.Options{Config: cfg},
+		Train: b.Train,
+		Test:  b.Test,
+		Spec:  specialize.Params{Threshold: specialize.DefaultThreshold},
+		Run:   driver.RunOptions{CaptureOutput: true, StepLimit: testStepLimit},
 	})
 	if err != nil {
 		t.Fatalf("%s under %v: %v", b.Name, cfg, err)

@@ -505,25 +505,15 @@ func (s *Server) execute(ctx context.Context, rr *resolved) (*driver.Result, err
 			Verify:        s.cfg.Verify,
 		}
 
-		oo := opt.Options{Config: rr.cfg}
-		if rr.cfg == opt.CustMM {
-			oo.Lazy = true
-		}
-		if rr.cfg == opt.Selective {
-			pro := ro
-			pro.Overrides = rr.train
-			cg, err := p.CollectProfile(pro)
-			if err != nil {
-				return nil, fmt.Errorf("training run: %w", err)
-			}
-			res, err := pipeline.Specialize(rr.label, p.Prog, cg, specialize.Params{Threshold: rr.threshold})
-			if err != nil {
-				return nil, err
-			}
-			oo.Specializations = res.Specializations
-		}
-
-		c, err := pipeline.Compile(rr.label, p.Prog, oo)
+		// The training run keeps the request's mechanism, engine and
+		// guards; only its input differs.
+		train := ro
+		train.Overrides = rr.train
+		c, _, err := p.Build(driver.BuildOptions{
+			Opt:   opt.Options{Config: rr.cfg},
+			Spec:  specialize.Params{Threshold: rr.threshold},
+			Train: train,
+		})
 		if err != nil {
 			return nil, err
 		}

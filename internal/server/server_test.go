@@ -93,12 +93,9 @@ func oneShot(t *testing.T, src string, cfg opt.Config) *driver.Result {
 		t.Fatal(err)
 	}
 	res, err := p.RunConfig(driver.ConfigOptions{
-		Config:     cfg,
-		SpecParams: specialize.Params{Threshold: specialize.DefaultThreshold},
-		RunExtra: func(ro *driver.RunOptions) {
-			ro.CaptureOutput = true
-			ro.Mechanism = interp.MechPIC
-		},
+		Opt:  opt.Options{Config: cfg},
+		Spec: specialize.Params{Threshold: specialize.DefaultThreshold},
+		Run:  driver.RunOptions{CaptureOutput: true, Mechanism: interp.MechPIC},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,15 +26,10 @@ func runEngine(t *testing.T, b programs.Benchmark, cfg opt.Config, eng driver.En
 		t.Fatalf("load %s: %v", b.Name, err)
 	}
 	res, err := p.RunConfig(driver.ConfigOptions{
-		Config: cfg,
-		Train:  b.Train,
-		Test:   b.Train, // training-size input keeps the full grid fast
-		RunExtra: func(ro *driver.RunOptions) {
-			ro.CaptureOutput = true
-			ro.StepLimit = 500_000_000
-			ro.Engine = eng
-			ro.Metrics = reg
-		},
+		Opt:   opt.Options{Config: cfg},
+		Train: b.Train,
+		Test:  b.Train, // training-size input keeps the full grid fast
+		Run:   driver.RunOptions{CaptureOutput: true, StepLimit: 500_000_000, Engine: eng, Metrics: reg},
 	})
 	if err != nil {
 		t.Fatalf("%s under %v engine %v: %v", b.Name, cfg, eng, err)
@@ -92,14 +87,10 @@ func TestEngineDiffMechanisms(t *testing.T) {
 					t.Fatal(err)
 				}
 				res, err := p.RunConfig(driver.ConfigOptions{
-					Config: cfg,
-					Train:  b.Train,
-					Test:   b.Train,
-					RunExtra: func(ro *driver.RunOptions) {
-						ro.CaptureOutput = true
-						ro.Mechanism = interp.Mechanism(mech)
-						ro.Engine = eng
-					},
+					Opt:   opt.Options{Config: cfg},
+					Train: b.Train,
+					Test:  b.Train,
+					Run:   driver.RunOptions{CaptureOutput: true, Mechanism: interp.Mechanism(mech), Engine: eng},
 				})
 				if err != nil {
 					t.Fatalf("mech %d cfg %v engine %v: %v", mech, cfg, eng, err)

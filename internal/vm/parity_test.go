@@ -24,13 +24,8 @@ func runBoth(t *testing.T, src string, step uint64, depth int) (string, error, s
 			t.Fatalf("load: %v", err)
 		}
 		res, rerr := p.RunConfig(driver.ConfigOptions{
-			Config: opt.CHA,
-			RunExtra: func(ro *driver.RunOptions) {
-				ro.CaptureOutput = true
-				ro.StepLimit = step
-				ro.DepthLimit = depth
-				ro.Engine = eng
-			},
+			Opt: opt.Options{Config: opt.CHA},
+			Run: driver.RunOptions{CaptureOutput: true, StepLimit: step, DepthLimit: depth, Engine: eng},
 		})
 		if rerr != nil {
 			return "", rerr
@@ -95,8 +90,8 @@ method main() { probe(new P()); }
 // through OpAGet/OpAPut's cold path (the shared CallPrim seam).
 func TestFusedArrayErrorParity(t *testing.T) {
 	for name, src := range map[string]string{
-		"aget oob": `method main() { var xs := newarray(2); aget(xs, 5); }`,
-		"aput oob": `method main() { var xs := newarray(2); aput(xs, 7, 1); }`,
+		"aget oob":      `method main() { var xs := newarray(2); aget(xs, 5); }`,
+		"aput oob":      `method main() { var xs := newarray(2); aput(xs, 7, 1); }`,
 		"aget nonarray": `method main() { aget(3, 0); }`,
 	} {
 		_, te, _, ve := runBoth(t, src, 0, 0)

@@ -10,7 +10,6 @@ import (
 	"selspec/internal/opt"
 	"selspec/internal/pipeline"
 	"selspec/internal/programs"
-	"selspec/internal/specialize"
 	"selspec/internal/vm"
 	"selspec/internal/vmcheck"
 )
@@ -102,24 +101,12 @@ func TestDiagnoseBenchmarksClean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: load: %v", b.Name, err)
 			}
-			oo := opt.Options{Config: cfg}
-			if cfg == opt.CustMM {
-				oo.Lazy = true
-			}
-			if cfg == opt.Selective {
-				cg, err := p.CollectProfile(driver.RunOptions{Overrides: b.Train, CaptureOutput: true})
-				if err != nil {
-					t.Fatalf("%s: profile: %v", b.Name, err)
-				}
-				res, err := pipeline.Specialize(b.Name, p.Prog, cg, specialize.Params{})
-				if err != nil {
-					t.Fatalf("%s: specialize: %v", b.Name, err)
-				}
-				oo.Specializations = res.Specializations
-			}
-			c, err := pipeline.Compile(b.Name, p.Prog, oo)
+			c, _, err := p.Build(driver.BuildOptions{
+				Opt:   opt.Options{Config: cfg},
+				Train: driver.RunOptions{Overrides: b.Train, CaptureOutput: true},
+			})
 			if err != nil {
-				t.Fatalf("%s/%s: compile: %v", b.Name, cfg, err)
+				t.Fatalf("%s/%s: build: %v", b.Name, cfg, err)
 			}
 			m, err := vm.New(interp.New(c))
 			if err != nil {

@@ -27,13 +27,10 @@ func TestVerifySweep(t *testing.T) {
 				t.Fatalf("%s: load: %v", b.Name, err)
 			}
 			res, err := p.RunConfig(driver.ConfigOptions{
-				Config: cfg,
-				Train:  b.Train,
-				Test:   b.Train, // small input: the sweep is about coverage, not timing
-				RunExtra: func(ro *driver.RunOptions) {
-					ro.Verify = true
-					ro.CaptureOutput = true
-				},
+				Opt:   opt.Options{Config: cfg},
+				Train: b.Train,
+				Test:  b.Train, // small input: the sweep is about coverage, not timing
+				Run:   driver.RunOptions{Verify: true, CaptureOutput: true},
 			})
 			if err != nil {
 				t.Errorf("%s/%s: verified run failed: %v", b.Name, cfg, err)
