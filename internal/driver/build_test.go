@@ -17,8 +17,9 @@ func describe(p *Pipeline, c *opt.Compiled, st *specialize.Stats) string {
 }
 
 // A saved profile stands in for the training run exactly: Build from a
-// profile written to disk and read back yields the same directives as
-// Build with the training run that recorded it.
+// profile written to disk and read back, or from its Wire loaded into a
+// fresh parse, yields the same directives as Build with the training
+// run that recorded it.
 func TestBuildWithReloadedProfileMatchesTraining(t *testing.T) {
 	for _, b := range programs.All() {
 		p, err := LoadNamed(b.Name, b.Source)
@@ -55,6 +56,24 @@ func TestBuildWithReloadedProfileMatchesTraining(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: directives from the reloaded profile differ\ntrained:\n%s\nreloaded:\n%s", b.Name, want, got)
+		}
+
+		// The server's profile memo: the trained Wire, loaded into a
+		// fresh parse of the same source, yields the same directives.
+		fresh, err := LoadNamed(b.Name, b.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo := profile.NewCallGraph(fresh.Prog)
+		if err := memo.LoadWire(cg.Wire()); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		hit, st3, err := fresh.Build(BuildOptions{Opt: opt.Options{Config: opt.Selective}, Profile: memo})
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if got := describe(fresh, hit, st3); got != want {
+			t.Errorf("%s: directives from the memoized Wire differ\ntrained:\n%s\nmemoized:\n%s", b.Name, want, got)
 		}
 	}
 }

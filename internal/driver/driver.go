@@ -367,7 +367,7 @@ func (p *Pipeline) collectProfile(ro RunOptions) (*profile.CallGraph, error) {
 // it). dbFlag names the database option in usage errors. It returns nil
 // when neither source is set.
 func (p *Pipeline) ReadProfile(path, dbDir, dbFlag, bench string) (*profile.CallGraph, error) {
-	var data []byte
+	cg := profile.NewCallGraph(p.Prog)
 	switch {
 	case dbDir != "":
 		// The database is keyed by benchmark name; a file program has no
@@ -389,23 +389,19 @@ func (p *Pipeline) ReadProfile(path, dbDir, dbFlag, bench string) (*profile.Call
 		if err != nil {
 			return nil, fmt.Errorf("profile database: %w", err)
 		}
-		if data, err = wire.Marshal(); err != nil {
-			return nil, err
+		if err := cg.LoadWire(wire); err != nil {
+			return nil, fmt.Errorf("database profile does not match program: %w", err)
 		}
 	case path != "":
-		var err error
-		if data, err = os.ReadFile(path); err != nil {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if err := cg.UnmarshalInto(data); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, nil
-	}
-	cg := profile.NewCallGraph(p.Prog)
-	if err := cg.UnmarshalInto(data); err != nil {
-		if dbDir != "" {
-			return nil, fmt.Errorf("database profile does not match program: %w", err)
-		}
-		return nil, err
 	}
 	return cg, nil
 }

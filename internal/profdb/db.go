@@ -747,7 +747,7 @@ func (a *programAgg) wire() *profile.Wire {
 }
 
 // Export returns program's aggregate, decayed to the current epoch, in
-// canonical wire form — directly consumable by CallGraph.UnmarshalInto
+// canonical wire form — directly consumable by CallGraph.LoadWire
 // and byte-stable for a fixed logical time.
 func (d *DB) Export(program string) (*profile.Wire, error) {
 	d.mu.Lock()

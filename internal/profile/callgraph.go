@@ -170,41 +170,8 @@ func (g *CallGraph) Arcs() []*Arc {
 	return out
 }
 
-// OutArcs returns arcs whose caller is m, ordered deterministically.
-func (g *CallGraph) OutArcs(m *hier.Method) []*Arc {
-	var out []*Arc
-	for _, a := range g.Arcs() {
-		if a.Caller() == m {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// InArcs returns arcs whose callee is m, ordered deterministically.
-func (g *CallGraph) InArcs(m *hier.Method) []*Arc {
-	var out []*Arc
-	for _, a := range g.Arcs() {
-		if a.Callee == m {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// SiteArcs returns the arcs leaving one call site.
-func (g *CallGraph) SiteArcs(site *ir.CallSite) []*Arc {
-	var out []*Arc
-	for _, a := range g.Arcs() {
-		if a.Site == site {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Merge adds every arc of other into g (same program required). Arc
-// weights are summed with the same int64 overflow guard UnmarshalInto
+// weights are summed with the same int64 overflow guard LoadWire
 // applies to duplicate arcs: a merge that would wrap errors before
 // touching g, so a poisoned aggregate can never come out of repeated
 // merging — the failure mode a long-lived profile database would

@@ -77,7 +77,7 @@ func (g *CallGraph) Wire() *Wire {
 // ParseWire decodes a profile's JSON without a program to validate it
 // against: only structural checks (well-formed JSON, supported version,
 // non-negative weights, sane tuple shapes) run here. Callers that hold
-// the program must follow with CallGraph.UnmarshalInto for the full
+// the program must follow with CallGraph.LoadWire for the full
 // referential validation; callers that do not (the profile database)
 // rely on the serving layer having done so before handing the bytes
 // over.
@@ -138,13 +138,8 @@ func lessTuple(a, b []int) bool {
 }
 
 // UnmarshalInto decodes data into a fresh call graph bound to g's
-// program, replacing g's arcs. Profiles cross a file-system boundary,
-// so every reference is validated against the bound program before it
-// touches graph state: ids in range, weights non-negative and
-// non-overflowing under duplicate arcs, tuple arities matching the
-// method they claim to sample, one entry per method. A corrupt or
-// hostile file yields an error, never a panic or a silently poisoned
-// profile.
+// program, replacing g's arcs: JSON decode, version check, then
+// LoadWire's referential validation.
 func (g *CallGraph) UnmarshalInto(data []byte) error {
 	var ff Wire
 	if err := json.Unmarshal(data, &ff); err != nil {
@@ -153,10 +148,23 @@ func (g *CallGraph) UnmarshalInto(data []byte) error {
 	if ff.Version != formatVersion {
 		return fmt.Errorf("profile: unsupported format version %d", ff.Version)
 	}
+	return g.LoadWire(&ff)
+}
+
+// LoadWire replaces g's arcs and entries with the profile w, bound to
+// g's program. Profiles cross file-system and process boundaries, so
+// every reference is validated against the bound program before it
+// touches graph state: ids in range, weights non-negative and
+// non-overflowing under duplicate arcs, tuple arities matching the
+// method they claim to sample, one entry per method. A corrupt or
+// hostile profile yields an error, never a panic or a silently poisoned
+// graph. w is only read, so one Wire may be loaded into many call
+// graphs concurrently.
+func (g *CallGraph) LoadWire(w *Wire) error {
 	g.arcs = map[arcKey]*Arc{}
 	g.entries = map[*hier.Method]*tupleSet{}
 	methods := g.prog.H.Methods()
-	for _, fa := range ff.Arcs {
+	for _, fa := range w.Arcs {
 		if fa.Site < 0 || fa.Site >= len(g.prog.Sites) {
 			return fmt.Errorf("profile: site %d out of range (profile from a different program?)", fa.Site)
 		}
@@ -172,7 +180,7 @@ func (g *CallGraph) UnmarshalInto(data []byte) error {
 		g.Record(g.prog.Sites[fa.Site], methods[fa.Callee], fa.Weight)
 	}
 	classes := g.prog.H.Classes()
-	for _, fe := range ff.Entries {
+	for _, fe := range w.Entries {
 		if fe.Method < 0 || fe.Method >= len(methods) {
 			return fmt.Errorf("profile: entry method %d out of range", fe.Method)
 		}

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -69,18 +70,6 @@ func TestRecordAndQuery(t *testing.T) {
 		t.Errorf("first arc = %v", arcs[0])
 	}
 
-	out := cg.OutArcs(f)
-	if len(out) != 3 {
-		t.Errorf("OutArcs(f) = %d", len(out))
-	}
-	in := cg.InArcs(mB)
-	if len(in) != 2 {
-		t.Errorf("InArcs(mB) = %d", len(in))
-	}
-	site := cg.SiteArcs(s0)
-	if len(site) != 2 {
-		t.Errorf("SiteArcs(s0) = %d", len(site))
-	}
 	if got := arcs[0].Caller(); got != f {
 		t.Errorf("Caller = %v", got)
 	}
@@ -138,23 +127,47 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// loaders are the two entry points into the referential validation:
+// the JSON decoder, and the in-memory Wire loader it ends in.
+var loaders = []struct {
+	name string
+	load func(g *CallGraph, data []byte) error
+}{
+	{"UnmarshalInto", (*CallGraph).UnmarshalInto},
+	{"LoadWire", func(g *CallGraph, data []byte) error {
+		var w Wire
+		if err := json.Unmarshal(data, &w); err != nil {
+			return err
+		}
+		return g.LoadWire(&w)
+	}},
+}
+
 func TestUnmarshalErrors(t *testing.T) {
 	p := load(t)
 	cg := NewCallGraph(p)
-	cases := []struct{ data, sub string }{
-		{`{bad json`, "profile:"},
-		{`{"version": 99, "arcs": []}`, "unsupported format version"},
-		{`{"version": 1, "arcs": [{"site": 999, "callee": 0, "weight": 1}]}`, "site 999 out of range"},
-		{`{"version": 1, "arcs": [{"site": 0, "callee": 999, "weight": 1}]}`, "method 999 out of range"},
-		{`{"version": 1, "arcs": [{"site": 0, "callee": 0, "weight": -5}]}`, "negative weight"},
+	cases := []struct {
+		data, sub  string
+		decodeOnly bool // rejected by UnmarshalInto before LoadWire runs
+	}{
+		{`{bad json`, "profile:", true},
+		{`{"version": 99, "arcs": []}`, "unsupported format version", true},
+		{`{"version": 1, "arcs": [{"site": 999, "callee": 0, "weight": 1}]}`, "site 999 out of range", false},
+		{`{"version": 1, "arcs": [{"site": 0, "callee": 999, "weight": 1}]}`, "method 999 out of range", false},
+		{`{"version": 1, "arcs": [{"site": 0, "callee": 0, "weight": -5}]}`, "negative weight", false},
 		{`{"version": 1, "arcs": [{"site": 0, "callee": 0, "weight": 9223372036854775807}, {"site": 0, "callee": 0, "weight": 1}]}`,
-			"weight overflow on duplicate arc"},
-		{`{"version": 1, "entries": [{"method": 999, "overflow": true}]}`, "entry method 999 out of range"},
+			"weight overflow on duplicate arc", false},
+		{`{"version": 1, "entries": [{"method": 999, "overflow": true}]}`, "entry method 999 out of range", false},
 	}
-	for _, c := range cases {
-		err := cg.UnmarshalInto([]byte(c.data))
-		if err == nil || !strings.Contains(err.Error(), c.sub) {
-			t.Errorf("UnmarshalInto(%q) err = %v, want %q", c.data, err, c.sub)
+	for _, l := range loaders {
+		for _, c := range cases {
+			if c.decodeOnly && l.name != "UnmarshalInto" {
+				continue
+			}
+			err := l.load(cg, []byte(c.data))
+			if err == nil || !strings.Contains(err.Error(), c.sub) {
+				t.Errorf("%s(%q) err = %v, want %q", l.name, c.data, err, c.sub)
+			}
 		}
 	}
 }
@@ -179,11 +192,47 @@ func TestUnmarshalCorruptEntries(t *testing.T) {
 			fmt.Sprintf(`{"version": 1, "entries": [{"method": %d, "overflow": true}, {"method": %d, "tuples": [[0]]}]}`, mA.ID, mA.ID),
 			"duplicate entry for method"},
 	}
-	for _, c := range cases {
-		cg := NewCallGraph(p)
-		err := cg.UnmarshalInto([]byte(c.data))
-		if err == nil || !strings.Contains(err.Error(), c.sub) {
-			t.Errorf("%s: UnmarshalInto err = %v, want %q", c.name, err, c.sub)
+	for _, l := range loaders {
+		for _, c := range cases {
+			cg := NewCallGraph(p)
+			err := l.load(cg, []byte(c.data))
+			if err == nil || !strings.Contains(err.Error(), c.sub) {
+				t.Errorf("%s: %s err = %v, want %q", c.name, l.name, err, c.sub)
+			}
+		}
+	}
+}
+
+// LoadWire only reads its Wire: a profile loaded from a Wire equals the
+// graph the Wire came from, and the Wire is unchanged afterwards, so
+// one cached Wire can seed many call graphs.
+func TestLoadWireRoundTrip(t *testing.T) {
+	p := load(t)
+	mA, mB, f := methods(t, p)
+	cg := NewCallGraph(p)
+	cg.Record(p.Bodies[f].Sites[0], mA, 1234)
+	cg.Record(p.Bodies[f].Sites[1], mB, 999)
+	cg.RecordEntry(mA, []*hier.Class{p.H.Classes()[0]})
+	cg.entries[mB] = &tupleSet{overflow: true}
+	want, err := cg.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cg.Wire()
+	for i := 0; i < 2; i++ {
+		back := NewCallGraph(p)
+		if err := back.LoadWire(w); err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("load %d: LoadWire round trip differs:\n%s\nvs\n%s", i, got, want)
+		}
+		if again, _ := w.Marshal(); string(again) != string(want) {
+			t.Fatalf("load %d mutated the Wire:\n%s", i, again)
 		}
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"selspec/internal/opt"
 	"selspec/internal/pipeline"
 	"selspec/internal/profdb"
+	"selspec/internal/profile"
 	"selspec/internal/programs"
 	"selspec/internal/specialize"
 )
@@ -146,13 +147,19 @@ type Server struct {
 	// Registry-backed mirrors of the atomic counters above, for
 	// /metrics scrapers; nil (and free) when Config.Metrics is unset.
 	mServed, mShed, mFaulted *obs.Counter
+	// mProfileHit/mProfileMiss count Selective requests that found or
+	// missed their training profile in the memo; nil without Metrics.
+	mProfileHit, mProfileMiss *obs.Counter
 	// instruments is the interpreter/dispatch instrument bundle,
 	// registered once here so per-request Executes never take the
 	// registry lock; nil when Config.Metrics is unset.
 	instruments *driver.Instruments
 
 	breaker *breaker
-	mux     *http.ServeMux
+	// profiles memoizes Selective training profiles per program, so a
+	// repeated Selective request skips the instrumented Base run.
+	profiles *profileCache
+	mux      *http.ServeMux
 	// benchCache caches parsed+lowered benchmark programs for profile
 	// upload validation (name → *driver.Pipeline).
 	benchCache sync.Map
@@ -170,11 +177,14 @@ func New(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		draining: make(chan struct{}),
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, 1024),
+		profiles: newProfileCache(profileCacheSize),
 	}
 	if cfg.Metrics != nil {
 		s.mServed = cfg.Metrics.Counter("selspec_server_served_total")
 		s.mShed = cfg.Metrics.Counter("selspec_server_shed_total")
 		s.mFaulted = cfg.Metrics.Counter("selspec_server_contained_panics_total")
+		s.mProfileHit = cfg.Metrics.Counter("selspec_server_profile_cache_total", obs.Label{Key: "result", Value: "hit"})
+		s.mProfileMiss = cfg.Metrics.Counter("selspec_server_profile_cache_total", obs.Label{Key: "result", Value: "miss"})
 		s.instruments = driver.NewInstruments(cfg.Metrics)
 	}
 	s.mux = http.NewServeMux()
@@ -504,18 +514,37 @@ func (s *Server) execute(ctx context.Context, rr *resolved) (*driver.Result, err
 			Instruments:   s.instruments,
 			Verify:        s.cfg.Verify,
 		}
-
-		// The training run keeps the request's mechanism, engine and
-		// guards; only its input differs.
-		train := ro
-		train.Overrides = rr.train
-		c, _, err := p.Build(driver.BuildOptions{
-			Opt:   opt.Options{Config: rr.cfg},
-			Spec:  specialize.Params{Threshold: rr.threshold},
-			Train: train,
-		})
+		bo := driver.BuildOptions{
+			Opt:  opt.Options{Config: rr.cfg},
+			Spec: specialize.Params{Threshold: rr.threshold},
+		}
+		var key profileKey
+		if rr.cfg == opt.Selective {
+			key = newProfileKey(rr.src, rr.train)
+			if w := s.profiles.get(key); w != nil {
+				s.mProfileHit.Inc()
+				bo.Profile, err = pipeline.Guard(pipeline.StageProfile, rr.label, rr.cfg.String(), func() (*profile.CallGraph, error) {
+					cg := profile.NewCallGraph(p.Prog)
+					return cg, cg.LoadWire(w)
+				})
+				if err != nil {
+					return nil, err
+				}
+			} else {
+				// The training run keeps the request's mechanism, engine
+				// and guards; only its input differs.
+				s.mProfileMiss.Inc()
+				bo.Train = ro
+				bo.Train.Overrides = rr.train
+				bo.Train.Profile = profile.NewCallGraph(p.Prog)
+			}
+		}
+		c, _, err := p.Build(bo)
 		if err != nil {
-			return nil, err
+			return nil, err // a failed training run is never cached
+		}
+		if bo.Train.Profile != nil {
+			s.profiles.put(key, bo.Train.Profile.Wire())
 		}
 		ro.Overrides = rr.test
 		return driver.Execute(c, ro)

@@ -109,6 +109,7 @@ type runner struct {
 	specs   map[*hier.Method][]hier.Tuple
 	general map[*hier.Method]hier.Tuple
 	inArcs  map[*hier.Method][]*profile.Arc
+	outArcs map[*hier.Method][]*profile.Arc // by caller; nil key = global initializers
 	stats   Stats
 }
 
@@ -122,6 +123,7 @@ func Run(p *ir.Program, cg *profile.CallGraph, params Params) *Result {
 		specs:   map[*hier.Method][]hier.Tuple{},
 		general: map[*hier.Method]hier.Tuple{},
 		inArcs:  map[*hier.Method][]*profile.Arc{},
+		outArcs: map[*hier.Method][]*profile.Arc{},
 	}
 
 	// specializeProgram: initialize Specializations[meth] with the
@@ -131,9 +133,12 @@ func Run(p *ir.Program, cg *profile.CallGraph, params Params) *Result {
 		r.general[m] = g
 		r.specs[m] = []hier.Tuple{g}
 	}
+	// One sorted pass indexes the arcs both ways, so each index lists
+	// its arcs in (site, callee) order.
 	for _, a := range cg.Arcs() {
 		r.stats.ArcsTotal++
 		r.inArcs[a.Callee] = append(r.inArcs[a.Callee], a)
+		r.outArcs[a.Caller()] = append(r.outArcs[a.Caller()], a)
 	}
 
 	if params.SpaceBudget > 0 {
@@ -188,7 +193,7 @@ func (r *runner) addedTotal() int {
 
 // specializeMethod is the paper's routine of the same name.
 func (r *runner) specializeMethod(meth *hier.Method) {
-	for _, arc := range r.cg.OutArcs(meth) {
+	for _, arc := range r.outArcs[meth] {
 		if !r.isSpecializableArc(arc) {
 			continue
 		}
@@ -214,7 +219,7 @@ func (r *runner) isSpecializableArc(arc *profile.Arc) bool {
 // callee's ApplicableClasses mapped back through the call site's
 // pass-through argument mapping.
 func (r *runner) neededInfoForArc(arc *profile.Arc) hier.Tuple {
-	return r.neededInfoFor(arc, r.generalFor(arc.Callee))
+	return r.neededInfoFor(arc, r.general[arc.Callee])
 }
 
 // neededInfoFor is the two-argument form used by cascading: it maps an
