@@ -43,9 +43,9 @@ func (t *SingleTable) Lookup(classes []*hier.Class) *hier.Method {
 }
 
 // MMTable is a compressed multi-method dispatch table. For each
-// dispatched argument position, classes are first grouped into "poles":
-// two classes share a pole iff every method of the GF treats them
-// identically at that position (same applicability). The dense table is
+// dispatched argument position, classes are first grouped into "poles"
+// (hier.Poles): two classes share a pole iff every method of the GF
+// treats them identically at that position. The dense table is
 // then indexed by pole numbers rather than class IDs, which compresses
 // its size from |classes|^n to |poles_1|×…×|poles_n| (Amiel et al. 94,
 // Chen et al. 94).
@@ -67,38 +67,23 @@ func NewMMTable(h *hier.Hierarchy, g *hier.GF) (*MMTable, error) {
 	}
 	t := &MMTable{GF: g, positions: positions}
 
-	// Pole computation: signature of class c at position p is the
-	// bitvector of methods applicable at p for c.
+	// Poles come from the hierarchy, shared with ApplicableClasses.
 	reps := make([][]*hier.Class, len(positions)) // one representative class per pole
 	for pi, p := range positions {
-		sigToPole := map[string]int{}
+		poles := h.Poles(g, p)
 		poleOf := make([]int, h.NumClasses())
-		var repList []*hier.Class
-		for _, c := range h.Classes() {
-			sig := make([]byte, len(g.Methods))
-			any := false
-			for mi, m := range g.Methods {
-				if c.IsSubclassOf(m.Specs[p]) {
-					sig[mi] = 1
-					any = true
-				}
-			}
-			if !any {
-				poleOf[c.ID] = -1
-				continue
-			}
-			key := string(sig)
-			pole, ok := sigToPole[key]
-			if !ok {
-				pole = len(repList)
-				sigToPole[key] = pole
-				repList = append(repList, c)
-			}
-			poleOf[c.ID] = pole
+		for i := range poleOf {
+			poleOf[i] = -1
+		}
+		for k, members := range poles.Members {
+			members.ForEach(func(c int) bool {
+				poleOf[c] = k
+				return true
+			})
 		}
 		t.poleOf = append(t.poleOf, poleOf)
-		t.dims = append(t.dims, len(repList))
-		reps[pi] = repList
+		t.dims = append(t.dims, len(poles.Reps))
+		reps[pi] = poles.Reps
 	}
 
 	// Fill the dense pole-indexed table using one representative class

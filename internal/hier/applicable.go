@@ -10,7 +10,7 @@ import "selspec/internal/bits"
 // For singly-dispatched generic functions this is straightforward. For
 // multi-methods we compute the exact projection of the set of concrete
 // dispatch tuples when the product of specializer cones over the
-// dispatched positions is small enough (productLimit), and fall back to
+// dispatched positions is small enough (enumBudget), and fall back to
 // a conservative per-position approximation otherwise — the fallback
 // under-approximates, which is safe here because the runtime always
 // retains a fully general fallback version (see internal/opt).
@@ -53,16 +53,19 @@ func (h *Hierarchy) ApplicableClassesExact(m *Method) (Tuple, bool) {
 	return t, exact
 }
 
-// productLimit bounds the number of concrete class tuples enumerated by
-// the exact ApplicableClasses computation.
+// productLimit caps enumBudget.
 const productLimit = 1 << 20
 
-// enumBudget is the per-generic-function tuple-enumeration budget. It
-// scales with hierarchy size but is bounded by productLimit: on
-// mega-hierarchies (thousands of classes) exhaustive products over
-// all-classes cones would cost minutes per compile, so large spaces
-// take the conservative approximateApplicable path instead — which is
-// safe (see ApplicableClassesExact callers) and O(methods²).
+// enumBudget is the per-generic-function budget that chooses between
+// the exact and the approximate ApplicableClasses. It is measured in
+// concrete class tuples, the product of cone (or union-of-cones) sizes
+// over the dispatched positions, and scales with the hierarchy, capped
+// at productLimit. The work done on the exact path is the much smaller
+// product of pole counts (see Poles); the budget stays in class tuples
+// so that every method keeps the exact or approximate answer it has
+// always had. Spaces over budget take the conservative
+// approximateApplicable path, which is safe (see ApplicableClassesExact
+// callers) and O(methods²).
 func (h *Hierarchy) enumBudget() int {
 	b := 16 * h.NumClasses()
 	if b < 1<<16 {
@@ -75,41 +78,107 @@ func (h *Hierarchy) enumBudget() int {
 }
 
 // batchApplicable computes exact ApplicableClasses for every method of
-// g in a single enumeration of g's dispatch space (the product over
-// dispatched positions of the union of all specializer cones — a
-// superset of every method's own cone product, so per-method
-// projections agree with what exactApplicable would compute). Fills the
-// memo and returns true, or returns false untouched when the space
-// exceeds the enumeration budget (caller then goes per-method).
-// Called with applicableMu held.
+// g in a single enumeration of g's dispatch space (every pole at every
+// dispatched position — a superset of each method's own cone product,
+// so per-method projections agree with what computeApplicable would
+// produce). Fills the memo and returns true, or returns false untouched
+// when the space exceeds the enumeration budget (caller then goes
+// per-method). Called with applicableMu held.
 func (h *Hierarchy) batchApplicable(g *GF) bool {
 	dpos := g.DispatchedPositions()
-	if len(dpos) == 0 || len(g.Methods) == 0 {
+	if len(dpos) == 0 {
 		return false
 	}
-	space := make([][]int, len(dpos))
 	size := 1
-	for i, p := range dpos {
+	for _, p := range dpos {
 		u := bits.New(h.NumClasses())
 		for _, m := range g.Methods {
 			u.AddAll(m.Specs[p].Cone())
 		}
-		space[i] = u.Elems()
-		size *= len(space[i])
+		size *= u.Len()
 		if size == 0 || size > h.enumBudget() {
 			return false
 		}
 	}
 
-	proj := make(map[*Method][]*bits.Set, len(g.Methods))
-	for _, m := range g.Methods {
-		sets := make([]*bits.Set, len(dpos))
-		for i := range sets {
-			sets[i] = bits.New(h.NumClasses())
+	space := make([][]int, len(dpos))
+	for i, p := range dpos {
+		space[i] = make([]int, len(h.Poles(g, p).Reps))
+		for k := range space[i] {
+			space[i][k] = k
 		}
-		proj[m] = sets
+	}
+	out := make(map[*Method]Tuple, len(g.Methods))
+	for _, m := range g.Methods {
+		out[m] = h.projectionBase(m, dpos)
+	}
+	h.projectWinners(g, dpos, space, out)
+	for _, m := range g.Methods {
+		h.applicableMemo[m] = out[m]
+		h.applicableExact[m] = true
+	}
+	return true
+}
+
+func (h *Hierarchy) computeApplicable(m *Method) (Tuple, bool) {
+	g := m.GF
+	dpos := g.DispatchedPositions()
+
+	// Undispatched positions keep the cones of the specializers: no
+	// method constrains them, so the cone (all classes when the
+	// specializer is Any) is exact.
+	if len(dpos) == 0 {
+		return h.GeneralTuple(m), true
 	}
 
+	// Exact enumeration, over the poles inside m's cones: a cone is a
+	// union of poles, since m's own specializer is one of the tests
+	// that define them. For singly-dispatched generic functions this
+	// costs one lookup per pole; it also correctly excludes classes
+	// whose lookup is ambiguous (possible under multiple inheritance),
+	// which a cone-minus-overriders shortcut would keep.
+	size := 1
+	for _, p := range dpos {
+		size *= m.Specs[p].Cone().Len()
+		if size > h.enumBudget() {
+			return h.approximateApplicable(m, dpos), false
+		}
+	}
+	space := make([][]int, len(dpos))
+	for i, p := range dpos {
+		for k, r := range h.Poles(g, p).Reps {
+			if r.IsSubclassOf(m.Specs[p]) {
+				space[i] = append(space[i], k)
+			}
+		}
+	}
+	out := h.projectionBase(m, dpos)
+	h.projectWinners(g, dpos, space, map[*Method]Tuple{m: out})
+	return out, true
+}
+
+// projectionBase is m's general tuple with the dispatched positions
+// emptied, for projectWinners to fill.
+func (h *Hierarchy) projectionBase(m *Method, dpos []int) Tuple {
+	t := h.GeneralTuple(m)
+	for _, p := range dpos {
+		t[p].Clear()
+	}
+	return t
+}
+
+// projectWinners enumerates the product of poles over g's dispatched
+// positions (space[i] lists the pole indices to visit at dpos[i]),
+// looks up one representative class tuple per pole tuple, and adds the
+// winning poles' members into the winner's tuple in out, when out has
+// one. Every class tuple inside a pole tuple has the same applicable
+// methods, hence the same lookup result, so this projects exactly the
+// class tuples each method wins.
+func (h *Hierarchy) projectWinners(g *GF, dpos []int, space [][]int, out map[*Method]Tuple) {
+	poles := make([]*Poles, len(dpos))
+	for i, p := range dpos {
+		poles[i] = h.Poles(g, p)
+	}
 	classes := make([]*Class, g.Arity)
 	for i := range classes {
 		classes[i] = h.any // undispatched positions never matter
@@ -117,16 +186,18 @@ func (h *Hierarchy) batchApplicable(g *GF) bool {
 	idx := make([]int, len(dpos))
 	for {
 		for i, p := range dpos {
-			classes[p] = h.classes[space[i][idx[i]]]
+			classes[p] = poles[i].Reps[space[i][idx[i]]]
 		}
-		// Bypass the lookup cache, as in exactApplicable.
+		// Bypass the lookup cache: the representatives are not the
+		// classes a running program dispatches on.
 		if won, err := h.lookupSlow(g, classes); err == nil {
-			if sets := proj[won]; sets != nil {
+			if t := out[won]; t != nil {
 				for i, p := range dpos {
-					sets[i].Add(classes[p].ID)
+					t[p].AddAll(poles[i].Members[space[i][idx[i]]])
 				}
 			}
 		}
+		// Advance the odometer.
 		k := len(idx) - 1
 		for k >= 0 {
 			idx[k]++
@@ -140,103 +211,6 @@ func (h *Hierarchy) batchApplicable(g *GF) bool {
 			break
 		}
 	}
-
-	for _, m := range g.Methods {
-		out := make(Tuple, g.Arity)
-		for i, s := range m.Specs {
-			out[i] = s.Cone().Clone()
-		}
-		for i, p := range dpos {
-			out[p] = proj[m][i]
-		}
-		h.applicableMemo[m] = out
-		h.applicableExact[m] = true
-	}
-	return true
-}
-
-func (h *Hierarchy) computeApplicable(m *Method) (Tuple, bool) {
-	g := m.GF
-	dpos := g.DispatchedPositions()
-
-	// Start with cones of the specializers. Undispatched positions are
-	// final: no method constrains them, so the cone (all classes when
-	// the specializer is Any) is exact.
-	out := make(Tuple, g.Arity)
-	for i, s := range m.Specs {
-		out[i] = s.Cone().Clone()
-	}
-	if len(dpos) == 0 {
-		return out, true
-	}
-
-	// Exact product enumeration. For singly-dispatched generic
-	// functions this costs one lookup per class in the specializer's
-	// cone; it also correctly excludes classes whose lookup is
-	// ambiguous (possible under multiple inheritance), which a
-	// cone-minus-overriders shortcut would keep.
-	size := 1
-	for _, p := range dpos {
-		size *= out[p].Len()
-		if size > h.enumBudget() {
-			return h.approximateApplicable(m, out, dpos), false
-		}
-	}
-	return h.exactApplicable(m, out, dpos), true
-}
-
-// exactApplicable enumerates every concrete class tuple in the product
-// of the specializer cones over the dispatched positions, asks Lookup
-// which method wins, and projects the winning tuples of m onto each
-// position.
-func (h *Hierarchy) exactApplicable(m *Method, base Tuple, dpos []int) Tuple {
-	g := m.GF
-	proj := make([]*bits.Set, len(dpos))
-	for i := range dpos {
-		proj[i] = bits.New(h.NumClasses())
-	}
-	elems := make([][]int, len(dpos))
-	for i, p := range dpos {
-		elems[i] = base[p].Elems()
-	}
-
-	classes := make([]*Class, g.Arity)
-	for i := range classes {
-		classes[i] = h.any // undispatched positions never matter
-	}
-
-	idx := make([]int, len(dpos))
-	for {
-		for i, p := range dpos {
-			classes[p] = h.classes[elems[i][idx[i]]]
-		}
-		// Bypass the lookup cache: enumeration may visit up to
-		// productLimit tuples and caching them all would waste memory.
-		if won, err := h.lookupSlow(g, classes); err == nil && won == m {
-			for i, p := range dpos {
-				proj[i].Add(classes[p].ID)
-			}
-		}
-		// Advance the odometer.
-		k := len(idx) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < len(elems[k]) {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			break
-		}
-	}
-
-	out := base.Clone()
-	for i, p := range dpos {
-		out[p] = proj[i]
-	}
-	return out
 }
 
 // approximateApplicable is the conservative per-position fallback for
@@ -244,8 +218,8 @@ func (h *Hierarchy) exactApplicable(m *Method, base Tuple, dpos []int) Tuple {
 // not covered by any strictly overriding method at p. It may
 // under-approximate the true projection for partially-overlapping
 // multi-methods, which only makes specializations narrower (safe).
-func (h *Hierarchy) approximateApplicable(m *Method, base Tuple, dpos []int) Tuple {
-	out := base.Clone()
+func (h *Hierarchy) approximateApplicable(m *Method, dpos []int) Tuple {
+	out := h.GeneralTuple(m)
 	for _, p := range dpos {
 		for _, n := range m.GF.Methods {
 			if n.Overrides(m) && n.Specs[p] != m.Specs[p] {

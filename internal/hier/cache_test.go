@@ -125,6 +125,24 @@ func TestLookupCacheHitAllocFree(t *testing.T) {
 	}
 }
 
+// TestLookupSlowAllocFree: a successful uncached lookup must not
+// allocate either. ApplicableClasses runs it once per pole tuple, and
+// every Lookup cache miss at run time goes through it.
+func TestLookupSlowAllocFree(t *testing.T) {
+	h, cs := cacheHier(t)
+	g2, _ := h.GF("mm", 2)
+	args := []*Class{cs[3], cs[2]} // mm(D, C): mm(@B,@C) beats mm(@A,@C) and mm(@A,@A)
+	m, err := h.lookupSlow(g2, args)
+	if err != nil || m.Name() != "mm(@B,@C)" {
+		t.Fatalf("lookupSlow(mm, D, C) = %v, %v", m, err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		h.lookupSlow(g2, args)
+	}); n != 0 {
+		t.Errorf("successful 2-argument lookupSlow allocates %v objects/op", n)
+	}
+}
+
 // TestConcurrentLookup hammers one frozen hierarchy from many
 // goroutines, mixing cold and warm tuples, and checks every result
 // against the serial answers. Run under -race this is the lookup half

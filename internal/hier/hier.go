@@ -150,6 +150,7 @@ type GF struct {
 
 	dispatched []bool   // positions where some method specializes
 	cache      *gfCache // memoized lookups; installed by Freeze
+	poles      []*Poles // per position, computed on demand; guarded by Hierarchy.polesMu
 }
 
 // Key returns the map key "name/arity" identifying the GF.
@@ -220,6 +221,12 @@ type Hierarchy struct {
 	applicableMu    sync.Mutex
 	applicableMemo  map[*Method]Tuple
 	applicableExact map[*Method]bool
+
+	// polesMu guards every GF's pole memo (see Poles) and the work
+	// buffer computePoles sweeps with. It is taken inside applicableMu,
+	// never the other way round.
+	polesMu sync.Mutex
+	poleBuf []int
 
 	// lookupMetrics, when set, observes the gfCache hit/miss behavior
 	// of Lookup (see obs.go). Atomic so observation can be attached
@@ -474,33 +481,35 @@ func (h *Hierarchy) Lookup(g *GF, classes ...*Class) (*Method, *DispatchError) {
 	return m, err
 }
 
+// lookupSlow finds the most-specific applicable method without
+// allocating on success: pass 1 picks the candidate, pass 2 checks it
+// is ⊑ every applicable method. Only the error paths allocate.
 func (h *Hierarchy) lookupSlow(g *GF, classes []*Class) (*Method, *DispatchError) {
-	var applicable []*Method
-outer:
+	var best *Method
 	for _, m := range g.Methods {
-		for i, s := range m.Specs {
-			if !classes[i].IsSubclassOf(s) {
-				continue outer
-			}
-		}
-		applicable = append(applicable, m)
-	}
-	if len(applicable) == 0 {
-		return nil, &DispatchError{GF: g, Classes: append([]*Class(nil), classes...)}
-	}
-	// Most specific: the unique applicable method pointwise ⊑ all others.
-	best := applicable[0]
-	for _, m := range applicable[1:] {
-		if m.PointwiseLE(best) {
+		if applies(m, classes) && (best == nil || m.PointwiseLE(best)) {
 			best = m
 		}
 	}
-	for _, m := range applicable {
-		if !best.PointwiseLE(m) {
+	if best == nil {
+		return nil, &DispatchError{GF: g, Classes: append([]*Class(nil), classes...)}
+	}
+	for _, m := range g.Methods {
+		if applies(m, classes) && !best.PointwiseLE(m) {
 			return nil, &DispatchError{GF: g, Classes: append([]*Class(nil), classes...), Ambiguous: true}
 		}
 	}
 	return best, nil
+}
+
+// applies reports whether every argument class is ⊑ m's specializer.
+func applies(m *Method, classes []*Class) bool {
+	for i, s := range m.Specs {
+		if !classes[i].IsSubclassOf(s) {
+			return false
+		}
+	}
+	return true
 }
 
 // SortedGFKeys returns GF keys in sorted order (deterministic output

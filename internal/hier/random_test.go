@@ -1,4 +1,4 @@
-package hier
+package hier_test
 
 import (
 	"fmt"
@@ -7,30 +7,33 @@ import (
 	"testing"
 
 	"selspec/internal/bits"
+	"selspec/internal/dispatch"
+	"selspec/internal/hier"
 	"selspec/internal/lang"
 )
 
-// randomHierarchy builds a random class DAG with random multi-methods
-// over one generic function.
-func randomHierarchy(t *testing.T, rng *rand.Rand) (*Hierarchy, *GF) {
+// randomHierarchy builds a random class DAG of up to 16 classes, with
+// frequent multiple inheritance, and random multi-methods of arity up
+// to 3 over one generic function. At that size diamonds and ambiguous
+// tuples land inside poles of several classes.
+func randomHierarchy(t *testing.T, rng *rand.Rand) (*hier.Hierarchy, *hier.GF) {
 	t.Helper()
 	for attempt := 0; attempt < 20; attempt++ {
 		var b strings.Builder
-		n := 4 + rng.Intn(5)
+		n := 4 + rng.Intn(13)
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&b, "class R%d", i)
 			if i > 0 && rng.Intn(4) > 0 {
-				fmt.Fprintf(&b, " isa R%d", rng.Intn(i))
-				if rng.Intn(4) == 0 {
-					if p2 := rng.Intn(i); true {
-						fmt.Fprintf(&b, ", R%d", p2)
-					}
+				p1 := rng.Intn(i)
+				fmt.Fprintf(&b, " isa R%d", p1)
+				if p2 := rng.Intn(i); p2 != p1 && rng.Intn(3) == 0 {
+					fmt.Fprintf(&b, ", R%d", p2)
 				}
 			}
 			b.WriteString("\n")
 		}
-		arity := 1 + rng.Intn(2)
-		nm := 1 + rng.Intn(5)
+		arity := 1 + rng.Intn(3)
+		nm := 1 + rng.Intn(6)
 		seen := map[string]bool{}
 		count := 0
 		for k := 0; k < nm; k++ {
@@ -55,7 +58,7 @@ func randomHierarchy(t *testing.T, rng *rand.Rand) (*Hierarchy, *GF) {
 		if err != nil {
 			t.Fatalf("generator emitted unparseable source: %v\n%s", err, b.String())
 		}
-		h, err := Build(prog)
+		h, err := hier.Build(prog)
 		if err != nil {
 			continue // duplicate parents etc. — try again
 		}
@@ -70,25 +73,40 @@ func randomHierarchy(t *testing.T, rng *rand.Rand) (*Hierarchy, *GF) {
 }
 
 // TestRandomApplicableClassesInvariants checks, over random
-// hierarchies, the two key properties the specializer relies on:
+// hierarchies, the properties the specializer and the dispatch tables
+// rely on:
 //
 //  1. soundness: lookup(c⃗)=m  ⇒  ∀i: c_i ∈ ApplicableClasses[m][i];
-//  2. tightness (exact mode): every class in ApplicableClasses[m][i]
-//     appears in at least one winning tuple of m.
+//  2. exactness (exact mode): on every dispatched position,
+//     ApplicableClasses[m] is exactly the projection of the class
+//     tuples m wins;
+//  3. the compressed dispatch table agrees with Lookup on every class
+//     tuple.
 func TestRandomApplicableClassesInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
 	for round := 0; round < 60; round++ {
 		h, g := randomHierarchy(t, rng)
 		arity := g.Arity
+		table, err := dispatch.NewMMTable(h, g)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-		// Enumerate every concrete tuple and record winners.
-		winners := map[*Method][][]*Class{}
-		classes := make([]*Class, arity)
+		// Enumerate every concrete tuple, record winners, and check
+		// the table against Lookup.
+		winners := map[*hier.Method][][]*hier.Class{}
+		classes := make([]*hier.Class, arity)
 		var rec func(pos int)
 		rec = func(pos int) {
 			if pos == arity {
-				if m, err := h.Lookup(g, classes...); err == nil {
-					cp := make([]*Class, arity)
+				m, err := h.Lookup(g, classes...)
+				got, amb := table.Lookup(classes)
+				if got != m || (err != nil && amb != err.Ambiguous) || (err == nil && amb) {
+					t.Fatalf("round %d: table %v (ambiguous %t), Lookup %v, %v on %v",
+						round, got, amb, m, err, classes)
+				}
+				if err == nil {
+					cp := make([]*hier.Class, arity)
 					copy(cp, classes)
 					winners[m] = append(winners[m], cp)
 				}
@@ -115,14 +133,14 @@ func TestRandomApplicableClassesInvariants(t *testing.T) {
 			if !exact {
 				continue
 			}
-			// 2. Tightness on dispatched positions.
+			// 2. Exactness on dispatched positions.
 			for _, p := range g.DispatchedPositions() {
 				covered := bits.New(h.NumClasses())
 				for _, win := range winners[m] {
 					covered.Add(win[p].ID)
 				}
-				if !app[p].SubsetOf(covered) {
-					t.Fatalf("round %d: Applicable[%s][%d] = %v has classes never winning (covered %v)",
+				if !app[p].Equal(covered) {
+					t.Fatalf("round %d: Applicable[%s][%d] = %v, want the winning projection %v",
 						round, m.Name(), p, app[p], covered)
 				}
 			}
@@ -136,12 +154,12 @@ func TestRandomLookupMostSpecific(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	for round := 0; round < 60; round++ {
 		h, g := randomHierarchy(t, rng)
-		classes := make([]*Class, g.Arity)
+		classes := make([]*hier.Class, g.Arity)
 		var rec func(pos int)
 		rec = func(pos int) {
 			if pos == g.Arity {
 				m, err := h.Lookup(g, classes...)
-				var applicable []*Method
+				var applicable []*hier.Method
 			outer:
 				for _, cand := range g.Methods {
 					for i, s := range cand.Specs {

@@ -23,29 +23,32 @@ import (
 
 var (
 	scaleMu    sync.Mutex
-	scaleProgs = map[int]*lang.Program{}
+	scaleProgs = map[gen.Config]*lang.Program{}
 )
 
-// scaleProgram parses (once per size) a generated program with the
-// given class count and 4x methods, at depth 32+.
-func scaleProgram(tb testing.TB, classes int) *lang.Program {
+// genProgram parses (once per config) a generated program.
+func genProgram(tb testing.TB, cfg gen.Config) *lang.Program {
 	tb.Helper()
 	scaleMu.Lock()
 	defer scaleMu.Unlock()
-	if p, ok := scaleProgs[classes]; ok {
+	if p, ok := scaleProgs[cfg]; ok {
 		return p
 	}
-	src := gen.New(gen.Config{Seed: 7, Classes: classes, Methods: 4 * classes, Depth: 32}).Source()
-	p, err := lang.Parse(src)
+	p, err := lang.Parse(gen.New(cfg).Source())
 	if err != nil {
 		tb.Fatalf("parse generated program: %v", err)
 	}
-	scaleProgs[classes] = p
+	scaleProgs[cfg] = p
 	return p
 }
 
-func benchApplicable(b *testing.B, classes int) {
-	prog := scaleProgram(b, classes)
+// scaleProgram is the generated program with the given class count
+// and 4x methods, at depth 32+.
+func scaleProgram(tb testing.TB, classes int) *lang.Program {
+	return genProgram(tb, gen.Config{Seed: 7, Classes: classes, Methods: 4 * classes, Depth: 32})
+}
+
+func benchApplicable(b *testing.B, prog *lang.Program) {
 	methods := 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -66,8 +69,14 @@ func benchApplicable(b *testing.B, classes int) {
 	b.ReportMetric(float64(methods), "methods")
 }
 
-func BenchmarkApplicableClasses1k(b *testing.B)  { benchApplicable(b, 1_000) }
-func BenchmarkApplicableClasses10k(b *testing.B) { benchApplicable(b, 10_000) }
+// BenchmarkApplicableClassesGen200 is the program shape of the
+// gen-unique selbench workload: 200 classes at generator defaults.
+func BenchmarkApplicableClassesGen200(b *testing.B) {
+	benchApplicable(b, genProgram(b, gen.Config{Seed: 7, Classes: 200}))
+}
+
+func BenchmarkApplicableClasses1k(b *testing.B)  { benchApplicable(b, scaleProgram(b, 1_000)) }
+func BenchmarkApplicableClasses10k(b *testing.B) { benchApplicable(b, scaleProgram(b, 10_000)) }
 
 // BenchmarkHierBuild1k isolates hierarchy construction (topological
 // numbering, cone bitsets, GF indexing) from the closure computation.
