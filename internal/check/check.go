@@ -1,10 +1,15 @@
 // Package check is the static-analysis layer of the reproduction: a
 // reusable pass framework over the Mini-Cecil AST and lowered IR that
-// proves facts about message sends before running anything, using the
-// same class-hierarchy machinery (hier.ApplicableClasses, cones,
-// multi-method lookup) the selective-specialization optimizer is built
-// on, optionally sharpened by the instantiation (RTA-style) analysis
-// from internal/opt.
+// proves facts about message sends before running anything. It keeps
+// no class analysis of its own: the dispatch checks read each send's
+// argument class sets from the optimizer's intraprocedural class
+// analysis (opt.SendArgSets, run under CHA with inlining off) and
+// enumerate them with the same class-hierarchy machinery
+// (hier.ApplicableClasses, cones, multi-method lookup) the
+// selective-specialization optimizer binds sends with, optionally
+// sharpened by the instantiation (RTA-style) analysis from
+// internal/opt. Because that analysis folds constant conditions, sends
+// in branches it proves dead are not reported.
 //
 // It ships five analyses, each with a stable check ID:
 //
@@ -159,50 +164,43 @@ func Source(file, src string, opts Options) ([]Diagnostic, error) {
 		}
 		return nil, err
 	}
-	diags = append(diags, Program(file, prog, opts)...)
+	ds, err := Program(file, prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	diags = append(diags, ds...)
 	Sort(diags)
 	return diags, nil
 }
 
 // Program runs the IR-level analyses over an already-lowered program:
-// possible-mnu and ambiguous-dispatch via abstract interpretation of
-// every method body, dead-method via RTA reachability, and
+// possible-mnu and ambiguous-dispatch over the argument class sets the
+// optimizer's class analysis computes for every send
+// (opt.SendArgSets), dead-method via RTA reachability, and
 // useless-specialization via ApplicableClasses. The result is sorted.
-func Program(file string, prog *ir.Program, opts Options) []Diagnostic {
-	pc := &progChecker{
-		file: file,
-		prog: prog,
-		h:    prog.H,
-		opts: opts,
+// An error means the optimizer could not compile the program.
+func Program(file string, prog *ir.Program, opts Options) ([]Diagnostic, error) {
+	sends, err := opt.SendArgSets(prog, opts.Instantiation)
+	if err != nil {
+		return nil, err
 	}
+	pc := &progChecker{file: file, h: prog.H, opts: opts}
 	if opts.Instantiation {
 		pc.live = opt.InstantiatedClasses(prog)
 	}
 	pc.universe = pc.liveOnly(prog.H.AllClasses())
-	pc.computeGlobalInfos()
 
 	r := analyzeReach(prog)
 	pc.reportDeadMethods(r)
 	pc.reportUselessSpecializations()
-
-	// Walk every method body, then top-level code (global and field
-	// initializers), in deterministic order.
-	for _, m := range prog.H.Methods() {
-		pc.checkBody(m)
-	}
-	for _, g := range prog.Globals {
-		pc.checkTopLevel(g.Init)
-	}
-	for _, c := range prog.H.Classes() {
-		for _, init := range prog.FieldInits[c] {
-			if init != nil {
-				pc.checkTopLevel(init)
-			}
+	for id, args := range sends {
+		if args != nil { // nil: in a branch constant folding proved dead
+			pc.checkSend(prog.Site(id), args)
 		}
 	}
 
 	Sort(pc.diags)
-	return pc.diags
+	return pc.diags, nil
 }
 
 // report appends one diagnostic.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"selspec/internal/ir"
+	"selspec/internal/lang"
 	"selspec/internal/programs"
 )
 
@@ -82,11 +84,36 @@ method main() { f(new B()); }`,
 class B
 method f(x@A) { 1; }
 method main() {
+  var k := 1;
+  var v := new A();
+  if k < 2 { v := new B(); }
+  f(v);
+}`,
+			wants: []want{{CheckPossibleMNU, SevWarning, 8, "fails for 1 of 2"}},
+		},
+		{
+			// The optimizer folds the constant condition, so the
+			// assignment always runs and the send always fails.
+			name: "possible-mnu after an always-taken branch is an error",
+			src: `class A
+class B
+method f(x@A) { 1; }
+method main() {
   var v := new A();
   if 1 < 2 { v := new B(); }
   f(v);
 }`,
-			wants: []want{{CheckPossibleMNU, SevWarning, 7, "fails for 1 of 2"}},
+			wants: []want{{CheckPossibleMNU, SevError, 7, "fails for 1 of 1"}},
+		},
+		{
+			name: "possible-mnu in a never-taken branch is not reported",
+			src: `class A
+class B
+method f(x@A) { 1; }
+method main() {
+  var keep := new A();
+  if 1 > 2 { f(new B()); }
+}`,
 		},
 		{
 			name: "possible-mnu nil default is guardable, not reported",
@@ -335,4 +362,33 @@ func TestSourceParseError(t *testing.T) {
 	if _, err := Source("bad.mc", "method main( {", Options{}); err == nil {
 		t.Fatal("want a parse error")
 	}
+}
+
+// TestProgramReportsCompileError: when the optimizer cannot compile the
+// program, Program returns the error instead of an empty dispatch
+// report.
+func TestProgramReportsCompileError(t *testing.T) {
+	prog, err := ir.Lower(mustParse(t, `class A
+method f(x@A) { 1; }
+method main() { f(new A()); }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range prog.Bodies {
+		if m.GF.Name == "f" {
+			delete(prog.Bodies, m)
+		}
+	}
+	if ds, err := Program("test.mc", prog, Options{}); err == nil {
+		t.Fatalf("want a compile error, got %d diagnostics", len(ds))
+	}
+}
+
+func mustParse(t *testing.T, src string) *lang.Program {
+	t.Helper()
+	p, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

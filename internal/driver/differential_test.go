@@ -98,3 +98,40 @@ func TestDifferentialWithMetricsAttached(t *testing.T) {
 		t.Error("interp step counter never flushed despite instrumented runs")
 	}
 }
+
+// topLevelProgram puts short-circuit operators, if-expressions (with a
+// constant and a non-constant condition) and an immediately called
+// closure in global and field initializers: top-level code the
+// optimizer analyzes without a frame.
+const topLevelProgram = `
+var n := 3;
+var g1 := 1 < 2 && 3 < 4;
+var g2 := n > 5 || n < 4;
+var g3 := if 1 > 2 { "yes"; } else { "no"; };
+var g4 := if n < 5 { n * 10; } else { 0; };
+var g5 := (fn(x) { x + 1; })(n);
+class P { field f := 1 < 2 && 2 < 3; field h := n > 2 || n < 0; field k := if n > 1 { 7; } else { 8; }; }
+method main() { var p := new P(); println(g1); println(g2); println(g3); println(g4); println(g5); println(p.f); println(p.h); println(p.k); 0; }
+`
+
+// TestTopLevelInitializersAllConfigs: top-level initializers compile
+// and run under every configuration on both engines, printing what the
+// tree interpreter prints at Base.
+func TestTopLevelInitializersAllConfigs(t *testing.T) {
+	const want = "true\ntrue\nno\n30\n4\ntrue\ntrue\n7\n"
+	p := MustLoad(topLevelProgram)
+	for _, eng := range []Engine{EngineTree, EngineVM} {
+		for _, cfg := range opt.Configs() {
+			res, err := p.RunConfig(ConfigOptions{
+				Opt: opt.Options{Config: cfg},
+				Run: RunOptions{CaptureOutput: true, Engine: eng},
+			})
+			if err != nil {
+				t.Fatalf("%v/%v: %v", cfg, eng, err)
+			}
+			if res.Output != want || res.Value != "0" {
+				t.Errorf("%v/%v: value %q output %q, want 0 and %q", cfg, eng, res.Value, res.Output, want)
+			}
+		}
+	}
+}

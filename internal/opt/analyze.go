@@ -205,8 +205,9 @@ func (c *Compiled) optimizeTopLevel(n ir.Node) (ir.Node, error) {
 // nodes anywhere in source bodies, field initializers or global
 // initializers, plus the builtin classes (whose values primitives and
 // literals create). This is the instantiation (RTA-style) analysis the
-// InstantiationAnalysis option compiles against; internal/check reuses
-// it to sharpen its diagnostic class sets the same way.
+// InstantiationAnalysis option compiles against (and so SendArgSets,
+// which internal/check reads); internal/check also uses it directly to
+// bound the class universe and to find useless specializations.
 func InstantiatedClasses(p *ir.Program) *bits.Set {
 	h := p.H
 	set := bits.New(h.NumClasses())
@@ -325,7 +326,13 @@ func (c *Compiled) formalInfos(v *ir.Version) []info {
 	return out
 }
 
-func (a *analyzer) curFrame() *aframe { return a.frames[len(a.frames)-1] }
+// curFrame returns the innermost frame, or nil in top-level code.
+func (a *analyzer) curFrame() *aframe {
+	if len(a.frames) == 0 {
+		return nil
+	}
+	return a.frames[len(a.frames)-1]
+}
 
 func (a *analyzer) frameAt(depth int) *aframe {
 	idx := len(a.frames) - 1 - depth
@@ -572,24 +579,31 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 			return a.optimize(branch)
 		}
 		f := a.curFrame()
-		pre := f.snapshot()
+		var pre, post []info
+		if f != nil {
+			pre = f.snapshot()
+		}
 		then, ti := a.optimize(n.Then)
 		n.Then = then
-		post := f.snapshot()
-		f.restore(pre)
+		if f != nil {
+			post = f.snapshot()
+			f.restore(pre)
+		}
 		var ei info = exactInfo(h, h.Builtin(hier.NilName))
 		if n.Else != nil {
 			var els ir.Node
 			els, ei = a.optimize(n.Else)
 			n.Else = els
 		}
-		// Join the branch states.
-		for i := range f.infos {
-			other := topInfo()
-			if i < len(post) {
-				other = post[i]
+		if f != nil {
+			// Join the branch states.
+			for i := range f.infos {
+				other := topInfo()
+				if i < len(post) {
+					other = post[i]
+				}
+				f.infos[i] = join(f.infos[i], other)
 			}
-			f.infos[i] = join(f.infos[i], other)
 		}
 		return n, join(ti, ei)
 
@@ -939,6 +953,7 @@ func (a *analyzer) optimizeCallClosure(n *ir.CallClosure) (ir.Node, info) {
 	n.Fn = fn
 	mc := fi.closure
 	if mc != nil &&
+		len(a.frames) > 0 && // top-level code has no frame to host the slots
 		len(n.Args) == mc.Fn.NumParams &&
 		a.depth < a.c.Opts.maxInlineDepth() &&
 		!a.c.Opts.DisableInlining &&
@@ -959,6 +974,17 @@ func (a *analyzer) optimizeSend(n *ir.Send) (ir.Node, info) {
 		n.Args[i], infos[i] = a.optimize(arg)
 	}
 	g := n.Site.GF
+	if a.c.sendArgs != nil {
+		// Each site is analyzed once (inlining is off), so concurrent
+		// body compiles write distinct entries.
+		sets := make([]*bits.Set, len(infos))
+		for i, in := range infos {
+			if !in.top {
+				sets[i] = in.set
+			}
+		}
+		a.c.sendArgs[n.Site.ID] = sets
+	}
 
 	target, ok := a.uniqueTarget(g, infos)
 	if !ok {

@@ -172,6 +172,10 @@ type Compiled struct {
 	retInfo       map[*ir.Version]info
 	retInProgress map[*ir.Version]bool
 
+	// sendArgs, when non-nil, receives each send's argument class sets
+	// as static binding sees them, indexed by CallSite.ID (SendArgSets).
+	sendArgs [][]*bits.Set
+
 	// Statistics. Atomic: method bodies compile on a worker pool and
 	// each worker's analyzer bumps these; addition commutes, so the
 	// totals stay deterministic under any compile order.
@@ -183,6 +187,27 @@ type Compiled struct {
 
 // Compile compiles the program under the given options.
 func Compile(p *ir.Program, opts Options) (*Compiled, error) {
+	return compileProgram(p, opts, nil)
+}
+
+// SendArgSets runs the class analysis that every configuration shares,
+// under CHA with inlining off, and reports each send's argument class
+// sets just before static binding tries the send. out[id] belongs to
+// the send whose CallSite.ID is id. A nil set is ⊤ (no information).
+// out[id] itself is nil for a send the analysis never reaches, because
+// constant folding proved its branch dead. instantiation sharpens the
+// sets as InstantiationAnalysis does. internal/check reads its
+// dispatch diagnostics from these sets.
+func SendArgSets(p *ir.Program, instantiation bool) ([][]*bits.Set, error) {
+	out := make([][]*bits.Set, len(p.Sites))
+	opts := Options{Config: CHA, DisableInlining: true, InstantiationAnalysis: instantiation}
+	if _, err := compileProgram(p, opts, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func compileProgram(p *ir.Program, opts Options, sendArgs [][]*bits.Set) (*Compiled, error) {
 	if opts.Config == Selective && opts.Specializations == nil {
 		return nil, fmt.Errorf("opt: Selective configuration requires Specializations")
 	}
@@ -196,6 +221,7 @@ func Compile(p *ir.Program, opts Options) (*Compiled, error) {
 		versions:      map[*hier.Method]*methodVersions{},
 		retInfo:       map[*ir.Version]info{},
 		retInProgress: map[*ir.Version]bool{},
+		sendArgs:      sendArgs,
 	}
 
 	if opts.InstantiationAnalysis {
