@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"selspec/internal/obs"
@@ -131,6 +133,90 @@ func TestTopLevelInitializersAllConfigs(t *testing.T) {
 			}
 			if res.Output != want || res.Value != "0" {
 				t.Errorf("%v/%v: value %q output %q, want 0 and %q", cfg, eng, res.Value, res.Output, want)
+			}
+		}
+	}
+}
+
+// dynFieldPrefix reaches field x through sites whose receiver comes out
+// of an array, so no config can resolve the slot at compile time: A
+// keeps x at slot 0, B at slot 1, and C has no x. Each dynamic field
+// site sees A and B alternately and must re-resolve on every change of
+// class.
+const dynFieldPrefix = `
+class A { field x := 1; }
+class B { field pad := 0; field x := 2; }
+class C { field y := 3; }
+method bumpAll(xs, n) {
+  var i := 0;
+  var sum := 0;
+  while i < n {
+    var o := aget(xs, i);
+    o.x := o.x + 10;
+    sum := sum + o.x;
+    i := i + 1;
+  }
+  sum;
+}
+method setAll(xs, n) {
+  var i := 0;
+  while i < n { var o := aget(xs, i); o.x := i; i := i + 1; }
+  n;
+}
+method objs() {
+  var xs := newarray(5);
+  aput(xs, 0, new A()); aput(xs, 1, new B()); aput(xs, 2, new A());
+  aput(xs, 3, new B()); aput(xs, 4, new C());
+  xs;
+}
+`
+
+// TestDynamicFieldSitesAllConfigs runs dynamic field reads and writes
+// over receivers that store the field at different slots, then over one
+// that lacks it, on both engines under every config. The VM caches one
+// (class → slot) pair per site; the results, the counters and the
+// "no field" errors must match the tree tier's by-name lookups.
+func TestDynamicFieldSitesAllConfigs(t *testing.T) {
+	cases := []struct {
+		name, main, out, err string
+	}{
+		{"reads and writes", `method main() { var xs := objs(); println(bumpAll(xs, 4)); println(bumpAll(xs, 4)); setAll(xs, 4); bumpAll(xs, 4); }`,
+			"46\n86\n", ""},
+		{"read of a missing field", `method main() { var xs := objs(); bumpAll(xs, 4); bumpAll(xs, 5); }`,
+			"", `class C has no field "x"`},
+		{"write of a missing field", `method main() { var xs := objs(); setAll(xs, 4); setAll(xs, 5); }`,
+			"", `class C has no field "x"`},
+	}
+	for _, tc := range cases {
+		p := MustLoad(dynFieldPrefix + tc.main)
+		for _, cfg := range opt.Configs() {
+			var tree *Result
+			for _, eng := range []Engine{EngineTree, EngineVM} {
+				res, err := p.RunConfig(ConfigOptions{
+					Opt: opt.Options{Config: cfg},
+					Run: RunOptions{CaptureOutput: true, Engine: eng, Verify: true},
+				})
+				where := fmt.Sprintf("%s %v/%v", tc.name, cfg, eng)
+				if tc.err != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.err) {
+						t.Errorf("%s: error %v, want %q", where, err, tc.err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if res.Engine != eng {
+					t.Fatalf("%s: ran on %v", where, res.Engine)
+				}
+				if res.Value != "46" || res.Output != tc.out {
+					t.Errorf("%s: value %q output %q, want 46 and %q", where, res.Value, res.Output, tc.out)
+				}
+				if tree == nil {
+					tree = res
+				} else if res.Counters != tree.Counters {
+					t.Errorf("%s: counters %+v, tree %+v", where, res.Counters, tree.Counters)
+				}
 			}
 		}
 	}

@@ -117,26 +117,33 @@ func (c *gfCache) get(classes []*Class) (lookupResult, bool) {
 	}
 }
 
-// put stores a result. Racing writers for the same tuple store the
-// same deterministic result, so last-write-wins is harmless.
-func (c *gfCache) put(classes []*Class, r lookupResult) {
+// put stores a result unless the tuple already has one, and reports
+// whether it stored. Racing writers for the same tuple compute the same
+// deterministic result; exactly one of them stores it, so Lookup can
+// count one miss per distinct tuple however many goroutines raced.
+func (c *gfCache) put(classes []*Class, r lookupResult) bool {
 	switch {
 	case c.dense != nil:
 		idx := 0
 		if len(classes) == 1 {
 			idx = classes[0].ID
 		}
-		c.dense[idx].Store(&r)
+		return c.dense[idx].CompareAndSwap(nil, &r)
 	case c.shards != nil:
 		key := c.packedKey(classes)
 		s := &c.shards[shardOf(key)]
 		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, ok := s.m[key]; ok {
+			return false
+		}
 		if s.m == nil {
 			s.m = map[uint64]lookupResult{}
 		}
 		s.m[key] = r
-		s.mu.Unlock()
+		return true
 	default:
-		c.wide.Store(wideKey(classes), r)
+		_, loaded := c.wide.LoadOrStore(wideKey(classes), r)
+		return !loaded
 	}
 }

@@ -2,9 +2,11 @@ package hier
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"selspec/internal/lang"
+	"selspec/internal/obs"
 )
 
 const cacheHierSrc = `
@@ -215,6 +217,91 @@ func TestConcurrentLookup(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatalf("concurrent lookup diverged from serial answer: %v", err)
+	}
+}
+
+// TestConcurrentLookupCountsExact: goroutines that miss the same tuple
+// at once all run the slow lookup, but only the one that stores the
+// result counts a miss; the rest count hits. So misses equal the number
+// of distinct tuples and hits + misses equal the lookups made, however
+// the goroutines interleave.
+func TestConcurrentLookupCountsExact(t *testing.T) {
+	h, cs := cacheHier(t)
+	lm := NewLookupMetrics(obs.NewRegistry())
+	h.SetLookupMetrics(lm)
+	g1, _ := h.GF("m", 1)  // dense layout
+	g2, _ := h.GF("mm", 2) // packed layout
+
+	const goroutines = 8
+	const rounds = 20
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			args := make([]*Class, 2)
+			for r := 0; r < rounds; r++ {
+				for _, c := range cs {
+					args[0] = c
+					h.Lookup(g1, args[:1]...)
+					for _, d := range cs {
+						args[1] = d
+						h.Lookup(g2, args...)
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	tuples := uint64(len(cs) + len(cs)*len(cs))
+	lookups := goroutines * rounds * tuples
+	hits, misses := lm.CacheHits.Value(), lm.CacheMisses.Value()
+	if misses != tuples {
+		t.Errorf("misses = %d, want one per distinct tuple (%d)", misses, tuples)
+	}
+	if hits+misses != lookups {
+		t.Errorf("hits + misses = %d + %d = %d, want %d lookups", hits, misses, hits+misses, lookups)
+	}
+}
+
+// TestCachePutStoresOnce: in every layout, of the goroutines racing to
+// store one tuple exactly one reports that it stored.
+func TestCachePutStoresOnce(t *testing.T) {
+	a, b := &Class{ID: 1}, &Class{ID: 2}
+	for _, tc := range []struct {
+		name  string
+		c     *gfCache
+		tuple []*Class
+	}{
+		{"dense", newGFCache(1, 4), []*Class{a}},
+		{"packed", newGFCache(2, 4), []*Class{a, b}},
+		{"wide", newGFCache(6, 70_000), []*Class{a, b, b, b, b, b}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const goroutines = 16
+			var stored atomic.Int32
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < goroutines; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if tc.c.put(tc.tuple, lookupResult{m: &Method{ID: 1}}) {
+						stored.Add(1)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if n := stored.Load(); n != 1 {
+				t.Errorf("%d of %d racing puts stored, want 1", n, goroutines)
+			}
+		})
 	}
 }
 

@@ -473,11 +473,18 @@ func (h *Hierarchy) Lookup(g *GF, classes ...*Class) (*Method, *DispatchError) {
 		}
 		return r.m, r.err
 	}
-	if lm != nil {
-		lm.CacheMisses.Inc()
-	}
 	m, err := h.lookupSlow(g, classes)
-	cache.put(classes, lookupResult{m: m, err: err})
+	// Only the goroutine that stores the result counts a miss; one that
+	// lost the race to store the same tuple counts a hit, so misses equal
+	// the number of distinct tuples looked up.
+	stored := cache.put(classes, lookupResult{m: m, err: err})
+	if lm != nil {
+		if stored {
+			lm.CacheMisses.Inc()
+		} else {
+			lm.CacheHits.Inc()
+		}
+	}
 	return m, err
 }
 

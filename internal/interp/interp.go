@@ -479,39 +479,41 @@ func (in *Interp) eval(n ir.Node, fr *Frame, act *Activation) Value {
 
 	case *ir.GetField:
 		obj := in.eval(n.Obj, fr, act)
-		if obj.K != KObj {
+		o := obj.Obj()
+		if o == nil {
 			fail("field %q read on non-object %s", n.Name, obj)
 		}
 		idx := n.Slot
 		if idx < 0 {
 			in.charge(CostFieldLookup)
-			idx = obj.O.Class.FieldIndex(n.Name)
+			idx = o.Class.FieldIndex(n.Name)
 			if idx < 0 {
-				fail("class %s has no field %q", obj.O.Class.Name, n.Name)
+				fail("class %s has no field %q", o.Class.Name, n.Name)
 			}
 		} else {
 			in.charge(CostFieldCached)
 		}
-		return obj.O.Fields[idx]
+		return o.Fields[idx]
 
 	case *ir.SetField:
 		obj := in.eval(n.Obj, fr, act)
 		v := in.eval(n.X, fr, act)
-		if obj.K != KObj {
+		o := obj.Obj()
+		if o == nil {
 			fail("field %q written on non-object %s", n.Name, obj)
 		}
 		idx := n.Slot
 		if idx < 0 {
 			in.charge(CostFieldLookup)
-			idx = obj.O.Class.FieldIndex(n.Name)
+			idx = o.Class.FieldIndex(n.Name)
 			if idx < 0 {
-				fail("class %s has no field %q", obj.O.Class.Name, n.Name)
+				fail("class %s has no field %q", o.Class.Name, n.Name)
 			}
 		} else {
 			in.charge(CostFieldCached)
 		}
-		in.checkFieldType(obj.O.Class, idx, v)
-		obj.O.Fields[idx] = v
+		in.checkFieldType(o.Class, idx, v)
+		o.Fields[idx] = v
 		return v
 
 	case *ir.Seq:
@@ -583,18 +585,18 @@ func (in *Interp) eval(n ir.Node, fr *Frame, act *Activation) Value {
 		for i := range cls.Fields {
 			in.checkFieldType(cls, i, obj.Fields[i])
 		}
-		return Value{K: KObj, O: obj}
+		return ObjV(obj)
 
 	case *ir.MakeClosure:
 		in.charge(CostClosureMake)
-		return Value{K: KClosure, C: &Closure{Code: n.Fn, Frame: fr, Act: act}}
+		return CloV(&Closure{Code: n.Fn, Frame: fr, Act: act})
 
 	case *ir.CallClosure:
 		fn := in.eval(n.Fn, fr, act)
-		if fn.K != KClosure {
+		clo := fn.Clo()
+		if clo == nil {
 			failAt(n.Pos, "calling a non-closure value %s", fn)
 		}
-		clo := fn.C
 		if len(n.Args) != clo.Code.NumParams {
 			failAt(n.Pos, "closure expects %d arguments, got %d", clo.Code.NumParams, len(n.Args))
 		}
@@ -723,20 +725,20 @@ func evalBin(op ir.BinOp, l, r Value) Value {
 			return IntV(l.I + r.I)
 		}
 		if l.K == KStr && r.K == KStr {
-			return StrV(l.S + r.S)
+			return StrV(l.Str() + r.Str())
 		}
 		fail("'+' on %s and %s", l, r)
 	case ir.OpLT, ir.OpLE, ir.OpGT, ir.OpGE:
 		if l.K == KStr && r.K == KStr {
 			switch op {
 			case ir.OpLT:
-				return BoolV(l.S < r.S)
+				return BoolV(l.Str() < r.Str())
 			case ir.OpLE:
-				return BoolV(l.S <= r.S)
+				return BoolV(l.Str() <= r.Str())
 			case ir.OpGT:
-				return BoolV(l.S > r.S)
+				return BoolV(l.Str() > r.Str())
 			default:
-				return BoolV(l.S >= r.S)
+				return BoolV(l.Str() >= r.Str())
 			}
 		}
 		if l.K != KInt || r.K != KInt {

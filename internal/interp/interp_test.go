@@ -471,8 +471,8 @@ func TestValueEqualAcrossKinds(t *testing.T) {
 	if !StrV("a").Equal(StrV("a")) || StrV("a").Equal(StrV("b")) {
 		t.Error("string equality wrong")
 	}
-	o1 := Value{K: KObj, O: &Object{}}
-	o2 := Value{K: KObj, O: &Object{}}
+	o1 := ObjV(&Object{})
+	o2 := ObjV(&Object{})
 	if o1.Equal(o2) || !o1.Equal(o1) {
 		t.Error("object identity equality wrong")
 	}

@@ -30,66 +30,67 @@ func (in *Interp) evalPrim(p ir.Prim, args []Value) Value {
 		for i := range elems {
 			elems[i] = NilV
 		}
-		return Value{K: KArray, A: &Array{Elems: elems}}
+		return ArrV(&Array{Elems: elems})
 
 	case ir.PrimAGet:
-		a, i := args[0], args[1]
-		if a.K != KArray || i.K != KInt {
-			fail("aget(%s, %s)", a, i)
+		a, i := args[0].Arr(), args[1]
+		if a == nil || i.K != KInt {
+			fail("aget(%s, %s)", args[0], i)
 		}
-		if i.I < 0 || i.I >= int64(len(a.A.Elems)) {
-			fail("array index %d out of range [0, %d)", i.I, len(a.A.Elems))
+		if i.I < 0 || i.I >= int64(len(a.Elems)) {
+			fail("array index %d out of range [0, %d)", i.I, len(a.Elems))
 		}
-		return a.A.Elems[i.I]
+		return a.Elems[i.I]
 
 	case ir.PrimAPut:
-		a, i, v := args[0], args[1], args[2]
-		if a.K != KArray || i.K != KInt {
-			fail("aput(%s, %s, _)", a, i)
+		a, i, v := args[0].Arr(), args[1], args[2]
+		if a == nil || i.K != KInt {
+			fail("aput(%s, %s, _)", args[0], i)
 		}
-		if i.I < 0 || i.I >= int64(len(a.A.Elems)) {
-			fail("array index %d out of range [0, %d)", i.I, len(a.A.Elems))
+		if i.I < 0 || i.I >= int64(len(a.Elems)) {
+			fail("array index %d out of range [0, %d)", i.I, len(a.Elems))
 		}
-		a.A.Elems[i.I] = v
+		a.Elems[i.I] = v
 		return v
 
 	case ir.PrimALen:
-		if args[0].K != KArray {
+		a := args[0].Arr()
+		if a == nil {
 			fail("alen on non-array %s", args[0])
 		}
-		return IntV(int64(len(args[0].A.Elems)))
+		return IntV(int64(len(a.Elems)))
 
 	case ir.PrimStrLen:
 		if args[0].K != KStr {
 			fail("strlen on non-string %s", args[0])
 		}
-		return IntV(int64(len(args[0].S)))
+		return IntV(int64(len(args[0].Str())))
 
 	case ir.PrimSubstr:
-		s, i, j := args[0], args[1], args[2]
-		if s.K != KStr || i.K != KInt || j.K != KInt {
-			fail("substr(%s, %s, %s)", s, i, j)
+		s, i, j := args[0].Str(), args[1], args[2]
+		if args[0].K != KStr || i.K != KInt || j.K != KInt {
+			fail("substr(%s, %s, %s)", args[0], i, j)
 		}
-		if i.I < 0 || j.I < i.I || j.I > int64(len(s.S)) {
-			fail("substr bounds [%d, %d) out of range for length %d", i.I, j.I, len(s.S))
+		if i.I < 0 || j.I < i.I || j.I > int64(len(s)) {
+			fail("substr bounds [%d, %d) out of range for length %d", i.I, j.I, len(s))
 		}
-		return StrV(s.S[i.I:j.I])
+		return StrV(s[i.I:j.I])
 
 	case ir.PrimCharAt:
-		s, i := args[0], args[1]
-		if s.K != KStr || i.K != KInt {
-			fail("charat(%s, %s)", s, i)
+		s, i := args[0].Str(), args[1]
+		if args[0].K != KStr || i.K != KInt {
+			fail("charat(%s, %s)", args[0], i)
 		}
-		if i.I < 0 || i.I >= int64(len(s.S)) {
-			fail("charat index %d out of range for length %d", i.I, len(s.S))
+		if i.I < 0 || i.I >= int64(len(s)) {
+			fail("charat index %d out of range for length %d", i.I, len(s))
 		}
-		return StrV(string(s.S[i.I]))
+		return StrV(string(s[i.I]))
 
 	case ir.PrimOrd:
-		if args[0].K != KStr || len(args[0].S) == 0 {
+		if len(args[0].Str()) == 0 {
 			fail("ord needs a non-empty string, got %s", args[0])
 		}
-		return IntV(int64(args[0].S[0]))
+		return IntV(int64(args[0].Str()[0]))
 
 	case ir.PrimChr:
 		if args[0].K != KInt || args[0].I < 0 || args[0].I > 255 {
@@ -104,28 +105,11 @@ func (in *Interp) evalPrim(p ir.Prim, args []Value) Value {
 		return StrV(args[0].Class(in.H).Name)
 
 	case ir.PrimSame:
-		return BoolV(sameIdentity(args[0], args[1]))
+		return BoolV(args[0].Equal(args[1]))
 	}
 	// Unknown primitives (a lowering/interpreter table mismatch) raise a
 	// positioned RuntimeError instead of a bare Go panic, so the fault
 	// is contained per compilation unit and reports file:line:col.
 	failAt(in.g.callPos, "internal error: unknown primitive %d", p)
 	panic("unreachable")
-}
-
-// sameIdentity is reference identity (value identity for immediates).
-func sameIdentity(a, b Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	switch a.K {
-	case KObj:
-		return a.O == b.O
-	case KArray:
-		return a.A == b.A
-	case KClosure:
-		return a.C == b.C
-	default:
-		return a.Equal(b)
-	}
 }

@@ -10,6 +10,7 @@ package interp
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"selspec/internal/hier"
 	"selspec/internal/ir"
@@ -78,14 +79,16 @@ type Closure struct {
 	Act   *Activation // enclosing method activation, for Return
 }
 
-// Value is a runtime value (tagged union).
+// Value is a runtime value: a kind tag, an integer word and one
+// reference word, 24 bytes on 64-bit targets. Ints and booleans live
+// in I. A string keeps its data pointer in p and its length in I.
+// Objects, closures and arrays keep their pointer in p. The reference
+// is reached only through the kind-checked accessors below, so a value
+// of one kind never yields another kind's pointer.
 type Value struct {
 	K Kind
-	I int64 // int value, or 0/1 for bool
-	S string
-	O *Object
-	C *Closure
-	A *Array
+	I int64 // int value, 0/1 for bool, or string length
+	p unsafe.Pointer
 }
 
 // Constructors.
@@ -101,7 +104,50 @@ var (
 func IntV(i int64) Value { return Value{K: KInt, I: i} }
 
 // StrV makes a string value.
-func StrV(s string) Value { return Value{K: KStr, S: s} }
+func StrV(s string) Value {
+	return Value{K: KStr, I: int64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// ObjV makes an object value.
+func ObjV(o *Object) Value { return Value{K: KObj, p: unsafe.Pointer(o)} }
+
+// CloV makes a closure value.
+func CloV(c *Closure) Value { return Value{K: KClosure, p: unsafe.Pointer(c)} }
+
+// ArrV makes an array value.
+func ArrV(a *Array) Value { return Value{K: KArray, p: unsafe.Pointer(a)} }
+
+// Str returns the string of a KStr value, "" for any other kind.
+func (v Value) Str() string {
+	if v.K != KStr {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.I)
+}
+
+// Obj returns the object of a KObj value, nil for any other kind.
+func (v Value) Obj() *Object {
+	if v.K != KObj {
+		return nil
+	}
+	return (*Object)(v.p)
+}
+
+// Clo returns the closure of a KClosure value, nil for any other kind.
+func (v Value) Clo() *Closure {
+	if v.K != KClosure {
+		return nil
+	}
+	return (*Closure)(v.p)
+}
+
+// Arr returns the array of a KArray value, nil for any other kind.
+func (v Value) Arr() *Array {
+	if v.K != KArray {
+		return nil
+	}
+	return (*Array)(v.p)
+}
 
 // BoolV makes a boolean value.
 func BoolV(b bool) Value {
@@ -130,7 +176,7 @@ func (v Value) Class(h *hier.Hierarchy) *hier.Class {
 	case KStr:
 		return h.B.String
 	case KObj:
-		return v.O.Class
+		return v.Obj().Class
 	case KClosure:
 		return h.B.Closure
 	case KArray:
@@ -152,13 +198,9 @@ func (v Value) Equal(w Value) bool {
 	case KInt, KBool:
 		return v.I == w.I
 	case KStr:
-		return v.S == w.S
-	case KObj:
-		return v.O == w.O
-	case KClosure:
-		return v.C == w.C
-	case KArray:
-		return v.A == w.A
+		return v.Str() == w.Str()
+	case KObj, KClosure, KArray:
+		return v.p == w.p
 	}
 	return false
 }
@@ -176,18 +218,18 @@ func (v Value) String() string {
 		}
 		return "false"
 	case KStr:
-		return v.S
+		return v.Str()
 	case KObj:
 		var b strings.Builder
-		b.WriteString(v.O.Class.Name)
+		b.WriteString(v.Obj().Class.Name)
 		b.WriteByte('(')
-		for i, f := range v.O.Fields {
+		for i, f := range v.Obj().Fields {
 			if i > 0 {
 				b.WriteString(", ")
 			}
 			if f.K == KObj {
 				// Avoid unbounded recursion through cyclic structures.
-				b.WriteString(f.O.Class.Name)
+				b.WriteString(f.Obj().Class.Name)
 				b.WriteString("(...)")
 			} else {
 				b.WriteString(f.String())
@@ -200,7 +242,7 @@ func (v Value) String() string {
 	case KArray:
 		var b strings.Builder
 		b.WriteByte('[')
-		for i, e := range v.A.Elems {
+		for i, e := range v.Arr().Elems {
 			if i > 0 {
 				b.WriteString(", ")
 			}

@@ -82,12 +82,14 @@ const (
 	// field in non-object errors.
 	OpGetField
 	// OpGetFieldDyn: like OpGetField but the index is resolved from
-	// Names[D] at run time (charges CostFieldLookup).
+	// Names[D] at run time (charges CostFieldLookup), through the
+	// (class → slot) cache FieldSites[C].
 	OpGetFieldDyn
 	// OpSetField: field C of object regs[A] = regs[B] (declared-type
 	// checked); the value stays in regs[B] as the expression result.
 	OpSetField
-	// OpSetFieldDyn: OpSetField with run-time index resolution.
+	// OpSetFieldDyn: OpSetField with run-time index resolution, cached
+	// in FieldSites[C] like OpGetFieldDyn.
 	OpSetFieldDyn
 	// OpNew: regs[A] = new Classes[B] with the C..C+D-1 register window
 	// as leading field values; remaining fields run their compiled
@@ -253,6 +255,26 @@ type FieldOpRef struct {
 	Op   ir.BinOp
 }
 
+// FieldSite is the inline cache of one OpGetFieldDyn/OpSetFieldDyn:
+// the receiver class the site last resolved and that class's slot for
+// the field. A site that sees another class re-resolves by name; a
+// failed resolution leaves the cache as it was.
+type FieldSite struct {
+	cls  *hier.Class
+	slot int
+}
+
+// resolve looks name up in cls, refills the cache and returns the slot,
+// raising the tree tier's error when cls has no such field.
+func (fs *FieldSite) resolve(cls *hier.Class, name string) int {
+	idx := cls.FieldIndex(name)
+	if idx < 0 {
+		vmFail("class %s has no field %q", cls.Name, name)
+	}
+	fs.cls, fs.slot = cls, idx
+	return idx
+}
+
 // VSelRef is the method of one OpVSelect.
 type VSelRef struct {
 	Site   *ir.CallSite
@@ -274,9 +296,12 @@ type Proc struct {
 	Statics  []StaticRef
 	VSels    []VSelRef
 	FieldOps []FieldOpRef
-	News     []NewRef
-	Closures []*ir.ClosureCode
-	Poss     []lang.Pos
+	// FieldSites holds one cache per dynamic field op. It is mutable run
+	// state, private to the module (and so the machine) that compiled it.
+	FieldSites []FieldSite
+	News       []NewRef
+	Closures   []*ir.ClosureCode
+	Poss       []lang.Pos
 
 	// NeedsFrame: the body creates closures, so its slots must live in
 	// a heap frame (captured via the static chain) instead of a window

@@ -197,7 +197,7 @@ func (c *compiler) konst(v interp.Value) int32 {
 	if c.constIdx == nil {
 		c.constIdx = map[constKey]int32{}
 	}
-	k := constKey{k: v.K, i: v.I, s: v.S}
+	k := constKey{k: v.K, i: v.I, s: v.Str()}
 	if idx, ok := c.constIdx[k]; ok {
 		return idx
 	}
@@ -218,6 +218,13 @@ func (c *compiler) name(s string) int32 {
 	c.p.Names = append(c.p.Names, s)
 	c.nameIdx[s] = idx
 	return idx
+}
+
+// fieldSite allocates the inline cache of one dynamic field op and
+// returns its FieldSites index.
+func (c *compiler) fieldSite() int32 {
+	c.p.FieldSites = append(c.p.FieldSites, FieldSite{})
+	return int32(len(c.p.FieldSites) - 1)
 }
 
 func constValue(n *ir.Const) interp.Value {
@@ -431,7 +438,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		if n.Slot >= 0 {
 			c.emit(OpGetField, dest, obj, int32(n.Slot), c.name(n.Name))
 		} else {
-			c.emit(OpGetFieldDyn, dest, obj, 0, c.name(n.Name))
+			c.emit(OpGetFieldDyn, dest, obj, c.fieldSite(), c.name(n.Name))
 		}
 		c.restore(mark)
 
@@ -444,7 +451,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		if n.Slot >= 0 {
 			c.emit(OpSetField, obj, dest, int32(n.Slot), c.name(n.Name))
 		} else {
-			c.emit(OpSetFieldDyn, obj, dest, 0, c.name(n.Name))
+			c.emit(OpSetFieldDyn, obj, dest, c.fieldSite(), c.name(n.Name))
 		}
 		c.restore(mark)
 

@@ -204,3 +204,24 @@ method main() {
 		t.Errorf("closure-capturing proc: aput index register r%d is a raw frame slot; want a temp snapshot:\n%s", r, p.Disasm())
 	}
 }
+
+// TestDivModByConstantUsesBinK: division and remainder by an integer
+// literal, negative ones included, compile to OpBinK, the instruction
+// whose fast path handles nonzero divisors.
+func TestDivModByConstantUsesBinK(t *testing.T) {
+	src := `
+method f(x) { (x / 2) + (x % -3); }
+method main() { var x := 0 - 5; while x < 5 { f(x); x := x + 1; } x; }
+`
+	found := map[ir.BinOp]bool{}
+	for _, p := range compileModule(t, src, opt.Base).procs {
+		for _, i := range p.Code {
+			if i.Op == OpBinK {
+				found[ir.BinOp(i.D)] = true
+			}
+		}
+	}
+	if !found[ir.OpDiv] || !found[ir.OpMod] {
+		t.Errorf("want OpBinK for / and %%, got %v:\n%s", found, allDisasm(compileModule(t, src, opt.Base)))
+	}
+}

@@ -547,12 +547,12 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 
 		case OpCmpBrField:
 			f := &p.FieldOps[i.D]
-			ov := regs[i.B]
-			if ov.K != interp.KObj {
-				vmFail("field %q read on non-object %s", p.Names[f.Name], ov)
+			o := regs[i.B].Obj()
+			if o == nil {
+				vmFail("field %q read on non-object %s", p.Names[f.Name], regs[i.B])
 			}
 			cyc += interp.CostFieldCached
-			l, r := regs[i.A], ov.O.Fields[f.Slot]
+			l, r := regs[i.A], o.Fields[f.Slot]
 			prims++
 			cyc += interp.CostBin
 			var b bool
@@ -611,50 +611,52 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			m.ready[i.B] = true
 
 		case OpGetField:
-			obj := regs[i.B]
-			if obj.K != interp.KObj {
-				vmFail("field %q read on non-object %s", p.Names[i.D], obj)
+			o := regs[i.B].Obj()
+			if o == nil {
+				vmFail("field %q read on non-object %s", p.Names[i.D], regs[i.B])
 			}
 			cyc += interp.CostFieldCached
-			regs[i.A] = obj.O.Fields[i.C]
+			regs[i.A] = o.Fields[i.C]
 
 		case OpGetFieldDyn:
-			obj := regs[i.B]
-			name := p.Names[i.D]
-			if obj.K != interp.KObj {
-				vmFail("field %q read on non-object %s", name, obj)
+			o := regs[i.B].Obj()
+			if o == nil {
+				vmFail("field %q read on non-object %s", p.Names[i.D], regs[i.B])
 			}
+			// The cycle model still charges a by-name lookup: the site
+			// cache is a VM speedup, not a change to the modelled cost.
 			cyc += interp.CostFieldLookup
-			idx := obj.O.Class.FieldIndex(name)
-			if idx < 0 {
-				vmFail("class %s has no field %q", obj.O.Class.Name, name)
+			fs := &p.FieldSites[i.C]
+			idx := fs.slot
+			if fs.cls != o.Class {
+				idx = fs.resolve(o.Class, p.Names[i.D])
 			}
-			regs[i.A] = obj.O.Fields[idx]
+			regs[i.A] = o.Fields[idx]
 
 		case OpSetField:
-			obj := regs[i.A]
+			o := regs[i.A].Obj()
 			v := regs[i.B]
-			if obj.K != interp.KObj {
-				vmFail("field %q written on non-object %s", p.Names[i.D], obj)
+			if o == nil {
+				vmFail("field %q written on non-object %s", p.Names[i.D], regs[i.A])
 			}
 			cyc += interp.CostFieldCached
-			in.CheckFieldType(obj.O.Class, int(i.C), v)
-			obj.O.Fields[i.C] = v
+			in.CheckFieldType(o.Class, int(i.C), v)
+			o.Fields[i.C] = v
 
 		case OpSetFieldDyn:
-			obj := regs[i.A]
+			o := regs[i.A].Obj()
 			v := regs[i.B]
-			name := p.Names[i.D]
-			if obj.K != interp.KObj {
-				vmFail("field %q written on non-object %s", name, obj)
+			if o == nil {
+				vmFail("field %q written on non-object %s", p.Names[i.D], regs[i.A])
 			}
 			cyc += interp.CostFieldLookup
-			idx := obj.O.Class.FieldIndex(name)
-			if idx < 0 {
-				vmFail("class %s has no field %q", obj.O.Class.Name, name)
+			fs := &p.FieldSites[i.C]
+			idx := fs.slot
+			if fs.cls != o.Class {
+				idx = fs.resolve(o.Class, p.Names[i.D])
 			}
-			in.CheckFieldType(obj.O.Class, idx, v)
-			obj.O.Fields[idx] = v
+			in.CheckFieldType(o.Class, idx, v)
+			o.Fields[idx] = v
 
 		case OpNew:
 			ref := &p.News[i.B]
@@ -674,23 +676,23 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			for f := range cls.Fields {
 				in.CheckFieldType(cls, f, obj.Fields[f])
 			}
-			regs[i.A] = interp.Value{K: interp.KObj, O: obj}
+			regs[i.A] = interp.ObjV(obj)
 
 		case OpMakeClosure:
 			cyc += interp.CostClosureMake
-			regs[i.A] = interp.Value{K: interp.KClosure, C: &interp.Closure{Code: p.Closures[i.B], Frame: fr, Act: act}}
+			regs[i.A] = interp.CloV(&interp.Closure{Code: p.Closures[i.B], Frame: fr, Act: act})
 
 		case OpCheckClosure:
-			fn := regs[i.A]
-			if fn.K != interp.KClosure {
-				vmFailAt(p.Poss[i.C], "calling a non-closure value %s", fn)
+			clo := regs[i.A].Clo()
+			if clo == nil {
+				vmFailAt(p.Poss[i.C], "calling a non-closure value %s", regs[i.A])
 			}
-			if int(i.B) != fn.C.Code.NumParams {
-				vmFailAt(p.Poss[i.C], "closure expects %d arguments, got %d", fn.C.Code.NumParams, i.B)
+			if int(i.B) != clo.Code.NumParams {
+				vmFailAt(p.Poss[i.C], "closure expects %d arguments, got %d", clo.Code.NumParams, i.B)
 			}
 
 		case OpCallClosure:
-			clo := regs[i.B].C
+			clo := regs[i.B].Clo()
 			args := regs[i.C : i.C+int32(clo.Code.NumParams)]
 			in.NoteClosureCall()
 			var cp *Proc
@@ -904,29 +906,29 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			args := regs[i.C : i.C+i.D]
 			switch ir.Prim(i.B) {
 			case ir.PrimAGet:
-				if a, ix := args[0], args[1]; a.K == interp.KArray && ix.K == interp.KInt &&
-					ix.I >= 0 && ix.I < int64(len(a.A.Elems)) {
+				if a, ix := args[0].Arr(), args[1]; a != nil && ix.K == interp.KInt &&
+					ix.I >= 0 && ix.I < int64(len(a.Elems)) {
 					prims++
 					cyc += interp.CostPrim
-					regs[i.A] = a.A.Elems[ix.I]
+					regs[i.A] = a.Elems[ix.I]
 					break
 				}
 				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
 			case ir.PrimAPut:
-				if a, ix := args[0], args[1]; a.K == interp.KArray && ix.K == interp.KInt &&
-					ix.I >= 0 && ix.I < int64(len(a.A.Elems)) {
+				if a, ix := args[0].Arr(), args[1]; a != nil && ix.K == interp.KInt &&
+					ix.I >= 0 && ix.I < int64(len(a.Elems)) {
 					prims++
 					cyc += interp.CostPrim
-					a.A.Elems[ix.I] = args[2]
+					a.Elems[ix.I] = args[2]
 					regs[i.A] = args[2]
 					break
 				}
 				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
 			case ir.PrimALen:
-				if args[0].K == interp.KArray {
+				if a := args[0].Arr(); a != nil {
 					prims++
 					cyc += interp.CostPrim
-					regs[i.A] = interp.IntV(int64(len(args[0].A.Elems)))
+					regs[i.A] = interp.IntV(int64(len(a.Elems)))
 					break
 				}
 				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
@@ -934,15 +936,15 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				if args[0].K == interp.KStr {
 					prims++
 					cyc += interp.CostPrim
-					regs[i.A] = interp.IntV(int64(len(args[0].S)))
+					regs[i.A] = interp.IntV(int64(len(args[0].Str())))
 					break
 				}
 				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
 			case ir.PrimOrd:
-				if args[0].K == interp.KStr && len(args[0].S) > 0 {
+				if s := args[0].Str(); len(s) > 0 {
 					prims++
 					cyc += interp.CostPrim
-					regs[i.A] = interp.IntV(int64(args[0].S[0]))
+					regs[i.A] = interp.IntV(int64(s[0]))
 					break
 				}
 				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
@@ -1005,8 +1007,20 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 					regs[i.A] = interp.BoolV(l.I == r.I)
 				case ir.OpNE:
 					regs[i.A] = interp.BoolV(l.I != r.I)
+				case ir.OpDiv:
+					if r.I == 0 {
+						// The shared fallback owns the zero-divisor error.
+						regs[i.A] = interp.EvalBin(ir.OpDiv, l, r)
+						break
+					}
+					regs[i.A] = interp.IntV(l.I / r.I)
+				case ir.OpMod:
+					if r.I == 0 {
+						regs[i.A] = interp.EvalBin(ir.OpMod, l, r)
+						break
+					}
+					regs[i.A] = interp.IntV(l.I % r.I)
 				default:
-					// Div/Mod: the shared fallback owns the zero checks.
 					regs[i.A] = interp.EvalBin(ir.BinOp(i.D), l, r)
 				}
 			} else {
@@ -1014,46 +1028,46 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			}
 
 		case OpAGet:
-			a, ix := regs[i.B], regs[i.C]
-			if a.K == interp.KArray && ix.K == interp.KInt &&
-				ix.I >= 0 && ix.I < int64(len(a.A.Elems)) {
+			a, ix := regs[i.B].Arr(), regs[i.C]
+			if a != nil && ix.K == interp.KInt &&
+				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
 				prims++
 				cyc += interp.CostPrim
-				regs[i.A] = a.A.Elems[ix.I]
+				regs[i.A] = a.Elems[ix.I]
 			} else {
 				// Shared seam: charges first, then raises the tree tier's
 				// exact error for every failure shape.
-				regs[i.A] = in.CallPrim(ir.PrimAGet, []interp.Value{a, ix})
+				regs[i.A] = in.CallPrim(ir.PrimAGet, []interp.Value{regs[i.B], ix})
 			}
 
 		case OpAPut:
-			a, ix := regs[i.B], regs[i.C]
-			if a.K == interp.KArray && ix.K == interp.KInt &&
-				ix.I >= 0 && ix.I < int64(len(a.A.Elems)) {
+			a, ix := regs[i.B].Arr(), regs[i.C]
+			if a != nil && ix.K == interp.KInt &&
+				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
 				prims++
 				cyc += interp.CostPrim
 				v := regs[i.D]
-				a.A.Elems[ix.I] = v
+				a.Elems[ix.I] = v
 				regs[i.A] = v
 			} else {
-				regs[i.A] = in.CallPrim(ir.PrimAPut, []interp.Value{a, ix, regs[i.D]})
+				regs[i.A] = in.CallPrim(ir.PrimAPut, []interp.Value{regs[i.B], ix, regs[i.D]})
 			}
 
 		case OpFieldBin, OpFieldBinK, OpBinField:
 			f := &p.FieldOps[i.D]
-			ov := regs[i.B]
-			if ov.K != interp.KObj {
-				vmFail("field %q read on non-object %s", p.Names[f.Name], ov)
+			o := regs[i.B].Obj()
+			if o == nil {
+				vmFail("field %q read on non-object %s", p.Names[f.Name], regs[i.B])
 			}
 			cyc += interp.CostFieldCached
 			var l, r interp.Value
 			switch i.Op {
 			case OpFieldBin:
-				l, r = ov.O.Fields[f.Slot], regs[i.C]
+				l, r = o.Fields[f.Slot], regs[i.C]
 			case OpFieldBinK:
-				l, r = ov.O.Fields[f.Slot], p.Consts[i.C]
+				l, r = o.Fields[f.Slot], p.Consts[i.C]
 			default: // OpBinField: field is the right operand
-				l, r = regs[i.C], ov.O.Fields[f.Slot]
+				l, r = regs[i.C], o.Fields[f.Slot]
 			}
 			prims++
 			cyc += interp.CostBin

@@ -6,6 +6,7 @@ package vm_test
 // on the exact error text (or value) in every case.
 
 import (
+	"strings"
 	"testing"
 
 	"selspec/internal/driver"
@@ -194,4 +195,55 @@ method main() { trap(); esc(1); }
 		t.Fatal("expected an escaped-return error")
 	}
 	wantSameError(t, "escaped return", te, ve)
+}
+
+// divModSrc divides loop-carried values, negative ones included, by
+// constant divisors of both signs, so the VM takes its OpBinK division
+// fast path while the tree tier evaluates the same Bin nodes.
+const divModSrc = `
+method show(x, q, r) { print(x); print(" "); print(q); print(" "); println(r); }
+method divs(x) {
+  show(x, x / 3, x % 3);
+  show(x, x / -3, x % -3);
+  show(x, x / 2, x % 2);
+  show(x, x / -1, x % -1);
+  show(x, x / 1, x % 1);
+}
+method main() {
+  var x := 0 - 8;
+  while x < 9 { divs(x); x := x + 1; }
+  var big := 0 - 9223372036854775807;
+  divs(big - 1);
+  divs(big);
+  x;
+}
+`
+
+// TestDivModByConstantParity: quotients and remainders by constant
+// divisors, and the division- and modulo-by-zero errors of a constant
+// 0 divisor, must match the tree tier exactly.
+func TestDivModByConstantParity(t *testing.T) {
+	tv, te, vv, ve := runBoth(t, divModSrc, 0, 0)
+	wantSameError(t, "div/mod", te, ve)
+	if te != nil {
+		t.Fatalf("div/mod: %v", te)
+	}
+	if tv != vv {
+		t.Errorf("div/mod output diverged:\n  tree: %q\n  vm:   %q", tv, vv)
+	}
+	if !strings.Contains(tv, "-7 2 -1\n") || !strings.Contains(tv, "-7 -2 -1\n") {
+		t.Errorf("div/mod: truncated division expected, got %q", tv)
+	}
+	for _, tc := range []struct{ op, want string }{
+		{"/", "division by zero"},
+		{"%", "modulo by zero"},
+	} {
+		src := `method f(x) { x ` + tc.op + ` 0; }
+method main() { var x := 0 - 5; while x < 5 { f(x); x := x + 1; } x; }`
+		_, te, _, ve := runBoth(t, src, 0, 0)
+		if te == nil || !strings.Contains(te.Error(), tc.want) {
+			t.Fatalf("x %s 0: tree error %v, want %q", tc.op, te, tc.want)
+		}
+		wantSameError(t, "x "+tc.op+" 0", te, ve)
+	}
 }

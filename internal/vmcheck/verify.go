@@ -50,8 +50,9 @@ func procPos(pi vm.ProcInfo) lang.Pos {
 //   - registers: every scalar operand and argument window within
 //     [0, NumRegs); NumSlots ≤ NumRegs
 //   - pools and side tables: constant, name, site, static, version-
-//     selector, field-op, class, closure, and position indices in
-//     bounds; field-op entries with a resolved slot and pooled name;
+//     selector, field-op, field-site, class, closure, and position
+//     indices in bounds; field-op entries with a resolved slot and
+//     pooled name;
 //     IC slots (call-site IDs) within the machine's inline-cache table
 //   - kind discipline: static-chain ops only in closure procs; no
 //     direct OpRet-adjacent OpRetNL in method procs; OpMakeClosure
@@ -246,6 +247,9 @@ func verifyProc(pi vm.ProcInfo, numSites, numGlobals int) error {
 			}
 
 		case vm.OpGetFieldDyn, vm.OpSetFieldDyn:
+			if err := pool(pc, "field site", i.C, len(p.FieldSites)); err != nil {
+				return err
+			}
 			if err := pool(pc, "name", i.D, len(p.Names)); err != nil {
 				return err
 			}

@@ -63,7 +63,8 @@ func buildMachine(t *testing.T, src string, cfg opt.Config) *vm.Machine {
 }
 
 // mutSrc exercises every side table the verifier guards: call sites,
-// static calls, field ops, constants, classes, closures, globals. The
+// static calls, field ops, dynamic field sites, constants, classes,
+// closures, globals. The
 // methods are kept polymorphic and the closure loop-bearing so the
 // inliner cannot erase the sends and closure ops the mutation cases
 // need to corrupt.
@@ -90,7 +91,8 @@ method main() {
   var done := acc < 10;
   if done { acc := acc + 1; }
   while acc < 100 { acc := acc + 7; }
-  acc + aget(xs, 0);
+  aput(xs, 0, new Q());
+  acc + aget(xs, 0).n;
 }
 `
 
@@ -146,6 +148,10 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			p, pc := findOp(t, m, vm.OpFieldBin)
 			p.Code[pc].D = int32(len(p.FieldOps)) + 1
 		}, "field op index"},
+		{"field-site table oob", func(t *testing.T, m *vm.Machine) {
+			p, pc := findOp(t, m, vm.OpGetFieldDyn)
+			p.Code[pc].C = int32(len(p.FieldSites))
+		}, "field site index"},
 		{"class table oob", func(t *testing.T, m *vm.Machine) {
 			p, pc := findOp(t, m, vm.OpNew)
 			p.Code[pc].B = int32(len(p.News))
