@@ -155,6 +155,15 @@ func (p *PIC) PromoteAt(i int) {
 	p.M.Promotions.Inc()
 }
 
+// NoteMiss replays the bookkeeping of a Lookup that misses — the miss
+// counters — for an engine that already knows the tuple is absent: a
+// full cache never changes its tuples, so a tuple that missed it once
+// misses it every time.
+func (p *PIC) NoteMiss() {
+	p.Misses++
+	p.M.Misses.Inc()
+}
+
 // Add inserts an entry unless the cache is megamorphic (full).
 func (p *PIC) Add(classes []*hier.Class, t Target) {
 	if len(p.entries) >= p.max {

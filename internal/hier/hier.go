@@ -149,6 +149,7 @@ type GF struct {
 	Methods []*Method
 
 	dispatched []bool   // positions where some method specializes
+	positions  []int    // the true indices of dispatched (DispatchedPositions)
 	cache      *gfCache // memoized lookups; installed by Freeze
 	poles      []*Poles // per position, computed on demand; guarded by Hierarchy.polesMu
 }
@@ -160,16 +161,10 @@ func (g *GF) Key() string { return GFKey(g.Name, g.Arity) }
 func GFKey(name string, arity int) string { return fmt.Sprintf("%s/%d", name, arity) }
 
 // DispatchedPositions returns the argument positions this generic
-// function actually dispatches on.
-func (g *GF) DispatchedPositions() []int {
-	var out []int
-	for i, d := range g.dispatched {
-		if d {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// function actually dispatches on, in increasing order. The slice is
+// shared and must not be modified; AddMethod replaces it, never writes
+// into it.
+func (g *GF) DispatchedPositions() []int { return g.positions }
 
 // DispatchesOn reports whether position i is a dispatched position.
 func (g *GF) DispatchesOn(i int) bool {
@@ -412,8 +407,15 @@ func (h *Hierarchy) AddMethod(name string, specs []*Class, decl *lang.MethodDecl
 	g.Methods = append(g.Methods, m)
 	h.methods = append(h.methods, m)
 	for i, s := range specs {
-		if s != h.any {
+		if s != h.any && !g.dispatched[i] {
 			g.dispatched[i] = true
+			var pos []int
+			for j, d := range g.dispatched {
+				if d {
+					pos = append(pos, j)
+				}
+			}
+			g.positions = pos
 		}
 	}
 	return m, nil
@@ -486,6 +488,18 @@ func (h *Hierarchy) Lookup(g *GF, classes ...*Class) (*Method, *DispatchError) {
 		}
 	}
 	return m, err
+}
+
+// NoteLookupHit replays the metrics of a Lookup of g that hits the
+// cache, for a caller that memoized the result of an earlier Lookup of
+// the same tuple (which left it cached) and skips the call.
+func (h *Hierarchy) NoteLookupHit(g *GF) {
+	if g.cache == nil {
+		return
+	}
+	if lm := h.lookupMetrics.Load(); lm != nil {
+		lm.CacheHits.Inc()
+	}
 }
 
 // lookupSlow finds the most-specific applicable method without

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"context"
+	"math"
 
 	"selspec/internal/lang"
 )
@@ -36,6 +37,7 @@ type Guard struct {
 	ctx        context.Context
 
 	steps   uint64
+	next    uint64 // the step count at which Step must take its slow path
 	depth   int
 	callPos lang.Pos // innermost call-site position, for faults with no node position
 }
@@ -53,14 +55,26 @@ func (g *Guard) Arm(stepLimit uint64, depthLimit int, ctx context.Context) {
 	}
 	g.ctx = ctx
 	g.depth = 0
+	g.next = 0 // the first step recomputes it
 }
 
 // Step charges one interpreter step and trips the step-limit and
 // cancellation guards. Both failure modes raise Mini-Cecil
 // RuntimeErrors (the cancellation one anchored at the innermost call
-// site), so they are contained by the normal run boundary.
+// site), so they are contained by the normal run boundary. Step is
+// small enough to inline: only the steps at which a guard could trip
+// or a context poll is due call the slow path.
 func (g *Guard) Step() {
 	g.steps++
+	if g.steps >= g.next {
+		g.stepSlow()
+	}
+}
+
+// stepSlow runs the guards for the current step, then sets next to the
+// first later step at which one of them needs to run again: the step
+// past the limit, or the next multiple of CtxCheckInterval.
+func (g *Guard) stepSlow() {
 	if g.stepLimit > 0 && g.steps > g.stepLimit {
 		fail("step limit exceeded (%d)", g.stepLimit)
 	}
@@ -69,6 +83,15 @@ func (g *Guard) Step() {
 		case <-g.ctx.Done():
 			failAt(g.callPos, "interpreter cancelled: %v", context.Cause(g.ctx))
 		default:
+		}
+	}
+	g.next = math.MaxUint64
+	if g.stepLimit > 0 {
+		g.next = g.stepLimit + 1
+	}
+	if g.ctx != nil {
+		if poll := (g.steps/CtxCheckInterval + 1) * CtxCheckInterval; poll < g.next {
+			g.next = poll
 		}
 	}
 }

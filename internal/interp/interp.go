@@ -153,6 +153,7 @@ type Interp struct {
 	returning    bool  // a returnSignal unwind is in flight (see runBody)
 
 	pics     []*dispatch.PIC // per call-site ID
+	memos    []sendMemo      // per call-site ID; nil until the site's PIC is full
 	mmTables map[*hier.GF]*dispatch.MMTable
 
 	invoked map[*ir.Version]bool
@@ -165,6 +166,7 @@ func New(c *opt.Compiled) *Interp {
 		H:        c.Prog.H,
 		Mech:     MechPIC,
 		pics:     make([]*dispatch.PIC, len(c.Prog.Sites)),
+		memos:    make([]sendMemo, len(c.Prog.Sites)),
 		mmTables: map[*hier.GF]*dispatch.MMTable{},
 		invoked:  map[*ir.Version]bool{},
 	}
@@ -339,6 +341,21 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 			}
 			in.pics[site.ID] = pic
 		}
+		memo := in.memos[site.ID]
+		if memo != nil {
+			if t, ok := memo[memoKey(classes)]; ok {
+				// A full lookup, as far as anything can observe.
+				pic.NoteMiss()
+				in.Counters.PICMisses++
+				in.charge(CostFullLookup)
+				in.H.NoteLookupHit(site.GF)
+				in.record(site, t.Method)
+				if in.Trace != nil {
+					in.trace("lookup", site, t.Version)
+				}
+				return t.Version
+			}
+		}
 		if t, ok := pic.Lookup(classes); ok {
 			in.Counters.PICHits++
 			in.charge(CostPICHit)
@@ -355,7 +372,18 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 			failAt(site.Pos, "%v", derr)
 		}
 		v := in.C.SelectVersion(m, classes)
-		pic.Add(classes, dispatch.Target{Method: m, Version: v})
+		t := dispatch.Target{Method: m, Version: v}
+		if !pic.Megamorphic() {
+			pic.Add(classes, t)
+		} else if len(classes) == 1 || len(classes) == 2 {
+			if memo == nil {
+				memo = sendMemo{}
+				in.memos[site.ID] = memo
+			}
+			if len(memo) < sendMemoCap {
+				memo[memoKey(classes)] = t
+			}
+		}
 		in.record(site, m)
 		if in.Trace != nil {
 			in.trace("lookup", site, v)
@@ -378,6 +406,28 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 		return in.C.SelectVersion(m, classes)
 	}
 	panic("interp: unknown mechanism")
+}
+
+// sendMemo holds the targets of tuples that missed one send site's full
+// PIC, keyed by memoKey. A full PIC never changes its tuples, so a
+// memoized tuple misses it every time: replaying the miss's counters,
+// cycle charge, GF-cache hit, profile record and trace line from the
+// memo is indistinguishable from redoing the lookup and version
+// selection, which the §3.5 cost model still charges in full.
+type sendMemo map[uint64]dispatch.Target
+
+// sendMemoCap bounds one site's memo; tuples beyond it take the full
+// path every time.
+const sendMemoCap = 64
+
+// memoKey packs the full 32-bit class IDs of a one- or two-argument
+// tuple. A site's arity is fixed, so arity needs no encoding.
+func memoKey(classes []*hier.Class) uint64 {
+	k := uint64(uint32(classes[0].ID))
+	if len(classes) == 2 {
+		k |= uint64(uint32(classes[1].ID)) << 32
+	}
+	return k
 }
 
 func (in *Interp) tableLookup(site *ir.CallSite, classes []*hier.Class) *hier.Method {

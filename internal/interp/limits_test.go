@@ -127,3 +127,49 @@ func TestStepLimitStillWins(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestGuardTripSteps pins the exact step at which each guard trips: the
+// step past the limit, and for a cancelled context the first multiple
+// of CtxCheckInterval — also when the step count carries over from an
+// earlier run on the same Guard.
+func TestGuardTripSteps(t *testing.T) {
+	tripAt := func(g *Guard) (n uint64, msg string) {
+		defer func() {
+			r := recover()
+			re, ok := r.(*RuntimeError)
+			if !ok {
+				t.Fatalf("guard raised %v, want a *RuntimeError", r)
+			}
+			n, msg = g.Steps(), re.Msg
+		}()
+		for i := 0; i < 10*CtxCheckInterval; i++ {
+			g.Step()
+		}
+		t.Fatal("guard never tripped")
+		return 0, ""
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	var g Guard
+	g.Arm(0, 0, nil)
+	for i := 0; i < 60; i++ {
+		g.Step() // unguarded: nothing can trip
+	}
+	g.Arm(100, 0, nil) // a later Arm tightens the guard mid-count
+	if n, msg := tripAt(&g); n != 101 || !strings.Contains(msg, "step limit exceeded (100)") {
+		t.Errorf("step limit 100 tripped at step %d: %s", n, msg)
+	}
+	g.Arm(0, 0, cancelled) // steps carry over from the run above
+	if n, msg := tripAt(&g); n != CtxCheckInterval || !strings.Contains(msg, "cancelled") {
+		t.Errorf("cancelled context tripped at step %d, want %d: %s", n, CtxCheckInterval, msg)
+	}
+	g.Arm(3*CtxCheckInterval+5, 0, cancelled)
+	if n, _ := tripAt(&g); n != 2*CtxCheckInterval {
+		t.Errorf("cancelled context under a step limit tripped at step %d, want %d", n, 2*CtxCheckInterval)
+	}
+	g.Arm(2*CtxCheckInterval+10, 0, context.Background())
+	if n, msg := tripAt(&g); n != 2*CtxCheckInterval+11 || !strings.Contains(msg, "step limit") {
+		t.Errorf("step limit under a live context tripped at step %d: %s", n, msg)
+	}
+}

@@ -1088,9 +1088,8 @@ func (c *Compiled) selectVersionStatic(m *hier.Method, infos []info) (*ir.Versio
 		if infos[p].top || infos[p].set.Len() != 1 {
 			return nil, false
 		}
-		id := infos[p].set.Min()
-		key := string([]byte{byte(id), byte(id >> 8)})
-		if v, ok := mv.byKey[key]; ok {
+		var buf [4]byte
+		if v, ok := mv.byKey[string(appendClassID(buf[:0], infos[p].set.Min()))]; ok {
 			return v, true
 		}
 		return c.General(m), true

@@ -450,24 +450,30 @@ func (c *Compiled) dispatchKey(m *hier.Method, tpl hier.Tuple) (string, bool) {
 	default:
 		return "", false
 	}
-	key := make([]byte, 0, 2*len(positions))
+	key := make([]byte, 0, 4*len(positions))
 	for _, p := range positions {
 		if tpl[p].Len() != 1 {
 			return "", false
 		}
-		id := tpl[p].Min()
-		key = append(key, byte(id), byte(id>>8))
+		key = appendClassID(key, tpl[p].Min())
 	}
 	return string(key), true
 }
 
-func classesKey(positions []int, classes []*hier.Class) string {
-	key := make([]byte, 0, 2*len(positions))
+// appendClassID appends a class ID's full 32 bits to a version key, so
+// IDs that agree in their low bits still key distinct versions.
+func appendClassID(key []byte, id int) []byte {
+	return append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+}
+
+// classesKey appends the version key of the classes at positions to
+// key. Callers pass a stack buffer and index the version map with
+// string(key), which does not allocate.
+func classesKey(key []byte, positions []int, classes []*hier.Class) []byte {
 	for _, p := range positions {
-		id := classes[p].ID
-		key = append(key, byte(id), byte(id>>8))
+		key = appendClassID(key, classes[p].ID)
 	}
-	return string(key)
+	return key
 }
 
 // VersionsOf returns the currently defined versions of a method.
@@ -504,7 +510,8 @@ func (c *Compiled) SelectVersion(m *hier.Method, classes []*hier.Class) *ir.Vers
 		if p < 0 {
 			return mv.list[0]
 		}
-		if v, ok := mv.byKey[classesKey([]int{p}, classes)]; ok {
+		var buf [4]byte
+		if v, ok := mv.byKey[string(appendClassID(buf[:0], classes[p].ID))]; ok {
 			return v
 		}
 		return c.General(m)
@@ -514,9 +521,10 @@ func (c *Compiled) SelectVersion(m *hier.Method, classes []*hier.Class) *ir.Vers
 		if len(positions) == 0 {
 			return mv.list[0]
 		}
-		key := classesKey(positions, classes)
+		var buf [16]byte
+		key := classesKey(buf[:0], positions, classes)
 		c.mu.Lock()
-		v, ok := mv.byKey[key]
+		v, ok := mv.byKey[string(key)]
 		if !ok {
 			tpl := c.Prog.H.GeneralTuple(m)
 			for _, p := range positions {
@@ -525,7 +533,7 @@ func (c *Compiled) SelectVersion(m *hier.Method, classes []*hier.Class) *ir.Vers
 			}
 			v = &ir.Version{Method: m, Tuple: tpl, Index: len(mv.list)}
 			mv.list = append(mv.list, v)
-			mv.byKey[key] = v
+			mv.byKey[string(key)] = v
 		}
 		c.mu.Unlock()
 		return v

@@ -1,0 +1,103 @@
+package vm_test
+
+import (
+	"testing"
+
+	"selspec/internal/interp"
+	"selspec/internal/ir"
+	"selspec/internal/lang"
+	"selspec/internal/opt"
+	"selspec/internal/vm"
+)
+
+// condChainSrc spends its run in one && / || / ! chain over array
+// reads, field reads and comparisons: the If/While conditions the VM
+// compiles to jumping code.
+const condChainSrc = `
+class Blk { field ready := newarray(64); field n : Int := 64; }
+method main() {
+  var b := new Blk();
+  var done := newarray(64);
+  var i := 0;
+  while i < b.n { aput(b.ready, i, i % 7); aput(done, i, i % 3 == 0); i := i + 1; }
+  var hits := 0;
+  var r := 0;
+  while r < 50 {
+    i := 0;
+    while i < b.n && !(hits < 0) {
+      if !aget(done, i) && aget(b.ready, i) <= r % 7 || i == r { hits := hits + 1; }
+      i := i + 1;
+    }
+    r := r + 1;
+  }
+  hits;
+}
+`
+
+// megamorphicSrc sends rel(a, b) over 12 argument-class tuples from one
+// site, so the site's 8-entry PIC stays full and 4 tuples always miss.
+const megamorphicSrc = `
+class K { } class A isa K { } class B isa K { } class C isa K { }
+class V { } class X isa V { } class Y isa V { } class Z isa V { } class W isa V { }
+method rel(a@K, b@V) { 0; }
+method rel(a@A, b@X) { 1; }
+method rel(a@B, b@V) { 2; }
+method rel(a@C, b@Y) { 3; }
+method rel(a@A, b@W) { 4; }
+method main() {
+  var ks := newarray(3);
+  aput(ks, 0, new A()); aput(ks, 1, new B()); aput(ks, 2, new C());
+  var vs := newarray(4);
+  aput(vs, 0, new X()); aput(vs, 1, new Y()); aput(vs, 2, new Z()); aput(vs, 3, new W());
+  var sum := 0;
+  var i := 0;
+  while i < 1200 {
+    sum := sum + rel(aget(ks, (i + i / 12) % 3), aget(vs, (i * 7 + i / 12) % 4));
+    i := i + 1;
+  }
+  sum;
+}
+`
+
+// benchRun measures repeated VM runs of src under cfg on one machine,
+// after a first run has filled its caches, and reports the guest steps
+// and sends of one run.
+func benchRun(b *testing.B, src string, cfg opt.Config) {
+	parsed, err := lang.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := ir.Lower(parsed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := opt.Compile(prog, opt.Options{Config: cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := interp.New(c)
+	m, err := vm.New(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	steps, sends := in.Steps(), in.Counters.Dispatches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(in.Steps()-steps)/float64(b.N), "steps/op")
+	b.ReportMetric(float64(in.Counters.Dispatches-sends)/float64(b.N), "sends/op")
+}
+
+// BenchmarkVMCondChain is the run cost of conditions built from && / ||
+// / ! (the VM's jumping-code branches).
+func BenchmarkVMCondChain(b *testing.B) { benchRun(b, condChainSrc, opt.CHA) }
+
+// BenchmarkSendMegamorphic is the run cost of a send site that misses
+// its full PIC a third of the time (the VM's send miss path).
+func BenchmarkSendMegamorphic(b *testing.B) { benchRun(b, megamorphicSrc, opt.Base) }

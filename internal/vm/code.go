@@ -43,18 +43,24 @@ const (
 	OpMove
 	// OpJump: pc = A.
 	OpJump
-	// OpBranchFalse: truthy-check regs[A] (failing with the message
-	// selected by C — if/while/&&/||), charge CostBin, jump to B when
-	// false. This is the shared cond shape of If, While, And and Or.
-	OpBranchFalse
+	// OpBranch is the conditional branch on a value: with branch mode
+	// D (see Mode), charge a folded `!` if the mode says so, then
+	// truthy-check regs[A] (failing with the message selected by C —
+	// if/while/&&/||/!), then jump to B when the value equals the
+	// mode's sense, charging the mode's jump or fall-through cycles.
+	// It is every leaf of a jumping-code If/While condition and the
+	// left-operand test of a value-producing && / ||.
+	OpBranch
 	// OpCheckBool: truthy-check regs[A] with message C; no charge, no
 	// branch (the right operand of && / || is checked but not charged).
 	OpCheckBool
 	// OpCmpBr is the fused comparison-branch superinstruction for
-	// If/While conditions that are integer/string comparisons: counts
-	// one PrimOp, charges CostBin for the comparison and CostBin for
-	// the branch (exactly the unfused Bin + If accounting), and jumps
-	// to C when regs[A] <op D> regs[B] is false.
+	// condition leaves that are integer/string comparisons: counts one
+	// PrimOp and charges CostBin for the comparison (exactly the unfused
+	// Bin accounting, failure point included), then jumps to C when
+	// regs[A] <op> regs[B] equals the sense of mode D, charging the
+	// mode's jump or fall-through cycles (the consumer's CostBin plus
+	// any short-circuit charges).
 	OpCmpBr
 	// OpCmpBrK is OpCmpBr with a constant right operand taken from
 	// Consts[B] — the `x <op> literal` condition shape — eliminating the
@@ -169,18 +175,29 @@ const (
 	// OpCmpBrField fuses the dominant loop-bound shape `x <op> obj.field`
 	// (`while i < b.n`) into the compare-branch: read the field of object
 	// regs[B] per FieldOps[D] (charging CostFieldCached), compare with
-	// regs[A] (one PrimOp + CostBin), charge the branch's CostBin, and
-	// jump to C when false — OpGetField + OpCmpBr accounting exactly.
+	// regs[A] (one PrimOp + CostBin), and branch to C by the entry's
+	// Mode — OpGetField + OpCmpBr accounting exactly.
 	OpCmpBrField
+	// OpLoop is a While back-edge: charge one interpreter step (the
+	// loop head's OpStep) and jump to A, the instruction after that
+	// OpStep — one dispatch instead of OpJump + OpStep.
+	OpLoop
+	// OpAGetField fuses `aget(obj.field, i)` with i a frame slot:
+	// regs[A] = (field of object regs[B] per FieldOps[D])[regs[C]].
+	// The field read fails and charges exactly like OpGetField, then
+	// the element read runs OpAGet's fast path or the shared CallPrim
+	// seam; FieldOps[D].Op is unused.
+	OpAGetField
 )
 
 var opNames = [...]string{
-	"const", "move", "jump", "brfalse", "checkbool", "cmpbr", "cmpbrk", "step",
+	"const", "move", "jump", "branch", "checkbool", "cmpbr", "cmpbrk", "step",
 	"charge", "getup", "setup", "getglobal", "setglobal", "getfield",
 	"getfielddyn", "setfield", "setfielddyn", "new", "makeclosure",
 	"checkclosure", "callclosure", "send", "staticcall", "vselect",
 	"prim", "bin", "bink", "not", "neg", "ret", "retnl",
 	"fieldbin", "fieldbink", "binfield", "aget", "aput", "cmpbrfield",
+	"loop", "agetfield",
 }
 
 func (o Op) String() string {
@@ -196,13 +213,14 @@ type Instr struct {
 	A, B, C, D int32
 }
 
-// Truthy-check message kinds (operand C of OpBranchFalse/OpCheckBool),
+// Truthy-check message kinds (operand C of OpBranch/OpCheckBool),
 // matching the tree interpreter's error text per construct.
 const (
 	msgIf = iota
 	msgWhile
 	msgAnd
 	msgOr
+	msgNot
 )
 
 var checkMsgs = [...]string{
@@ -210,6 +228,74 @@ var checkMsgs = [...]string{
 	"while condition is not a boolean: %s",
 	"'&&' on non-boolean %s",
 	"'||' on non-boolean %s",
+	"'!' on non-boolean %s",
+}
+
+// Mode is the branch mode of a conditional branch: operand D of
+// OpBranch, OpCmpBr and OpCmpBrK, and FieldOpRef.Mode of OpCmpBrField.
+// It packs what the tree tier would do between the tested value and the
+// next instruction of the condition's consumer:
+//
+//	bits  0-7   the comparison operator (OpCmpBr, OpCmpBrK; else 0)
+//	bit   8     sense: jump when the tested value is true (else false)
+//	bit   9     not (OpBranch only): a folded `!` — one PrimOp and
+//	            CostBin charged before the truthy check
+//	bits 10-19  cycles charged when the branch jumps
+//	bits 20-29  cycles charged when it falls through
+//
+// The edge cycles are the consumer's CostBin plus one CostBin for every
+// && / || whose result the edge passes through.
+type Mode uint32
+
+const (
+	modeSense     Mode = 1 << 8
+	modeNot       Mode = 1 << 9
+	modeJumpShift      = 10
+	modeFallShift      = 20
+	// maxEdgeCycles is the largest per-edge charge a Mode can carry.
+	maxEdgeCycles = 1<<10 - 1
+)
+
+// branchMode builds a Mode (operator bits zero). jump and fall must be
+// within [0, maxEdgeCycles].
+func branchMode(sense, not bool, jump, fall int32) Mode {
+	m := Mode(jump)<<modeJumpShift | Mode(fall)<<modeFallShift
+	if sense {
+		m |= modeSense
+	}
+	if not {
+		m |= modeNot
+	}
+	return m
+}
+
+// Op returns the comparison operator of a compare-branch mode.
+func (m Mode) Op() ir.BinOp { return ir.BinOp(m & 0xff) }
+
+// Sense reports whether the branch jumps on a true value.
+func (m Mode) Sense() bool { return m&modeSense != 0 }
+
+// Not reports whether the branch charges a folded `!` before its check.
+func (m Mode) Not() bool { return m&modeNot != 0 }
+
+// Jump returns the cycles charged when the branch is taken.
+func (m Mode) Jump() uint64 { return uint64(m>>modeJumpShift) & maxEdgeCycles }
+
+// Fall returns the cycles charged when the branch falls through.
+func (m Mode) Fall() uint64 { return uint64(m>>modeFallShift) & maxEdgeCycles }
+
+// Valid reports whether the bits above the fall-through charge are
+// clear (the verifier's encoding check).
+func (m Mode) Valid() bool { return m>>(modeFallShift+10) == 0 }
+
+// String renders the mode for Disasm: "if true" / "if false", a folded
+// "!" and the edge charges.
+func (m Mode) String() string {
+	s := fmt.Sprintf("if %v +%d/+%d", m.Sense(), m.Jump(), m.Fall())
+	if m.Not() {
+		s = "! " + s
+	}
+	return s
 }
 
 // ProcKind distinguishes how returns behave in a compiled body.
@@ -245,14 +331,16 @@ type NewRef struct {
 	inits []*Proc
 }
 
-// FieldOpRef is the operand pool entry of one fused field/binop
-// superinstruction (OpFieldBin, OpFieldBinK, OpBinField): the
-// statically-resolved field slot, the field name (Names index, for the
-// non-object error text) and the binary operator.
+// FieldOpRef is the operand pool entry of one fused field
+// superinstruction (OpFieldBin, OpFieldBinK, OpBinField, OpCmpBrField,
+// OpAGetField): the statically-resolved field slot, the field name
+// (Names index, for the non-object error text), the binary operator,
+// and for OpCmpBrField the branch mode (operator bits zero).
 type FieldOpRef struct {
 	Slot int32
 	Name int32
 	Op   ir.BinOp
+	Mode Mode
 }
 
 // FieldSite is the inline cache of one OpGetFieldDyn/OpSetFieldDyn:
@@ -326,14 +414,14 @@ func (p *Proc) Disasm() string {
 			fmt.Fprintf(&b, "r%d <- %s", i.A, p.Consts[i.B])
 		case OpMove:
 			fmt.Fprintf(&b, "r%d <- r%d", i.A, i.B)
-		case OpJump:
+		case OpJump, OpLoop:
 			fmt.Fprintf(&b, "-> %d", i.A)
-		case OpBranchFalse:
-			fmt.Fprintf(&b, "r%d -> %d (%s)", i.A, i.B, [...]string{"if", "while", "&&", "||"}[i.C])
+		case OpBranch:
+			fmt.Fprintf(&b, "r%d %s -> %d (%s)", i.A, Mode(i.D), i.B, [...]string{"if", "while", "&&", "||", "!"}[i.C])
 		case OpCmpBr:
-			fmt.Fprintf(&b, "r%d %s r%d else -> %d", i.A, ir.BinOp(i.D), i.B, i.C)
+			fmt.Fprintf(&b, "r%d %s r%d %s -> %d", i.A, Mode(i.D).Op(), i.B, Mode(i.D), i.C)
 		case OpCmpBrK:
-			fmt.Fprintf(&b, "r%d %s %s else -> %d", i.A, ir.BinOp(i.D), p.Consts[i.B], i.C)
+			fmt.Fprintf(&b, "r%d %s %s %s -> %d", i.A, Mode(i.D).Op(), p.Consts[i.B], Mode(i.D), i.C)
 		case OpBin:
 			fmt.Fprintf(&b, "r%d <- r%d %s r%d", i.A, i.B, ir.BinOp(i.D), i.C)
 		case OpBinK:
@@ -349,7 +437,10 @@ func (p *Proc) Disasm() string {
 			fmt.Fprintf(&b, "r%d <- r%d %s r%d.%s", i.A, i.C, f.Op, i.B, p.Names[f.Name])
 		case OpCmpBrField:
 			f := p.FieldOps[i.D]
-			fmt.Fprintf(&b, "r%d %s r%d.%s else -> %d", i.A, f.Op, i.B, p.Names[f.Name], i.C)
+			fmt.Fprintf(&b, "r%d %s r%d.%s %s -> %d", i.A, f.Op, i.B, p.Names[f.Name], f.Mode, i.C)
+		case OpAGetField:
+			f := p.FieldOps[i.D]
+			fmt.Fprintf(&b, "r%d <- aget(r%d.%s, r%d)", i.A, i.B, p.Names[f.Name], i.C)
 		case OpSend:
 			fmt.Fprintf(&b, "r%d <- %s args r%d..%d", i.A, p.Sites[i.B].GF.Key(), i.C, i.C+i.D-1)
 		case OpStaticCall:

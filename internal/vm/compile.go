@@ -142,6 +142,12 @@ type compiler struct {
 
 	constIdx map[constKey]int32
 	nameIdx  map[string]int32
+
+	// jumps is a stack of condition branches awaiting their target: cond
+	// pushes a condition's jumps, and the consumer pops and patches them
+	// with patchSpan once the target is emitted. Conditions nested in
+	// the code between push and pop leave the stack as they found it.
+	jumps []int32
 }
 
 type constKey struct {
@@ -177,20 +183,29 @@ func (c *compiler) emit(op Op, a, b, cc, d int32) int32 {
 	return int32(len(c.p.Code) - 1)
 }
 
-// patch points a forward branch emitted at pc to the next instruction.
-// OpJump targets live in A; OpBranchFalse targets in B; OpCmpBr in C.
-func (c *compiler) patch(pc int32) {
+// patch points forward branches emitted at pcs to the next instruction.
+// OpJump targets live in A; OpBranch targets in B; OpCmpBr in C.
+func (c *compiler) patch(pcs ...int32) {
 	t := int32(len(c.p.Code))
-	switch c.p.Code[pc].Op {
-	case OpJump:
-		c.p.Code[pc].A = t
-	case OpBranchFalse:
-		c.p.Code[pc].B = t
-	case OpCmpBr, OpCmpBrK, OpCmpBrField:
-		c.p.Code[pc].C = t
-	default:
-		panic("vm: patch on non-branch")
+	for _, pc := range pcs {
+		switch c.p.Code[pc].Op {
+		case OpJump:
+			c.p.Code[pc].A = t
+		case OpBranch:
+			c.p.Code[pc].B = t
+		case OpCmpBr, OpCmpBrK, OpCmpBrField:
+			c.p.Code[pc].C = t
+		default:
+			panic("vm: patch on non-branch")
+		}
 	}
+}
+
+// patchSpan points the pending jumps c.jumps[from:to] at the next
+// instruction and removes them from the stack.
+func (c *compiler) patchSpan(from, to int) {
+	c.patch(c.jumps[from:to]...)
+	c.jumps = append(c.jumps[:from], c.jumps[to:]...)
 }
 
 func (c *compiler) konst(v interp.Value) int32 {
@@ -277,21 +292,16 @@ func (c *compiler) discard(n ir.Node) {
 		c.discard(n.Then)
 		if n.Else != nil {
 			end := c.emit(OpJump, 0, 0, 0, 0)
-			c.patch(br)
+			c.patchSpan(br, len(c.jumps))
 			c.discard(n.Else)
 			c.patch(end)
 		} else {
-			c.patch(br)
+			c.patchSpan(br, len(c.jumps))
 		}
 		return
 
 	case *ir.While:
-		loop := int32(len(c.p.Code))
-		c.emit(OpStep, 0, 0, 0, 0)
-		br := c.cond(n.Cond, msgWhile)
-		c.discard(n.Body)
-		c.emit(OpJump, loop, 0, 0, 0)
-		c.patch(br)
+		c.loop(n)
 		return
 
 	case *ir.Const:
@@ -360,37 +370,144 @@ func isCompare(op ir.BinOp) bool {
 	return false
 }
 
-// cond compiles a conditional test, jumping to a (to-be-patched) target
-// when the condition is false, and returns the branch pc. Comparison
-// Bin conditions fuse into OpCmpBr; everything else evaluates the
-// condition value and branches with OpBranchFalse (message kind msg).
-// Counter effects are identical either way — and identical to the tree
-// tier's evaluate-check-charge-branch sequence.
-func (c *compiler) cond(n ir.Node, msg int32) int32 {
-	if b, ok := n.(*ir.Bin); ok && isCompare(b.Op) {
-		mark := c.save()
-		l := c.captured(b.L, b.R)
-		if gf, ok := b.R.(*ir.GetField); ok && gf.Slot >= 0 {
-			obj := c.operand(gf.Obj)
-			pc := c.emit(OpCmpBrField, l, obj, 0, c.fieldOp(gf, b.Op))
-			c.restore(mark)
-			return pc
+// loop compiles a While: the head's OpStep, the condition, the body,
+// and an OpLoop back-edge that steps and re-enters at the condition.
+func (c *compiler) loop(n *ir.While) {
+	head := c.emit(OpStep, 0, 0, 0, 0)
+	br := c.cond(n.Cond, msgWhile)
+	c.discard(n.Body)
+	c.emit(OpLoop, head+1, 0, 0, 0)
+	c.patchSpan(br, len(c.jumps))
+}
+
+// test is what the tree tier does with a condition value between
+// producing it and the next instruction of its consumer: fail with
+// message kind msg if the value is not a boolean (after charging a
+// folded `!` when not is set), then charge onT or onF cycles by the
+// value. An If or While charges its CostBin on both outcomes; every
+// enclosing && / || a value flows out of adds its CostBin too.
+type test struct {
+	msg      int32
+	not      bool
+	onT, onF int32
+}
+
+// maxCondDepth bounds how many && / || levels compile to jumping code;
+// deeper operands are evaluated as values. Each level adds at most one
+// CostBin to an edge, so the bound keeps every edge charge within
+// maxEdgeCycles.
+const maxCondDepth = 256
+
+// cond compiles an If/While condition as jumping code — falling through
+// when it is true, jumping when it is false — and returns the jumps
+// stack mark above which its jumps wait for the caller's patchSpan.
+// && / || and ! never materialize a boolean: every leaf branches
+// directly, with the tree tier's charges for each edge folded into its
+// branch mode.
+func (c *compiler) cond(n ir.Node, msg int32) int {
+	mark := len(c.jumps)
+	c.branch(n, test{msg: msg, onT: interp.CostBin, onF: interp.CostBin}, false, 0)
+	return mark
+}
+
+// branch compiles n under test t so that execution jumps when n's value
+// is sense and falls through otherwise, pushing the jumps on c.jumps.
+//
+// The tree tier evaluates `L && R` as: L, check it ('&&' message),
+// charge CostBin, and yield false without evaluating R if L is false;
+// otherwise R, checked ('&&' message) but not charged, is the value.
+// So L branches under the '&&' test, charging one CostBin on both
+// edges and t's false charge on top of that when it short-circuits;
+// R inherits t's charges under the '&&' message. || is the mirror
+// image. `!x` charges one PrimOp and CostBin, checks x ('!' message)
+// and flips it: x branches under the '!' test with the flag that
+// charges that before its check, the edge charges swapped and the
+// sense flipped.
+func (c *compiler) branch(n ir.Node, t test, sense bool, depth int) {
+	if !t.not && depth < maxCondDepth {
+		switch n := n.(type) {
+		case *ir.And:
+			l := test{msg: msgAnd, onT: interp.CostBin, onF: interp.CostBin + t.onF}
+			r := test{msg: msgAnd, onT: t.onT, onF: t.onF}
+			if !sense {
+				c.branch(n.L, l, false, depth+1)
+				c.branch(n.R, r, false, depth+1)
+				return
+			}
+			// A false L short-circuits to the fall-through past R.
+			from := len(c.jumps)
+			c.branch(n.L, l, false, depth+1)
+			to := len(c.jumps)
+			c.branch(n.R, r, true, depth+1)
+			c.patchSpan(from, to)
+			return
+
+		case *ir.Or:
+			l := test{msg: msgOr, onT: interp.CostBin + t.onT, onF: interp.CostBin}
+			r := test{msg: msgOr, onT: t.onT, onF: t.onF}
+			if sense {
+				c.branch(n.L, l, true, depth+1)
+				c.branch(n.R, r, true, depth+1)
+				return
+			}
+			// A true L short-circuits to the fall-through past R.
+			from := len(c.jumps)
+			c.branch(n.L, l, true, depth+1)
+			to := len(c.jumps)
+			c.branch(n.R, r, false, depth+1)
+			c.patchSpan(from, to)
+			return
+
+		case *ir.Un:
+			if n.Op == ir.OpNot {
+				c.branch(n.X, test{msg: msgNot, not: true, onT: t.onF, onF: t.onT}, !sense, depth+1)
+				return
+			}
+
+		case *ir.Bin:
+			if isCompare(n.Op) {
+				c.jumps = append(c.jumps, c.cmpBranch(n, t, sense))
+				return
+			}
 		}
-		if k, ok := b.R.(*ir.Const); ok {
-			pc := c.emit(OpCmpBrK, l, c.konst(constValue(k)), 0, int32(b.Op))
-			c.restore(mark)
-			return pc
-		}
-		r := c.operand(b.R)
-		pc := c.emit(OpCmpBr, l, r, 0, int32(b.Op))
-		c.restore(mark)
-		return pc
 	}
 	mark := c.save()
-	t := c.operand(n)
-	pc := c.emit(OpBranchFalse, t, 0, msg, 0)
+	r := c.operand(n)
+	c.jumps = append(c.jumps, c.emit(OpBranch, r, 0, t.msg, int32(edgeMode(t, sense))))
 	c.restore(mark)
-	return pc
+}
+
+// edgeMode is the branch mode of a leaf that jumps when its value is
+// sense under test t.
+func edgeMode(t test, sense bool) Mode {
+	jump, fall := t.onF, t.onT
+	if sense {
+		jump, fall = t.onT, t.onF
+	}
+	return branchMode(sense, t.not, jump, fall)
+}
+
+// cmpBranch compiles a comparison leaf into a fused compare-branch. A
+// comparison yields a boolean or fails inside EvalBin, so the test's
+// truthy check can never fail and only its edge charges remain (t
+// never folds a `!`: branch evaluates a negated comparison as a value).
+func (c *compiler) cmpBranch(b *ir.Bin, t test, sense bool) int32 {
+	mark := c.save()
+	defer c.restore(mark)
+	mode := edgeMode(t, sense)
+	l := c.captured(b.L, b.R)
+	if gf, ok := b.R.(*ir.GetField); ok && gf.Slot >= 0 {
+		obj := c.operand(gf.Obj)
+		f := c.fieldOp(gf, b.Op)
+		c.p.FieldOps[f].Mode = mode
+		return c.emit(OpCmpBrField, l, obj, 0, f)
+	}
+	mode |= Mode(b.Op)
+	if k, ok := b.R.(*ir.Const); ok {
+		return c.emit(OpCmpBrK, l, c.konst(constValue(k)), 0, int32(mode))
+	}
+	r := c.operand(b.R)
+	return c.emit(OpCmpBr, l, r, 0, int32(mode))
 }
 
 // into compiles n so that its value lands in dest. Discipline: dest is
@@ -469,7 +586,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		br := c.cond(n.Cond, msgIf)
 		c.into(n.Then, dest)
 		end := c.emit(OpJump, 0, 0, 0, 0)
-		c.patch(br)
+		c.patchSpan(br, len(c.jumps))
 		if n.Else != nil {
 			c.into(n.Else, dest)
 		} else {
@@ -478,12 +595,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		c.patch(end)
 
 	case *ir.While:
-		loop := int32(len(c.p.Code))
-		c.emit(OpStep, 0, 0, 0, 0)
-		br := c.cond(n.Cond, msgWhile)
-		c.discard(n.Body)
-		c.emit(OpJump, loop, 0, 0, 0)
-		c.patch(br)
+		c.loop(n)
 		c.emit(OpConst, dest, c.konst(interp.NilV), 0, 0)
 
 	case *ir.Return:
@@ -610,6 +722,15 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		mark := c.save()
 		switch {
 		case n.Prim == ir.PrimAGet && len(n.Args) == 2:
+			gf, isField := n.Args[0].(*ir.GetField)
+			slot, isLocal := n.Args[1].(*ir.Local)
+			if isField && gf.Slot >= 0 && isLocal && slot.Depth == 0 {
+				// aget(obj.field, i): the index slot is read after the
+				// object expression, exactly when the tree tier reads it.
+				obj := c.operand(gf.Obj)
+				c.emit(OpAGetField, dest, obj, int32(slot.Slot), c.fieldOp(gf, 0))
+				break
+			}
 			a := c.captured(n.Args[0], n.Args[1])
 			ix := c.captured(n.Args[1])
 			c.emit(OpAGet, dest, a, ix, 0)
@@ -629,7 +750,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		// operand may still read dest's register, e.g. `b := b && e`).
 		mark := c.save()
 		l := c.operand(n.L)
-		br := c.emit(OpBranchFalse, l, 0, msgAnd, 0)
+		br := c.emit(OpBranch, l, 0, msgAnd, int32(branchMode(false, false, interp.CostBin, interp.CostBin)))
 		c.restore(mark)
 		c.into(n.R, dest)
 		c.emit(OpCheckBool, dest, 0, msgAnd, 0)
@@ -641,7 +762,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 	case *ir.Or:
 		mark := c.save()
 		l := c.operand(n.L)
-		br := c.emit(OpBranchFalse, l, 0, msgOr, 0)
+		br := c.emit(OpBranch, l, 0, msgOr, int32(branchMode(false, false, interp.CostBin, interp.CostBin)))
 		c.restore(mark)
 		// Left was true: result is TrueV.
 		c.emit(OpConst, dest, c.konst(interp.TrueV), 0, 0)

@@ -225,3 +225,82 @@ method main() { var x := 0 - 5; while x < 5 { f(x); x := x + 1; } x; }
 		t.Errorf("want OpBinK for / and %%, got %v:\n%s", found, allDisasm(compileModule(t, src, opt.Base)))
 	}
 }
+
+// TestConditionsCompileToJumpingCode pins the shape of If/While
+// conditions: `a && b` and `!x` branch on each operand directly, with
+// no boolean materialized (no const, checkbool, not or jump in the
+// condition), and a While back-edge is one loop instruction that
+// re-enters just past the loop head's step.
+func TestConditionsCompileToJumpingCode(t *testing.T) {
+	src := `
+method both(a, b) { var n := 0; if a && b { n := 1; } n; }
+method until(x) { var n := 0; while !x { x := n > 2; n := n + 1; } n; }
+method main() { both(true, false); until(false); }
+`
+	mod := compileModule(t, src, opt.CHA)
+	cases := []struct {
+		proc string
+		cond []Op // the condition's code, from the first pc
+	}{
+		{"both", []Op{OpBranch, OpBranch}},
+		{"until", []Op{OpStep, OpBranch}},
+	}
+	for _, tc := range cases {
+		p := findProc(t, mod, tc.proc)
+		start := 0
+		for start < len(p.Code) && p.Code[start].Op == OpConst && p.Code[start].A < int32(p.NumSlots) {
+			start++ // `var n := 0` precedes the condition
+		}
+		for k, want := range tc.cond {
+			if got := p.Code[start+k].Op; got != want {
+				t.Errorf("%s: condition op %d is %s, want %s:\n%s", tc.proc, k, got, want, p.Disasm())
+			}
+		}
+		for _, i := range p.Code {
+			if i.Op == OpCheckBool || i.Op == OpNot || (tc.proc == "both" && i.Op == OpJump) {
+				t.Errorf("%s: %s materializes a condition boolean:\n%s", tc.proc, i.Op, p.Disasm())
+			}
+		}
+	}
+	until := findProc(t, mod, "until")
+	if m := Mode(until.Code[2].D); until.Code[2].C != msgNot || !m.Not() || !m.Sense() {
+		t.Errorf("until: `while !x` should branch out when x is true with a folded '!':\n%s", until.Disasm())
+	}
+	var loops int
+	for _, i := range until.Code {
+		if i.Op == OpLoop {
+			loops++
+			if i.A != 2 {
+				t.Errorf("until: loop re-enters at %d, want 2 (past the head's step):\n%s", i.A, until.Disasm())
+			}
+		}
+	}
+	if loops != 1 {
+		t.Errorf("until: %d loop back-edges, want 1:\n%s", loops, until.Disasm())
+	}
+	dis := until.Disasm() + findProc(t, mod, "both").Disasm()
+	for _, want := range []string{"branch", "loop", "(!)", "(&&)", "if true", "if false"} {
+		if !strings.Contains(dis, want) {
+			t.Errorf("disassembly lacks %q:\n%s", want, dis)
+		}
+	}
+}
+
+// TestFieldArrayReadFuses: aget(obj.field, i) compiles to one
+// agetfield, rendered with its field and index register.
+func TestFieldArrayReadFuses(t *testing.T) {
+	src := `
+class B { field xs := newarray(3); }
+method at(b@B, i@Int) { aget(b.xs, i); }
+method main() { at(new B(), 1); }
+`
+	p := findProc(t, compileModule(t, src, opt.CHA), "at")
+	for _, i := range p.Code {
+		if i.Op == OpGetField || i.Op == OpAGet {
+			t.Errorf("at: unfused %s:\n%s", i.Op, p.Disasm())
+		}
+	}
+	if dis := p.Disasm(); !strings.Contains(dis, "agetfield") || !strings.Contains(dis, "aget(r0.xs, r1)") {
+		t.Errorf("agetfield missing or misrendered:\n%s", dis)
+	}
+}

@@ -17,6 +17,7 @@ var fusedOps = map[vm.Op]bool{
 	vm.OpCmpBr: true, vm.OpCmpBrK: true, vm.OpCmpBrField: true,
 	vm.OpBinK: true, vm.OpFieldBin: true, vm.OpFieldBinK: true,
 	vm.OpBinField: true, vm.OpAGet: true, vm.OpAPut: true,
+	vm.OpLoop: true, vm.OpAGetField: true,
 }
 
 // fusionFloor holds the superinstruction and snapshot-move counts the

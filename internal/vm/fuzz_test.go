@@ -104,6 +104,12 @@ func FuzzVMDiff(f *testing.F) {
 		"class P { field q : P; field n : Int := 0; }\nmethod probe(p@P) { p.q.n >= 0; }\nmethod main() { probe(new P()); }",
 		"method main() { var xs := newarray(2); aget(xs, 9); }",
 		"method main() { var i := 1; var f := fn() { i := 8; 0; }; println(i + f()); i; }",
+		// Jumping-code conditions: && / || / ! nested under If and While,
+		// with a printing send and a non-boolean among the leaves.
+		"method p(k@Int, v) { print(k); v; }\nmethod main() { var i := 0; var n := 0; while i < 6 && !(i == 4) { if (i < 2 || p(i, i > 2)) && !p(i, i == 3) { n := n + 1; } i := i + 1; } n; }",
+		"method main() { var xs := newarray(2); aput(xs, 0, 3); var z := aget(xs, 0); var i := 0; while i < 3 || !(z > 0 && z) { i := i + 1; } i; }",
+		// A megamorphic site: 12 receiver tuples against the 8-entry PIC.
+		"class K\nclass A isa K\nclass B isa K\nclass C isa K\nclass V\nclass X isa V\nclass Y isa V\nclass Z isa V\nclass W isa V\nmethod r(a@K, b@V) { 0; }\nmethod r(a@A, b@X) { 1; }\nmethod r(a@B, b@V) { 2; }\nmethod main() { var ks := newarray(3); aput(ks, 0, new A()); aput(ks, 1, new B()); aput(ks, 2, new C()); var vs := newarray(4); aput(vs, 0, new X()); aput(vs, 1, new Y()); aput(vs, 2, new Z()); aput(vs, 3, new W()); var s := 0; var i := 0; while i < 60 { s := s + r(aget(ks, i % 3), aget(vs, (i * 7) % 4)); i := i + 1; } s; }",
 	} {
 		f.Add(s)
 	}

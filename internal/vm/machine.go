@@ -467,16 +467,21 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			pc = int(i.A)
 			continue
 
-		case OpBranchFalse:
-			v := regs[i.A]
+		case OpBranch:
+			v, md := regs[i.A], Mode(i.D)
+			if md.Not() {
+				prims++
+				cyc += interp.CostBin
+			}
 			if v.K != interp.KBool {
 				vmFail(checkMsgs[i.C], v)
 			}
-			cyc += interp.CostBin
-			if v.I == 0 {
+			if (v.I != 0) == md.Sense() {
+				cyc += md.Jump()
 				pc = int(i.B)
 				continue
 			}
+			cyc += md.Fall()
 
 		case OpCheckBool:
 			if regs[i.A].K != interp.KBool {
@@ -485,15 +490,15 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 
 		case OpCmpBr:
 			// Fused Bin(compare) + branch: one PrimOp and CostBin for
-			// the comparison, then CostBin for the branch — exactly the
+			// the comparison, then the mode's edge charge — exactly the
 			// unfused accounting, failure point included (a mixed-type
 			// comparison faults after the first charge, like EvalBin).
-			l, r := regs[i.A], regs[i.B]
+			l, r, md := regs[i.A], regs[i.B], Mode(i.D)
 			prims++
 			cyc += interp.CostBin
 			var b bool
 			if l.K == interp.KInt && r.K == interp.KInt {
-				switch ir.BinOp(i.D) {
+				switch md.Op() {
 				case ir.OpLT:
 					b = l.I < r.I
 				case ir.OpLE:
@@ -508,21 +513,22 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 					b = l.I != r.I
 				}
 			} else {
-				b = interp.EvalBin(ir.BinOp(i.D), l, r).I != 0
+				b = interp.EvalBin(md.Op(), l, r).I != 0
 			}
-			cyc += interp.CostBin
-			if !b {
+			if b == md.Sense() {
+				cyc += md.Jump()
 				pc = int(i.C)
 				continue
 			}
+			cyc += md.Fall()
 
 		case OpCmpBrK:
-			l, r := regs[i.A], p.Consts[i.B]
+			l, r, md := regs[i.A], p.Consts[i.B], Mode(i.D)
 			prims++
 			cyc += interp.CostBin
 			var b bool
 			if l.K == interp.KInt && r.K == interp.KInt {
-				switch ir.BinOp(i.D) {
+				switch md.Op() {
 				case ir.OpLT:
 					b = l.I < r.I
 				case ir.OpLE:
@@ -537,13 +543,14 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 					b = l.I != r.I
 				}
 			} else {
-				b = interp.EvalBin(ir.BinOp(i.D), l, r).I != 0
+				b = interp.EvalBin(md.Op(), l, r).I != 0
 			}
-			cyc += interp.CostBin
-			if !b {
+			if b == md.Sense() {
+				cyc += md.Jump()
 				pc = int(i.C)
 				continue
 			}
+			cyc += md.Fall()
 
 		case OpCmpBrField:
 			f := &p.FieldOps[i.D]
@@ -574,14 +581,20 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			} else {
 				b = interp.EvalBin(f.Op, l, r).I != 0
 			}
-			cyc += interp.CostBin
-			if !b {
+			if b == f.Mode.Sense() {
+				cyc += f.Mode.Jump()
 				pc = int(i.C)
 				continue
 			}
+			cyc += f.Mode.Fall()
 
 		case OpStep:
 			m.g.Step()
+
+		case OpLoop:
+			m.g.Step()
+			pc = int(i.A)
+			continue
 
 		case OpCharge:
 			cyc += uint64(i.A)
@@ -759,12 +772,22 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				ic.w[0] = hw
 			} else {
 				m.clsBuf = in.ClassesOf(args, m.clsBuf)
+				// A full PIC changes only when a lookup hits behind its
+				// front; a miss there leaves the mirror exact.
+				pic := in.SitePIC(site.ID)
+				full := pic != nil && pic.Megamorphic()
+				var misses uint64
+				if full {
+					misses = pic.Misses
+				}
 				v = in.DispatchSendClasses(site, m.clsBuf)
 				// Enter before body resolution, as the tree tier does: a
 				// depth trip must win over a lazy-compile failure.
 				m.g.Enter(site.Pos)
 				cp = m.proc(v)
-				m.refreshSendIC(ic, site, v, cp)
+				if !full || pic.Misses == misses {
+					m.refreshSendIC(ic, site, v, cp)
+				}
 			}
 			if !cp.noted {
 				cp.noted = true
@@ -1038,6 +1061,23 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				// Shared seam: charges first, then raises the tree tier's
 				// exact error for every failure shape.
 				regs[i.A] = in.CallPrim(ir.PrimAGet, []interp.Value{regs[i.B], ix})
+			}
+
+		case OpAGetField:
+			f := &p.FieldOps[i.D]
+			o := regs[i.B].Obj()
+			if o == nil {
+				vmFail("field %q read on non-object %s", p.Names[f.Name], regs[i.B])
+			}
+			cyc += interp.CostFieldCached
+			av, ix := o.Fields[f.Slot], regs[i.C]
+			if a := av.Arr(); a != nil && ix.K == interp.KInt &&
+				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
+				prims++
+				cyc += interp.CostPrim
+				regs[i.A] = a.Elems[ix.I]
+			} else {
+				regs[i.A] = in.CallPrim(ir.PrimAGet, []interp.Value{av, ix})
 			}
 
 		case OpAPut:

@@ -15,7 +15,7 @@ import (
 func (m *Machine) Module() *Module { return m.mod }
 
 // NumCheckMsgs is the number of truthy-check message kinds (the C
-// operand space of OpBranchFalse/OpCheckBool).
+// operand space of OpBranch/OpCheckBool).
 func NumCheckMsgs() int { return len(checkMsgs) }
 
 // Compiled returns the opt.Compiled the module was built from — the

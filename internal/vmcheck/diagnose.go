@@ -15,6 +15,7 @@ import (
 // code, and is not worth a diagnostic.
 var scaffold = map[vm.Op]bool{
 	vm.OpJump:  true,
+	vm.OpLoop:  true,
 	vm.OpRet:   true,
 	vm.OpRetNL: true,
 	vm.OpConst: true,

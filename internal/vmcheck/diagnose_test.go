@@ -154,3 +154,19 @@ method main() {
 		}
 	}
 }
+
+// TestDiagnoseLoopBodyReturnIsClean: a loop body that always returns
+// leaves only the loop's own back-edge unreachable. That is compiler
+// scaffolding, not user code, so nothing is reported.
+func TestDiagnoseLoopBodyReturnIsClean(t *testing.T) {
+	src := `
+method first(n@Int) { while n > 0 { return n; } 0; }
+method main() { first(3); }
+`
+	m := buildMachine(t, src, opt.Base)
+	for _, d := range vmcheck.Diagnose(m, "l.mc") {
+		if d.Check == check.CheckVMUnreachable {
+			t.Errorf("unexpected finding: %+v", d)
+		}
+	}
+}

@@ -71,7 +71,8 @@ type instrInfo struct {
 
 	// Fixed accounting the instruction charges on its fast path: cycle
 	// cost and primitive-operation count. Data-dependent charges (calls,
-	// dynamic lookups) are not modeled; OpCharge's A-operand cost is.
+	// dynamic lookups, a conditional branch's per-edge charges in its
+	// vm.Mode) are not modeled; OpCharge's A-operand cost is.
 	cycles  uint64
 	primOps uint64
 }
@@ -99,11 +100,14 @@ func decode(p *vm.Proc, pc int) instrInfo {
 		info.fallsThrough = false
 		info.pure = true
 
-	case vm.OpBranchFalse:
+	case vm.OpBranch:
 		info.reads = regList(i.A)
 		info.branch, info.hasBranch = i.B, true
 		info.mayFault = true
-		info.cycles = interp.CostBin
+		if vm.Mode(i.D).Not() {
+			info.cycles = interp.CostBin
+			info.primOps = 1
+		}
 
 	case vm.OpCheckBool:
 		info.reads = regList(i.A)
@@ -113,24 +117,29 @@ func decode(p *vm.Proc, pc int) instrInfo {
 		info.reads = regList(i.A, i.B)
 		info.branch, info.hasBranch = i.C, true
 		info.mayFault = true
-		info.cycles = 2 * interp.CostBin
+		info.cycles = interp.CostBin
 		info.primOps = 1
 
 	case vm.OpCmpBrK:
 		info.reads = regList(i.A)
 		info.branch, info.hasBranch = i.C, true
 		info.mayFault = true
-		info.cycles = 2 * interp.CostBin
+		info.cycles = interp.CostBin
 		info.primOps = 1
 
 	case vm.OpCmpBrField:
 		info.reads = regList(i.A, i.B)
 		info.branch, info.hasBranch = i.C, true
 		info.mayFault = true
-		info.cycles = interp.CostFieldCached + 2*interp.CostBin
+		info.cycles = interp.CostFieldCached + interp.CostBin
 		info.primOps = 1
 
 	case vm.OpStep:
+		info.mayFault = true // step-limit guard
+
+	case vm.OpLoop:
+		info.branch, info.hasBranch = i.A, true
+		info.fallsThrough = false
 		info.mayFault = true // step-limit guard
 
 	case vm.OpCharge:
@@ -244,6 +253,13 @@ func decode(p *vm.Proc, pc int) instrInfo {
 		info.cycles = interp.CostPrim
 		info.primOps = 1
 
+	case vm.OpAGetField:
+		info.reads = regList(i.B, i.C)
+		info.writes = regList(i.A)
+		info.mayFault = true
+		info.cycles = interp.CostFieldCached + interp.CostPrim
+		info.primOps = 1
+
 	case vm.OpAPut:
 		info.reads = regList(i.B, i.C, i.D)
 		info.writes = regList(i.A)
@@ -306,12 +322,15 @@ var fusedUnfusedCost = map[vm.Op]struct {
 	Cycles  uint64
 	PrimOps uint64
 }{
-	// Bin(compare) + BranchFalse: one prim-counted comparison at
-	// CostBin, then the branch's CostBin truthiness charge.
-	vm.OpCmpBr:  {2 * interp.CostBin, 1},
-	vm.OpCmpBrK: {2 * interp.CostBin, 1},
-	// GetField + Bin(compare) + BranchFalse.
-	vm.OpCmpBrField: {interp.CostFieldCached + 2*interp.CostBin, 1},
+	// Bin(compare) + Branch: one prim-counted comparison at CostBin.
+	// The consumer's CostBin (and any short-circuit CostBins) are the
+	// branch mode's edge charges, the same as OpBranch's.
+	vm.OpCmpBr:  {interp.CostBin, 1},
+	vm.OpCmpBrK: {interp.CostBin, 1},
+	// GetField + Bin(compare) + Branch.
+	vm.OpCmpBrField: {interp.CostFieldCached + interp.CostBin, 1},
+	// GetField + AGet.
+	vm.OpAGetField: {interp.CostFieldCached + interp.CostPrim, 1},
 	// Const + Bin (the constant load is free, as in the tree tier).
 	vm.OpBinK: {interp.CostBin, 1},
 	// GetField + Bin, either operand order.

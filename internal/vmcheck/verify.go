@@ -58,7 +58,9 @@ func procPos(pi vm.ProcInfo) lang.Pos {
 //     direct OpRet-adjacent OpRetNL in method procs; OpMakeClosure
 //     implies NeedsFrame
 //   - operand encodings: binop/compare/prim operands in their enums;
-//     truthy-check message kinds in range
+//     truthy-check message kinds in range; branch modes with no bits
+//     outside their encoding (a folded `!` only on OpBranch); every
+//     OpLoop re-entering just past a loop-head OpStep
 //   - accounting: each News entry is referenced by exactly one OpNew
 //     and one OpCharge carrying exactly the tree tier's construction
 //     cost for that class
@@ -173,30 +175,50 @@ func verifyProc(pi vm.ProcInfo, numSites, numGlobals int) error {
 				return err
 			}
 
-		case vm.OpBranchFalse, vm.OpCheckBool:
+		case vm.OpBranch, vm.OpCheckBool:
 			if i.C < 0 || int(i.C) >= vm.NumCheckMsgs() {
 				return fail(pc, "truthy-check message kind %d out of range [0, %d)", i.C, vm.NumCheckMsgs())
 			}
-
-		case vm.OpCmpBr:
-			if !compareBinOp(i.D) {
-				return fail(pc, "compare-branch operator %d is not a comparison", i.D)
+			if md := vm.Mode(i.D); i.Op == vm.OpBranch && (!md.Valid() || md.Op() != 0) {
+				return fail(pc, "branch mode %#x has bits outside its encoding", uint32(md))
 			}
 
-		case vm.OpCmpBrK:
-			if err := pool(pc, "constant", i.B, len(p.Consts)); err != nil {
-				return err
+		case vm.OpCmpBr, vm.OpCmpBrK:
+			if i.Op == vm.OpCmpBrK {
+				if err := pool(pc, "constant", i.B, len(p.Consts)); err != nil {
+					return err
+				}
 			}
-			if !compareBinOp(i.D) {
-				return fail(pc, "compare-branch operator %d is not a comparison", i.D)
+			md := vm.Mode(i.D)
+			if !compareBinOp(int32(md.Op())) {
+				return fail(pc, "compare-branch operator %d is not a comparison", md.Op())
+			}
+			if !md.Valid() || md.Not() {
+				return fail(pc, "compare-branch mode %#x has bits outside its encoding", uint32(md))
 			}
 
 		case vm.OpCmpBrField:
 			if err := verifyFieldOp(p, pc, i.D, fail, pool); err != nil {
 				return err
 			}
-			if f := p.FieldOps[i.D]; !compareBinOp(int32(f.Op)) {
+			f := p.FieldOps[i.D]
+			if !compareBinOp(int32(f.Op)) {
 				return fail(pc, "compare-branch field operator %d is not a comparison", f.Op)
+			}
+			if !f.Mode.Valid() || f.Mode.Not() || f.Mode.Op() != 0 {
+				return fail(pc, "compare-branch mode %#x has bits outside its encoding", uint32(f.Mode))
+			}
+
+		case vm.OpLoop:
+			// The back-edge charges the loop head's step itself, so it
+			// must re-enter just past that OpStep.
+			if i.A < 1 || p.Code[i.A-1].Op != vm.OpStep {
+				return fail(pc, "loop back-edge target %d does not follow a loop-head step", i.A)
+			}
+
+		case vm.OpAGetField:
+			if err := verifyFieldOp(p, pc, i.D, fail, pool); err != nil {
+				return err
 			}
 
 		case vm.OpCharge:

@@ -63,8 +63,8 @@ func buildMachine(t *testing.T, src string, cfg opt.Config) *vm.Machine {
 }
 
 // mutSrc exercises every side table the verifier guards: call sites,
-// static calls, field ops, dynamic field sites, constants, classes,
-// closures, globals. The
+// static calls, field ops (including a field-array read), dynamic
+// field sites, constants, classes, closures, globals. The
 // methods are kept polymorphic and the closure loop-bearing so the
 // inliner cannot erase the sends and closure ops the mutation cases
 // need to corrupt.
@@ -72,6 +72,7 @@ const mutSrc = `
 var lim := 3;
 class P { field n : Int := 0; }
 class Q isa P { }
+class R { field xs := newarray(4); }
 method bump(p@P, k) { p.n := p.n + k; if p.n > 100 { p.n := 0; } p.n; }
 method bump(q@Q, k) { q.n := q.n + k + 1; if q.n > 100 { q.n := 0; } q.n; }
 method pick(i) { if i < 1 { new P(); } else { new Q(); } }
@@ -81,9 +82,12 @@ method main() {
   var fs := newarray(1);
   aput(fs, 0, fn(x) { acc := acc + x; x + i; });
   var xs := newarray(4);
+  var r := new R();
   while i < lim {
     var o := pick(i);
     acc := acc + bump(o, i);
+    aput(r.xs, i, acc);
+    acc := acc + aget(r.xs, i);
     var f := aget(fs, 0);
     aput(xs, i, f(acc));
     i := i + 1;
@@ -191,9 +195,25 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			p.Code[0] = vm.Instr{Op: vm.OpMove, A: 0, B: int32(p.NumSlots)}
 		}, "not written on every path"},
 		{"truthy message kind oob", func(t *testing.T, m *vm.Machine) {
-			p, pc := findOp(t, m, vm.OpBranchFalse)
+			p, pc := findOp(t, m, vm.OpBranch)
 			p.Code[pc].C = int32(vm.NumCheckMsgs())
 		}, "message kind"},
+		{"branch mode encoding", func(t *testing.T, m *vm.Machine) {
+			p, pc := findOp(t, m, vm.OpBranch)
+			p.Code[pc].D |= 1 << 30
+		}, "branch mode"},
+		{"compare-branch mode folds a not", func(t *testing.T, m *vm.Machine) {
+			p, pc := findOp(t, m, vm.OpCmpBr)
+			p.Code[pc].D = int32(vm.Mode(p.Code[pc].D) | vm.Mode(1<<9))
+		}, "compare-branch mode"},
+		{"loop back-edge off the loop head", func(t *testing.T, m *vm.Machine) {
+			p, pc := findOp(t, m, vm.OpLoop)
+			p.Code[pc].A--
+		}, "loop-head step"},
+		{"field-array op table oob", func(t *testing.T, m *vm.Machine) {
+			p, pc := findOp(t, m, vm.OpAGetField)
+			p.Code[pc].D = int32(len(p.FieldOps))
+		}, "field op index"},
 		{"compare operator invalid", func(t *testing.T, m *vm.Machine) {
 			p, pc := findOp(t, m, vm.OpCmpBrK)
 			p.Code[pc].D = int32(ir.OpAdd)
