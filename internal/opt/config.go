@@ -539,9 +539,13 @@ func (c *Compiled) SelectVersion(m *hier.Method, classes []*hier.Class) *ir.Vers
 		return v
 
 	case Selective:
-		ids := make([]int, len(classes))
-		for i, cl := range classes {
-			ids[i] = cl.ID
+		// The class IDs go in a stack buffer: a run-time selection over
+		// a seen tuple allocates nothing (wider tuples than the buffer
+		// fall back to the heap).
+		var buf [8]int
+		ids := buf[:0]
+		for _, cl := range classes {
+			ids = append(ids, cl.ID)
 		}
 		var best *ir.Version
 		for _, v := range mv.list {

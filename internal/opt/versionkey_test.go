@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"selspec/internal/hier"
+	"selspec/internal/ir"
+	"selspec/internal/lang"
 )
 
 // TestVersionKeysFullWidth: the Cust/Cust-MM version keys carry every
@@ -34,28 +36,73 @@ method main() { m(new C()); r(new B(), new C()); }
 `
 
 // TestSelectVersionAllocFree: once a tuple's version exists, selecting
-// it again under Cust and Cust-MM allocates nothing.
+// it again under Cust, Cust-MM and Selective allocates nothing.
 func TestSelectVersionAllocFree(t *testing.T) {
-	for _, cfg := range []Config{Cust, CustMM} {
-		c := compile(t, versionKeySrc, Options{Config: cfg})
-		h := c.Prog.H
-		b, _ := h.Class("B")
-		cc, _ := h.Class("C")
-		for _, tc := range []struct {
-			gf      string
-			classes []*hier.Class
-		}{
-			{"m", []*hier.Class{cc}},
-			{"r", []*hier.Class{b, cc}},
-		} {
+	cases := []struct {
+		gf      string
+		classes []string
+	}{
+		{"m", []string{"C"}},
+		{"r", []string{"B", "C"}},
+	}
+	for _, cfg := range []Config{Cust, CustMM, Selective} {
+		prog, err := ir.Lower(lang.MustParse(versionKeySrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := prog.H
+		tuples := make([][]*hier.Class, len(cases))
+		for k, tc := range cases {
+			for _, n := range tc.classes {
+				cl, _ := h.Class(n)
+				tuples[k] = append(tuples[k], cl)
+			}
+		}
+		opts := Options{Config: cfg}
+		if cfg == Selective {
+			// Each case's method gets its general tuple plus one version
+			// specialized on exactly the classes selected below.
+			opts.Specializations = map[*hier.Method][]hier.Tuple{}
+			for k, tc := range cases {
+				m := methodIn(t, h, tc.gf)
+				gen := h.ApplicableClasses(m).Clone()
+				spec := gen.Clone()
+				for p, cl := range tuples[k] {
+					spec[p].Clear()
+					spec[p].Add(cl.ID)
+				}
+				opts.Specializations[m] = []hier.Tuple{gen, spec}
+			}
+		}
+		c, err := Compile(prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, tc := range cases {
 			m := methodByName(t, c, tc.gf, "A")
-			v := c.SelectVersion(m, tc.classes) // Cust-MM defines it here
-			if again := c.SelectVersion(m, tc.classes); again != v {
+			classes := tuples[k]
+			v := c.SelectVersion(m, classes) // Cust-MM defines it here
+			if again := c.SelectVersion(m, classes); again != v {
 				t.Fatalf("%v %s: a seen tuple selected %v, then %v", cfg, tc.gf, v, again)
 			}
-			if n := testing.AllocsPerRun(100, func() { c.SelectVersion(m, tc.classes) }); n != 0 {
+			if cfg == Selective && v.General {
+				t.Fatalf("Selective %s: selected the general version, not the specialization", tc.gf)
+			}
+			if n := testing.AllocsPerRun(100, func() { c.SelectVersion(m, classes) }); n != 0 {
 				t.Errorf("%v %s: SelectVersion on a seen tuple made %.0f allocs, want 0", cfg, tc.gf, n)
 			}
 		}
 	}
+}
+
+// methodIn returns gf's method specialized on A in h.
+func methodIn(t *testing.T, h *hier.Hierarchy, gf string) *hier.Method {
+	t.Helper()
+	for _, m := range h.Methods() {
+		if m.GF.Name == gf && m.Specs[0].Name == "A" {
+			return m
+		}
+	}
+	t.Fatalf("no method %s@A", gf)
+	return nil
 }

@@ -59,6 +59,39 @@ method main() {
 }
 `
 
+// dispatchLoopSrc spends its run in a send-free loop of a compare
+// branch, a field-operand add, a constant add and the loop back edge:
+// the dispatch loop's per-instruction overhead with nothing under it.
+const dispatchLoopSrc = `
+class Acc { field n : Int := 3; }
+method main() {
+  var a := new Acc();
+  var s := 0;
+  var i := 0;
+  while i < 20000 { s := s + a.n; i := i + 1; }
+  s;
+}
+`
+
+// sendPoly3Src sends area(x) from one site over three receiver classes
+// in rotation, so every send hits its inline cache behind the front
+// way, and each callee returns at once: the flattened call and return
+// sequence under a polymorphic site.
+const sendPoly3Src = `
+class Shape { } class Sq isa Shape { } class Ci isa Shape { } class Tr isa Shape { }
+method area(x@Sq) { 4; }
+method area(x@Ci) { 3; }
+method area(x@Tr) { 1; }
+method main() {
+  var xs := newarray(3);
+  aput(xs, 0, new Sq()); aput(xs, 1, new Ci()); aput(xs, 2, new Tr());
+  var s := 0;
+  var i := 0;
+  while i < 6000 { s := s + area(aget(xs, i % 3)); i := i + 1; }
+  s;
+}
+`
+
 // benchRun measures repeated VM runs of src under cfg on one machine,
 // after a first run has filled its caches, and reports the guest steps
 // and sends of one run.
@@ -101,3 +134,11 @@ func BenchmarkVMCondChain(b *testing.B) { benchRun(b, condChainSrc, opt.CHA) }
 // BenchmarkSendMegamorphic is the run cost of a send site that misses
 // its full PIC a third of the time (the VM's send miss path).
 func BenchmarkSendMegamorphic(b *testing.B) { benchRun(b, megamorphicSrc, opt.Base) }
+
+// BenchmarkVMDispatchLoop is the run cost of a send-free field and
+// arithmetic loop (the dispatch loop's own overhead).
+func BenchmarkVMDispatchLoop(b *testing.B) { benchRun(b, dispatchLoopSrc, opt.CHA) }
+
+// BenchmarkSendPoly3 is the run cost of a 3-class polymorphic send and
+// return (the flattened call sequence).
+func BenchmarkSendPoly3(b *testing.B) { benchRun(b, sendPoly3Src, opt.Base) }

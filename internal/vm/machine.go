@@ -73,10 +73,11 @@ type Machine struct {
 	fp     int
 }
 
-// vmFrame is one suspended caller in the flattened call stack.
+// vmFrame is one suspended caller in the flattened call stack. Only
+// arena-windowed callers are suspended here, so the caller's register
+// window is m.stack[base:base+p.NumRegs] and is not stored.
 type vmFrame struct {
 	p    *Proc
-	regs []interp.Value
 	up   *interp.Frame
 	act  *interp.Activation
 	pc   int // resume pc (instruction after the call)
@@ -146,24 +147,46 @@ type icEntry struct {
 	w [icWays]icWay
 }
 
-// wayMatch reports whether the way caches exactly the classes of args
-// (arity n). Empty ways have n == 0 and never match (sends and selects
-// through the cache always have at least the receiver argument).
-func (w *icWay) wayMatch(args []interp.Value, n int32, h *hier.Hierarchy) bool {
-	return w.n == n && w.v != nil && args[0].Class(h) == w.c0 &&
-		(n == 1 || args[1].Class(h) == w.c1)
+// argClasses returns the classes of an argument window's first two
+// values (nil past its end): the positions an inline-cache way keys on.
+func argClasses(args []interp.Value, h *hier.Hierarchy) (c0, c1 *hier.Class) {
+	if len(args) > 0 {
+		c0 = args[0].Class(h)
+	}
+	if len(args) > 1 {
+		c1 = args[1].Class(h)
+	}
+	return c0, c1
+}
+
+// wayMatch reports whether the way caches exactly the argument classes
+// c0, c1 of an n-argument call. Empty ways have n == 0 and never match
+// (sends and selects through the cache always have at least the
+// receiver argument).
+func (w *icWay) wayMatch(c0, c1 *hier.Class, n int32) bool {
+	return w.n == n && w.v != nil && c0 == w.c0 && (n == 1 || c1 == w.c1)
 }
 
 // match scans ways 1..icWays-1 for the argument classes (way 0 is the
 // caller's unrolled front fast path) and returns the matching way index,
 // or 0 when none matches behind the front.
-func (ic *icEntry) match(args []interp.Value, n int32, h *hier.Hierarchy) int {
+func (ic *icEntry) match(c0, c1 *hier.Class, n int32) int {
 	for i := 1; i < icWays; i++ {
-		if ic.w[i].wayMatch(args, n, h) {
+		if ic.w[i].wayMatch(c0, c1, n) {
 			return i
 		}
 	}
 	return 0
+}
+
+// toFront moves way wi to the front, shifting ways 0..wi-1 back one
+// place in order (the element moves avoid a runtime slice copy).
+func (ic *icEntry) toFront(wi int) {
+	w := ic.w[wi]
+	for k := wi; k > 0; k-- {
+		ic.w[k] = ic.w[k-1]
+	}
+	ic.w[0] = w
 }
 
 // mirrorWay fills w from a PIC entry, or clears it when the entry is
@@ -197,10 +220,27 @@ func (m *Machine) refreshSendIC(ic *icEntry, site *ir.CallSite, v *ir.Version, c
 	if pic == nil {
 		return
 	}
+	prev := *ic
 	for i := range ic.w {
 		c, t, ok := pic.Entry(i)
-		mirrorWay(&ic.w[i], c, t, ok, v, cp)
+		w := &ic.w[i]
+		mirrorWay(w, c, t, ok, v, cp)
+		// A version the cache held before keeps its resolved proc, so
+		// a refresh does not send its next hit back to the proc map.
+		if w.p == nil && w.v != nil {
+			w.p = prev.procOf(w.v)
+		}
 	}
+}
+
+// procOf returns the proc a way has resolved for version v, or nil.
+func (ic *icEntry) procOf(v *ir.Version) *Proc {
+	for k := range ic.w {
+		if w := &ic.w[k]; w.v == v && w.p != nil {
+			return w.p
+		}
+	}
+	return nil
 }
 
 // Interp returns the wrapped interpreter (counters, profile, metrics).
@@ -430,37 +470,64 @@ func (m *Machine) runMethodAct(p *Proc, regs []interp.Value, fr *interp.Frame) (
 	return m.exec(p, regs, nil, act, fr, -1)
 }
 
+// execState is the per-invocation state of one exec call: the running
+// proc and its code, its register window, closure context, arena base,
+// flattened-stack floor, and the batched cycle and primitive-op
+// charges. It lives in memory, not in registers: exec passes its
+// address to the out-of-line arms, so the compiler cannot promote its
+// fields to loop-carried SSA values (phis). Only pc and the instruction
+// pointer are carried around the dispatch loop; each arm loads the
+// fields it uses. Every phi live across some arm's call is spilled at
+// the loop head — a stack store per phi on every dispatched
+// instruction — so an arm must not add one (see DESIGN.md §12).
+type execState struct {
+	p    *Proc
+	code []Instr
+	regs []interp.Value
+	up   *interp.Frame      // static parent frame (closure procs only)
+	act  *interp.Activation // the activation non-local returns target
+	fr   *interp.Frame      // this proc's heap frame when NeedsFrame
+	// base is the window's absolute arena index (-1 for heap windows);
+	// call instructions hand the callee an in-place window starting at
+	// the argument registers.
+	base int
+	// entryFP marks this invocation's floor in the flattened call
+	// stack: OpRet pops only frames this invocation pushed, then
+	// returns natively to the caller (runMethodAct, runThunk, Run).
+	entryFP int
+	// cyc and prims batch the invocation's cycle and primitive-op
+	// charges; flush adds them to the interpreter's counters on every
+	// exit path (normal return, guard trip, runtime error, non-local
+	// return), so the counters are exact whenever they are observable —
+	// at run end and at error capture. Nothing reads them mid-run.
+	cyc, prims uint64
+}
+
+// flush adds the invocation's batched charges to the counters.
+func (m *Machine) flush(st *execState) {
+	m.in.Counters.Cycles += st.cyc
+	m.in.Counters.PrimOps += st.prims
+}
+
 // exec is the dispatch loop. regs is this proc's register window; up is
 // the static parent frame (closure procs only), act the activation
 // non-local returns target (nil in initializers), fr this proc's heap
 // frame when NeedsFrame, and base the window's absolute arena index
-// (-1 for heap windows) — call instructions use it to hand the callee
-// an in-place register window starting at the argument registers.
+// (-1 for heap windows).
 func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *interp.Activation, fr *interp.Frame, base int) interp.Value {
-	in := m.in
-	code := p.Code
+	st := execState{p: p, code: p.Code, regs: regs, up: up, act: act, fr: fr, base: base, entryFP: m.fp}
+	defer m.flush(&st)
 	pc := 0
-	// entryFP marks this invocation's floor in the flattened call
-	// stack: OpRet pops only frames this invocation pushed, then
-	// returns natively to the caller (runMethodAct, runThunk, Run).
-	entryFP := m.fp
-	// cyc and prims batch this invocation's cycle and primitive-op
-	// charges in registers; the deferred flush runs on every exit path
-	// (normal return, guard trip, runtime error, non-local return), so
-	// the interpreter's counters are exact whenever they are observable
-	// — at run end and at error capture. Nothing reads them mid-run.
-	var cyc, prims uint64
-	defer func() {
-		in.Counters.Cycles += cyc
-		in.Counters.PrimOps += prims
-	}()
-	for {
-		i := &code[pc]
+	// The post statement makes i itself the loop-carried value: fetched
+	// at the top of the body, i would be split into code base and pc
+	// index, both live (and spilled) in every arm.
+	for i := &st.code[0]; ; i = &st.code[pc] {
 		switch i.Op {
 		case OpConst:
-			regs[i.A] = p.Consts[i.B]
+			st.regs[i.A] = st.p.Consts[i.B]
 
 		case OpMove:
+			regs := st.regs
 			regs[i.A] = regs[i.B]
 
 		case OpJump:
@@ -468,24 +535,24 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			continue
 
 		case OpBranch:
-			v, md := regs[i.A], Mode(i.D)
+			v, md := st.regs[i.A], Mode(i.D)
 			if md.Not() {
-				prims++
-				cyc += interp.CostBin
+				st.prims++
+				st.cyc += interp.CostBin
 			}
 			if v.K != interp.KBool {
 				vmFail(checkMsgs[i.C], v)
 			}
 			if (v.I != 0) == md.Sense() {
-				cyc += md.Jump()
+				st.cyc += md.Jump()
 				pc = int(i.B)
 				continue
 			}
-			cyc += md.Fall()
+			st.cyc += md.Fall()
 
 		case OpCheckBool:
-			if regs[i.A].K != interp.KBool {
-				vmFail(checkMsgs[i.C], regs[i.A])
+			if v := st.regs[i.A]; v.K != interp.KBool {
+				vmFail(checkMsgs[i.C], v)
 			}
 
 		case OpCmpBr:
@@ -493,9 +560,10 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			// the comparison, then the mode's edge charge — exactly the
 			// unfused accounting, failure point included (a mixed-type
 			// comparison faults after the first charge, like EvalBin).
+			regs := st.regs
 			l, r, md := regs[i.A], regs[i.B], Mode(i.D)
-			prims++
-			cyc += interp.CostBin
+			st.prims++
+			st.cyc += interp.CostBin
 			var b bool
 			if l.K == interp.KInt && r.K == interp.KInt {
 				switch md.Op() {
@@ -516,16 +584,16 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				b = interp.EvalBin(md.Op(), l, r).I != 0
 			}
 			if b == md.Sense() {
-				cyc += md.Jump()
+				st.cyc += md.Jump()
 				pc = int(i.C)
 				continue
 			}
-			cyc += md.Fall()
+			st.cyc += md.Fall()
 
 		case OpCmpBrK:
-			l, r, md := regs[i.A], p.Consts[i.B], Mode(i.D)
-			prims++
-			cyc += interp.CostBin
+			l, r, md := st.regs[i.A], st.p.Consts[i.B], Mode(i.D)
+			st.prims++
+			st.cyc += interp.CostBin
 			var b bool
 			if l.K == interp.KInt && r.K == interp.KInt {
 				switch md.Op() {
@@ -546,22 +614,22 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				b = interp.EvalBin(md.Op(), l, r).I != 0
 			}
 			if b == md.Sense() {
-				cyc += md.Jump()
+				st.cyc += md.Jump()
 				pc = int(i.C)
 				continue
 			}
-			cyc += md.Fall()
+			st.cyc += md.Fall()
 
 		case OpCmpBrField:
+			p, regs := st.p, st.regs
 			f := &p.FieldOps[i.D]
 			o := regs[i.B].Obj()
 			if o == nil {
 				vmFail("field %q read on non-object %s", p.Names[f.Name], regs[i.B])
 			}
-			cyc += interp.CostFieldCached
 			l, r := regs[i.A], o.Fields[f.Slot]
-			prims++
-			cyc += interp.CostBin
+			st.prims++
+			st.cyc += interp.CostFieldCached + interp.CostBin
 			var b bool
 			if l.K == interp.KInt && r.K == interp.KInt {
 				switch f.Op {
@@ -582,11 +650,11 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				b = interp.EvalBin(f.Op, l, r).I != 0
 			}
 			if b == f.Mode.Sense() {
-				cyc += f.Mode.Jump()
+				st.cyc += f.Mode.Jump()
 				pc = int(i.C)
 				continue
 			}
-			cyc += f.Mode.Fall()
+			st.cyc += f.Mode.Fall()
 
 		case OpStep:
 			m.g.Step()
@@ -597,328 +665,176 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			continue
 
 		case OpCharge:
-			cyc += uint64(i.A)
+			st.cyc += uint64(i.A)
 
 		case OpGetUp:
-			f := up
-			for d := i.B; d > 1; d-- {
-				f = f.Parent
-			}
-			regs[i.A] = f.Slots[i.C]
+			st.getUp(i)
 
 		case OpSetUp:
-			f := up
-			for d := i.B; d > 1; d-- {
-				f = f.Parent
-			}
-			f.Slots[i.C] = regs[i.A]
+			st.setUp(i)
 
 		case OpGetGlobal:
 			if !m.ready[i.B] {
-				vmFail("global %s read before its initializer has run", p.Names[i.C])
+				vmFail("global %s read before its initializer has run", st.p.Names[i.C])
 			}
-			regs[i.A] = m.globals[i.B]
+			st.regs[i.A] = m.globals[i.B]
 
 		case OpSetGlobal:
-			m.globals[i.B] = regs[i.A]
+			m.globals[i.B] = st.regs[i.A]
 			m.ready[i.B] = true
 
 		case OpGetField:
+			regs := st.regs
 			o := regs[i.B].Obj()
 			if o == nil {
-				vmFail("field %q read on non-object %s", p.Names[i.D], regs[i.B])
+				vmFail("field %q read on non-object %s", st.p.Names[i.D], regs[i.B])
 			}
-			cyc += interp.CostFieldCached
+			st.cyc += interp.CostFieldCached
 			regs[i.A] = o.Fields[i.C]
 
 		case OpGetFieldDyn:
+			regs := st.regs
 			o := regs[i.B].Obj()
 			if o == nil {
-				vmFail("field %q read on non-object %s", p.Names[i.D], regs[i.B])
+				vmFail("field %q read on non-object %s", st.p.Names[i.D], regs[i.B])
 			}
 			// The cycle model still charges a by-name lookup: the site
 			// cache is a VM speedup, not a change to the modelled cost.
-			cyc += interp.CostFieldLookup
-			fs := &p.FieldSites[i.C]
-			idx := fs.slot
-			if fs.cls != o.Class {
-				idx = fs.resolve(o.Class, p.Names[i.D])
-			}
-			regs[i.A] = o.Fields[idx]
+			st.cyc += interp.CostFieldLookup
+			regs[i.A] = o.Fields[st.p.fieldSlot(i, o)]
 
 		case OpSetField:
-			o := regs[i.A].Obj()
-			v := regs[i.B]
+			regs := st.regs
+			o, v := regs[i.A].Obj(), regs[i.B]
 			if o == nil {
-				vmFail("field %q written on non-object %s", p.Names[i.D], regs[i.A])
+				vmFail("field %q written on non-object %s", st.p.Names[i.D], regs[i.A])
 			}
-			cyc += interp.CostFieldCached
-			in.CheckFieldType(o.Class, int(i.C), v)
+			st.cyc += interp.CostFieldCached
+			m.in.CheckFieldType(o.Class, int(i.C), v)
 			o.Fields[i.C] = v
 
 		case OpSetFieldDyn:
-			o := regs[i.A].Obj()
-			v := regs[i.B]
+			regs := st.regs
+			o, v := regs[i.A].Obj(), regs[i.B]
 			if o == nil {
-				vmFail("field %q written on non-object %s", p.Names[i.D], regs[i.A])
+				vmFail("field %q written on non-object %s", st.p.Names[i.D], regs[i.A])
 			}
-			cyc += interp.CostFieldLookup
-			fs := &p.FieldSites[i.C]
-			idx := fs.slot
-			if fs.cls != o.Class {
-				idx = fs.resolve(o.Class, p.Names[i.D])
-			}
-			in.CheckFieldType(o.Class, idx, v)
+			st.cyc += interp.CostFieldLookup
+			idx := st.p.fieldSlot(i, o)
+			m.in.CheckFieldType(o.Class, idx, v)
 			o.Fields[idx] = v
 
 		case OpNew:
-			ref := &p.News[i.B]
-			cls := ref.Class
-			obj := &interp.Object{Class: cls, Fields: make([]interp.Value, len(cls.Fields))}
-			for f := range obj.Fields {
-				obj.Fields[f] = interp.NilV
-			}
-			args := regs[i.C : i.C+i.D]
-			copy(obj.Fields, args)
-			inits := ref.inits
-			for f := int(i.D); f < len(cls.Fields); f++ {
-				if f < len(inits) && inits[f] != nil {
-					obj.Fields[f] = m.runThunk(inits[f])
-				}
-			}
-			for f := range cls.Fields {
-				in.CheckFieldType(cls, f, obj.Fields[f])
-			}
-			regs[i.A] = interp.ObjV(obj)
+			m.newObject(&st, i)
 
 		case OpMakeClosure:
-			cyc += interp.CostClosureMake
-			regs[i.A] = interp.CloV(&interp.Closure{Code: p.Closures[i.B], Frame: fr, Act: act})
+			st.makeClosure(i)
 
 		case OpCheckClosure:
-			clo := regs[i.A].Clo()
-			if clo == nil {
-				vmFailAt(p.Poss[i.C], "calling a non-closure value %s", regs[i.A])
-			}
-			if int(i.B) != clo.Code.NumParams {
-				vmFailAt(p.Poss[i.C], "closure expects %d arguments, got %d", clo.Code.NumParams, i.B)
+			clo := st.regs[i.A].Clo()
+			if clo == nil || int(i.B) != clo.Code.NumParams {
+				st.badClosure(i, clo)
 			}
 
-		case OpCallClosure:
-			clo := regs[i.B].Clo()
-			args := regs[i.C : i.C+int32(clo.Code.NumParams)]
-			in.NoteClosureCall()
+		case OpSend, OpStaticCall, OpVSelect, OpCallClosure:
+			// Resolve the callee cp (a method's version v): its entry is
+			// charged and the depth guard entered. n is its argument
+			// count, up and act its closure context (nil for methods).
+			var v *ir.Version
 			var cp *Proc
-			if clo.Code == m.lastCode {
+			var up *interp.Frame
+			var act *interp.Activation
+			n := int(i.D)
+			switch i.Op {
+			case OpSend:
+				args := st.regs[i.C : i.C+i.D]
+				site := st.p.Sites[i.B]
+				ic := &m.ic[site.ID]
+				c0, c1 := argClasses(args, m.in.H)
+				if w := &ic.w[0]; w.wayMatch(c0, c1, i.D) {
+					v, cp = w.v, w.p
+					m.in.NotePICHit(site, w.mth, v)
+					m.g.Enter(site.Pos)
+					if cp == nil {
+						cp = m.proc(v)
+						w.p = cp
+					}
+					// The way mirrors the PIC front entry: a front hit
+					// leaves PIC state untouched, so the mirror stays exact.
+				} else {
+					v, cp = m.sendSlow(ic, site, args, c0, c1)
+				}
+			case OpStaticCall:
+				ref := &st.p.Statics[i.B]
+				v = ref.Target
+				m.in.NoteStaticCall(ref.Site, v)
+				m.g.Enter(ref.Site.Pos)
+				cp = ref.proc
+				if cp == nil {
+					cp = m.proc(v)
+					ref.proc = cp
+				}
+			case OpVSelect:
+				ref := &st.p.VSels[i.B]
+				args := st.regs[i.C : i.C+i.D]
+				ic := &m.icSel[ref.Site.ID]
+				c0, c1 := argClasses(args, m.in.H)
+				if w := &ic.w[0]; w.wayMatch(c0, c1, i.D) {
+					v, cp = w.v, w.p
+					m.in.NoteVersionSelect(ref.Site, ref.Method, v)
+					m.g.Enter(ref.Site.Pos)
+				} else {
+					v, cp = m.vselectSlow(ic, ref, args, c0, c1)
+				}
+			default: // OpCallClosure
+				clo := st.regs[i.B].Clo()
+				n, up, act = clo.Code.NumParams, clo.Frame, clo.Act
+				m.in.NoteClosureCall()
 				cp = m.lastProc
+				if clo.Code != m.lastCode {
+					cp = m.closureProc(clo.Code)
+					m.lastCode, m.lastProc = clo.Code, cp
+				}
+				m.g.Enter(st.p.Poss[i.D])
+			}
+			if v != nil {
+				if !cp.noted {
+					cp.noted = true
+					m.in.MarkInvoked(v)
+				}
+				m.in.NoteInvokeKnown(v, st.regs[i.C:i.C+i.D])
+			}
+			// The flattened call: when caller and callee both run in
+			// arena register windows, push the caller's resume state
+			// (resume at pc+1, result into register A) and switch to the
+			// callee in place, its window starting at the argument
+			// registers. Otherwise recurse natively.
+			if !cp.NeedsFrame && st.base >= 0 {
+				if ab := st.base + int(i.C); ab+cp.NumRegs <= len(m.stack) {
+					if m.fp == len(m.frames) {
+						m.frames = append(m.frames, vmFrame{})
+					}
+					f := &m.frames[m.fp]
+					m.fp++
+					f.p, f.up, f.act = st.p, st.up, st.act
+					f.pc, f.dest, f.base, f.sp = pc+1, int(i.A), st.base, m.sp
+					regs := m.stack[ab : ab+cp.NumRegs]
+					clearSlots(regs, n, cp.NumSlots)
+					m.sp = ab + cp.NumRegs
+					st.p, st.code, st.regs, st.base, st.up, st.act = cp, cp.Code, regs, ab, up, act
+					pc = 0
+					continue
+				}
+			}
+			args := st.regs[i.C : i.C+int32(n)]
+			var ret interp.Value
+			if i.Op == OpCallClosure {
+				ret = m.runEntered(cp, args, up, act)
 			} else {
-				cp = m.closureProc(clo.Code)
-				m.lastCode, m.lastProc = clo.Code, cp
+				ret = m.runNoted(cp, args)
 			}
-			m.g.Enter(p.Poss[i.D])
-			if !cp.NeedsFrame && base >= 0 {
-				if ab := base + int(i.C); ab+cp.NumRegs <= len(m.stack) {
-					if m.fp == len(m.frames) {
-						m.frames = append(m.frames, vmFrame{})
-					}
-					f := &m.frames[m.fp]
-					m.fp++
-					f.p, f.regs, f.up, f.act = p, regs, up, act
-					f.pc, f.dest, f.base, f.sp = pc+1, int(i.A), base, m.sp
-					p, code = cp, cp.Code
-					nr := m.stack[ab : ab+cp.NumRegs]
-					clearSlots(nr, len(args), cp.NumSlots)
-					regs, base = nr, ab
-					m.sp = ab + cp.NumRegs
-					up, act = clo.Frame, clo.Act
-					pc = 0
-					continue
-				}
-			}
-			ret := m.runEntered(cp, args, clo.Frame, clo.Act)
 			m.g.Leave()
-			regs[i.A] = ret
-
-		case OpSend:
-			args := regs[i.C : i.C+i.D]
-			site := p.Sites[i.B]
-			ic := &m.ic[site.ID]
-			var v *ir.Version
-			var cp *Proc
-			if w := &ic.w[0]; w.wayMatch(args, i.D, in.H) {
-				v, cp = w.v, w.p
-				in.NotePICHit(site, w.mth, v)
-				m.g.Enter(site.Pos)
-				if cp == nil {
-					cp = m.proc(v)
-					w.p = cp
-				}
-				// The way mirrors the PIC front entry: a front hit leaves
-				// PIC state untouched, so the mirror stays exact.
-			} else if wi := ic.match(args, i.D, in.H); wi > 0 {
-				w := &ic.w[wi]
-				v = w.v
-				in.NotePICHitAt(site, w.mth, v, wi)
-				m.g.Enter(site.Pos)
-				cp = w.p
-				if cp == nil {
-					cp = m.proc(v)
-					w.p = cp
-				}
-				// NotePICHitAt promoted the PIC's entry wi to the front
-				// with an order-preserving shift; mirror the same shift.
-				hw := *w
-				copy(ic.w[1:wi+1], ic.w[:wi])
-				ic.w[0] = hw
-			} else {
-				m.clsBuf = in.ClassesOf(args, m.clsBuf)
-				// A full PIC changes only when a lookup hits behind its
-				// front; a miss there leaves the mirror exact.
-				pic := in.SitePIC(site.ID)
-				full := pic != nil && pic.Megamorphic()
-				var misses uint64
-				if full {
-					misses = pic.Misses
-				}
-				v = in.DispatchSendClasses(site, m.clsBuf)
-				// Enter before body resolution, as the tree tier does: a
-				// depth trip must win over a lazy-compile failure.
-				m.g.Enter(site.Pos)
-				cp = m.proc(v)
-				if !full || pic.Misses == misses {
-					m.refreshSendIC(ic, site, v, cp)
-				}
-			}
-			if !cp.noted {
-				cp.noted = true
-				in.MarkInvoked(v)
-			}
-			in.NoteInvokeKnown(v, args)
-			if !cp.NeedsFrame && base >= 0 {
-				if ab := base + int(i.C); ab+cp.NumRegs <= len(m.stack) {
-					if m.fp == len(m.frames) {
-						m.frames = append(m.frames, vmFrame{})
-					}
-					f := &m.frames[m.fp]
-					m.fp++
-					f.p, f.regs, f.up, f.act = p, regs, up, act
-					f.pc, f.dest, f.base, f.sp = pc+1, int(i.A), base, m.sp
-					p, code = cp, cp.Code
-					nr := m.stack[ab : ab+cp.NumRegs]
-					clearSlots(nr, len(args), cp.NumSlots)
-					regs, base = nr, ab
-					m.sp = ab + cp.NumRegs
-					up, act = nil, nil
-					pc = 0
-					continue
-				}
-			}
-			ret := m.runNoted(cp, args)
-			m.g.Leave()
-			regs[i.A] = ret
-
-		case OpStaticCall:
-			ref := &p.Statics[i.B]
-			args := regs[i.C : i.C+i.D]
-			in.NoteStaticCall(ref.Site, ref.Target)
-			m.g.Enter(ref.Site.Pos)
-			cp := ref.proc
-			if cp == nil {
-				cp = m.proc(ref.Target)
-				ref.proc = cp
-			}
-			if !cp.noted {
-				cp.noted = true
-				in.MarkInvoked(ref.Target)
-			}
-			in.NoteInvokeKnown(ref.Target, args)
-			if !cp.NeedsFrame && base >= 0 {
-				if ab := base + int(i.C); ab+cp.NumRegs <= len(m.stack) {
-					if m.fp == len(m.frames) {
-						m.frames = append(m.frames, vmFrame{})
-					}
-					f := &m.frames[m.fp]
-					m.fp++
-					f.p, f.regs, f.up, f.act = p, regs, up, act
-					f.pc, f.dest, f.base, f.sp = pc+1, int(i.A), base, m.sp
-					p, code = cp, cp.Code
-					nr := m.stack[ab : ab+cp.NumRegs]
-					clearSlots(nr, len(args), cp.NumSlots)
-					regs, base = nr, ab
-					m.sp = ab + cp.NumRegs
-					up, act = nil, nil
-					pc = 0
-					continue
-				}
-			}
-			ret := m.runNoted(cp, args)
-			m.g.Leave()
-			regs[i.A] = ret
-
-		case OpVSelect:
-			ref := &p.VSels[i.B]
-			args := regs[i.C : i.C+i.D]
-			ic := &m.icSel[ref.Site.ID]
-			var v *ir.Version
-			var cp *Proc
-			if w := &ic.w[0]; w.wayMatch(args, i.D, in.H) {
-				v, cp = w.v, w.p
-				in.NoteVersionSelect(ref.Site, ref.Method, v)
-				m.g.Enter(ref.Site.Pos)
-			} else if wi := ic.match(args, i.D, in.H); wi > 0 {
-				w := ic.w[wi]
-				v, cp = w.v, w.p
-				in.NoteVersionSelect(ref.Site, ref.Method, v)
-				m.g.Enter(ref.Site.Pos)
-				// Selection is a deterministic table lookup with no
-				// engine-visible cache state, so the ways are plain MRU:
-				// move the hit to the front.
-				copy(ic.w[1:wi+1], ic.w[:wi])
-				ic.w[0] = w
-			} else {
-				m.clsBuf = in.ClassesOf(args, m.clsBuf)
-				v = in.SelectVersionClasses(ref.Site, ref.Method, m.clsBuf)
-				m.g.Enter(ref.Site.Pos)
-				cp = m.proc(v)
-				if i.D >= 1 && i.D <= 2 {
-					copy(ic.w[1:], ic.w[:icWays-1])
-					w := &ic.w[0]
-					w.n, w.c0 = i.D, m.clsBuf[0]
-					if i.D == 2 {
-						w.c1 = m.clsBuf[1]
-					} else {
-						w.c1 = nil
-					}
-					w.v, w.mth, w.p = v, v.Method, cp
-				}
-			}
-			if !cp.noted {
-				cp.noted = true
-				in.MarkInvoked(v)
-			}
-			in.NoteInvokeKnown(v, args)
-			if !cp.NeedsFrame && base >= 0 {
-				if ab := base + int(i.C); ab+cp.NumRegs <= len(m.stack) {
-					if m.fp == len(m.frames) {
-						m.frames = append(m.frames, vmFrame{})
-					}
-					f := &m.frames[m.fp]
-					m.fp++
-					f.p, f.regs, f.up, f.act = p, regs, up, act
-					f.pc, f.dest, f.base, f.sp = pc+1, int(i.A), base, m.sp
-					p, code = cp, cp.Code
-					nr := m.stack[ab : ab+cp.NumRegs]
-					clearSlots(nr, len(args), cp.NumSlots)
-					regs, base = nr, ab
-					m.sp = ab + cp.NumRegs
-					up, act = nil, nil
-					pc = 0
-					continue
-				}
-			}
-			ret := m.runNoted(cp, args)
-			m.g.Leave()
-			regs[i.A] = ret
+			st.regs[i.A] = ret
 
 		case OpPrim:
 			// The allocation-free primitives run inline with the same
@@ -926,59 +842,61 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			// (other prims, and all failure shapes) takes the shared seam,
 			// which charges first and then raises the tree tier's exact
 			// error — so the fast path charges nothing before deferring.
+			regs := st.regs
 			args := regs[i.C : i.C+i.D]
 			switch ir.Prim(i.B) {
 			case ir.PrimAGet:
 				if a, ix := args[0].Arr(), args[1]; a != nil && ix.K == interp.KInt &&
 					ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-					prims++
-					cyc += interp.CostPrim
+					st.prims++
+					st.cyc += interp.CostPrim
 					regs[i.A] = a.Elems[ix.I]
 					break
 				}
-				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
+				m.callPrim(&st, i)
 			case ir.PrimAPut:
 				if a, ix := args[0].Arr(), args[1]; a != nil && ix.K == interp.KInt &&
 					ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-					prims++
-					cyc += interp.CostPrim
+					st.prims++
+					st.cyc += interp.CostPrim
 					a.Elems[ix.I] = args[2]
 					regs[i.A] = args[2]
 					break
 				}
-				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
+				m.callPrim(&st, i)
 			case ir.PrimALen:
 				if a := args[0].Arr(); a != nil {
-					prims++
-					cyc += interp.CostPrim
+					st.prims++
+					st.cyc += interp.CostPrim
 					regs[i.A] = interp.IntV(int64(len(a.Elems)))
 					break
 				}
-				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
+				m.callPrim(&st, i)
 			case ir.PrimStrLen:
 				if args[0].K == interp.KStr {
-					prims++
-					cyc += interp.CostPrim
+					st.prims++
+					st.cyc += interp.CostPrim
 					regs[i.A] = interp.IntV(int64(len(args[0].Str())))
 					break
 				}
-				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
+				m.callPrim(&st, i)
 			case ir.PrimOrd:
 				if s := args[0].Str(); len(s) > 0 {
-					prims++
-					cyc += interp.CostPrim
+					st.prims++
+					st.cyc += interp.CostPrim
 					regs[i.A] = interp.IntV(int64(s[0]))
 					break
 				}
-				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
+				m.callPrim(&st, i)
 			default:
-				regs[i.A] = in.CallPrim(ir.Prim(i.B), args)
+				m.callPrim(&st, i)
 			}
 
 		case OpBin:
+			regs := st.regs
 			l, r := regs[i.B], regs[i.C]
-			prims++
-			cyc += interp.CostBin
+			st.prims++
+			st.cyc += interp.CostBin
 			if l.K == interp.KInt && r.K == interp.KInt {
 				switch ir.BinOp(i.D) {
 				case ir.OpAdd:
@@ -1000,16 +918,17 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				case ir.OpNE:
 					regs[i.A] = interp.BoolV(l.I != r.I)
 				default:
-					regs[i.A] = interp.EvalBin(ir.BinOp(i.D), l, r)
+					st.binSlow(i.A, ir.BinOp(i.D), l, r)
 				}
 			} else {
-				regs[i.A] = interp.EvalBin(ir.BinOp(i.D), l, r)
+				st.binSlow(i.A, ir.BinOp(i.D), l, r)
 			}
 
 		case OpBinK:
-			l, r := regs[i.B], p.Consts[i.C]
-			prims++
-			cyc += interp.CostBin
+			regs := st.regs
+			l, r := regs[i.B], st.p.Consts[i.C]
+			st.prims++
+			st.cyc += interp.CostBin
 			if l.K == interp.KInt && r.K == interp.KInt {
 				switch ir.BinOp(i.D) {
 				case ir.OpAdd:
@@ -1033,73 +952,77 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				case ir.OpDiv:
 					if r.I == 0 {
 						// The shared fallback owns the zero-divisor error.
-						regs[i.A] = interp.EvalBin(ir.OpDiv, l, r)
+						st.binSlow(i.A, ir.OpDiv, l, r)
 						break
 					}
 					regs[i.A] = interp.IntV(l.I / r.I)
 				case ir.OpMod:
 					if r.I == 0 {
-						regs[i.A] = interp.EvalBin(ir.OpMod, l, r)
+						st.binSlow(i.A, ir.OpMod, l, r)
 						break
 					}
 					regs[i.A] = interp.IntV(l.I % r.I)
 				default:
-					regs[i.A] = interp.EvalBin(ir.BinOp(i.D), l, r)
+					st.binSlow(i.A, ir.BinOp(i.D), l, r)
 				}
 			} else {
-				regs[i.A] = interp.EvalBin(ir.BinOp(i.D), l, r)
+				st.binSlow(i.A, ir.BinOp(i.D), l, r)
 			}
 
 		case OpAGet:
+			regs := st.regs
 			a, ix := regs[i.B].Arr(), regs[i.C]
 			if a != nil && ix.K == interp.KInt &&
 				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-				prims++
-				cyc += interp.CostPrim
+				st.prims++
+				st.cyc += interp.CostPrim
 				regs[i.A] = a.Elems[ix.I]
 			} else {
 				// Shared seam: charges first, then raises the tree tier's
 				// exact error for every failure shape.
-				regs[i.A] = in.CallPrim(ir.PrimAGet, []interp.Value{regs[i.B], ix})
+				m.agetSlow(&st, i.A, regs[i.B], ix)
 			}
 
 		case OpAGetField:
+			p, regs := st.p, st.regs
 			f := &p.FieldOps[i.D]
 			o := regs[i.B].Obj()
 			if o == nil {
 				vmFail("field %q read on non-object %s", p.Names[f.Name], regs[i.B])
 			}
-			cyc += interp.CostFieldCached
+			st.cyc += interp.CostFieldCached
 			av, ix := o.Fields[f.Slot], regs[i.C]
 			if a := av.Arr(); a != nil && ix.K == interp.KInt &&
 				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-				prims++
-				cyc += interp.CostPrim
+				st.prims++
+				st.cyc += interp.CostPrim
 				regs[i.A] = a.Elems[ix.I]
 			} else {
-				regs[i.A] = in.CallPrim(ir.PrimAGet, []interp.Value{av, ix})
+				m.agetSlow(&st, i.A, av, ix)
 			}
 
 		case OpAPut:
+			regs := st.regs
 			a, ix := regs[i.B].Arr(), regs[i.C]
 			if a != nil && ix.K == interp.KInt &&
 				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-				prims++
-				cyc += interp.CostPrim
+				st.prims++
+				st.cyc += interp.CostPrim
 				v := regs[i.D]
 				a.Elems[ix.I] = v
 				regs[i.A] = v
 			} else {
-				regs[i.A] = in.CallPrim(ir.PrimAPut, []interp.Value{regs[i.B], ix, regs[i.D]})
+				m.aputSlow(&st, i.A, regs[i.B], ix, regs[i.D])
 			}
 
 		case OpFieldBin, OpFieldBinK, OpBinField:
+			p, regs := st.p, st.regs
 			f := &p.FieldOps[i.D]
 			o := regs[i.B].Obj()
 			if o == nil {
 				vmFail("field %q read on non-object %s", p.Names[f.Name], regs[i.B])
 			}
-			cyc += interp.CostFieldCached
+			st.cyc += interp.CostFieldCached
 			var l, r interp.Value
 			switch i.Op {
 			case OpFieldBin:
@@ -1109,8 +1032,8 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			default: // OpBinField: field is the right operand
 				l, r = regs[i.C], o.Fields[f.Slot]
 			}
-			prims++
-			cyc += interp.CostBin
+			st.prims++
+			st.cyc += interp.CostBin
 			if l.K == interp.KInt && r.K == interp.KInt {
 				switch f.Op {
 				case ir.OpAdd:
@@ -1132,59 +1055,243 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				case ir.OpNE:
 					regs[i.A] = interp.BoolV(l.I != r.I)
 				default:
-					regs[i.A] = interp.EvalBin(f.Op, l, r)
+					st.binSlow(i.A, f.Op, l, r)
 				}
 			} else {
-				regs[i.A] = interp.EvalBin(f.Op, l, r)
+				st.binSlow(i.A, f.Op, l, r)
 			}
 
 		case OpNot:
-			x := regs[i.B]
-			prims++
-			cyc += interp.CostBin
+			x := st.regs[i.B]
+			st.prims++
+			st.cyc += interp.CostBin
 			if x.K != interp.KBool {
 				vmFail("'!' on non-boolean %s", x)
 			}
-			regs[i.A] = interp.BoolV(x.I == 0)
+			st.regs[i.A] = interp.BoolV(x.I == 0)
 
 		case OpNeg:
-			x := regs[i.B]
-			prims++
-			cyc += interp.CostBin
+			x := st.regs[i.B]
+			st.prims++
+			st.cyc += interp.CostBin
 			if x.K != interp.KInt {
 				vmFail("unary '-' on non-integer %s", x)
 			}
-			regs[i.A] = interp.IntV(-x.I)
+			st.regs[i.A] = interp.IntV(-x.I)
 
 		case OpRet:
-			if m.fp > entryFP {
-				// Pop a flattened caller: restore its loop state in place
-				// and keep dispatching — the Go stack never moved.
-				ret := regs[i.A]
+			if m.fp > st.entryFP {
+				// Pop a flattened caller: reload its state in place and
+				// keep dispatching — the Go stack never moved. The
+				// caller's window is recomputed from its arena base
+				// (frames are pushed only from arena windows).
+				ret := st.regs[i.A]
 				m.g.Leave()
 				m.fp--
 				f := &m.frames[m.fp]
-				p, regs, up, act = f.p, f.regs, f.up, f.act
-				code = p.Code
-				pc = f.pc
-				base = f.base
+				p := f.p
+				st.p, st.code, st.up, st.act, st.base = p, p.Code, f.up, f.act, f.base
+				st.regs = m.stack[f.base : f.base+p.NumRegs]
+				st.regs[f.dest] = ret
 				m.sp = f.sp
-				regs[f.dest] = ret
-				f.p, f.regs, f.up, f.act = nil, nil, nil, nil
+				pc = f.pc
 				continue
 			}
-			return regs[i.A]
+			return st.regs[i.A]
 
 		case OpRetNL:
-			if act == nil || !act.Alive() {
-				vmFail("return from a method activation that already exited")
-			}
-			m.returning = true
-			panic(vmReturn{act: act, val: regs[i.A]})
+			st.returnNonLocal(m, i)
 
 		default:
 			vmFailAt(m.g.CallPos(), "internal error: unknown opcode %s", i.Op)
 		}
 		pc++
 	}
+}
+
+// sendSlow is OpSend past its front way: a hit behind the front (v, cp
+// from the way, with the PIC's move-to-front promotion replayed on the
+// mirror), or a full miss through the generic dispatch seam. Either way
+// the depth guard is entered, as on the front-hit path.
+func (m *Machine) sendSlow(ic *icEntry, site *ir.CallSite, args []interp.Value, c0, c1 *hier.Class) (*ir.Version, *Proc) {
+	in := m.in
+	if wi := ic.match(c0, c1, int32(len(args))); wi > 0 {
+		w := &ic.w[wi]
+		v := w.v
+		in.NotePICHitAt(site, w.mth, v, wi)
+		m.g.Enter(site.Pos)
+		cp := w.p
+		if cp == nil {
+			cp = m.proc(v)
+			w.p = cp
+		}
+		// NotePICHitAt promoted the PIC's entry wi to the front with an
+		// order-preserving shift; mirror the same shift.
+		ic.toFront(wi)
+		return v, cp
+	}
+	m.clsBuf = in.ClassesOf(args, m.clsBuf)
+	// A full PIC changes only when a lookup hits behind its front; a
+	// miss there leaves the mirror exact.
+	pic := in.SitePIC(site.ID)
+	full := pic != nil && pic.Megamorphic()
+	var misses uint64
+	if full {
+		misses = pic.Misses
+	}
+	v := in.DispatchSendClasses(site, m.clsBuf)
+	// Enter before body resolution, as the tree tier does: a depth trip
+	// must win over a lazy-compile failure.
+	m.g.Enter(site.Pos)
+	cp := ic.procOf(v)
+	if cp == nil {
+		cp = m.proc(v)
+	}
+	if !full || pic.Misses == misses {
+		m.refreshSendIC(ic, site, v, cp)
+	}
+	return v, cp
+}
+
+// vselectSlow is OpVSelect past its front way: a hit behind the front
+// moves to the front (selection is a deterministic table lookup with no
+// engine-visible cache state, so the ways are plain MRU), and a miss
+// selects through the shared seam and fills the front way.
+func (m *Machine) vselectSlow(ic *icEntry, ref *VSelRef, args []interp.Value, c0, c1 *hier.Class) (*ir.Version, *Proc) {
+	in := m.in
+	n := int32(len(args))
+	if wi := ic.match(c0, c1, n); wi > 0 {
+		w := &ic.w[wi]
+		in.NoteVersionSelect(ref.Site, ref.Method, w.v)
+		m.g.Enter(ref.Site.Pos)
+		v, cp := w.v, w.p
+		ic.toFront(wi)
+		return v, cp
+	}
+	m.clsBuf = in.ClassesOf(args, m.clsBuf)
+	v := in.SelectVersionClasses(ref.Site, ref.Method, m.clsBuf)
+	m.g.Enter(ref.Site.Pos)
+	cp := m.proc(v)
+	if n >= 1 && n <= 2 {
+		ic.toFront(icWays - 1)
+		w := &ic.w[0]
+		w.n, w.c0 = n, m.clsBuf[0]
+		if n == 2 {
+			w.c1 = m.clsBuf[1]
+		} else {
+			w.c1 = nil
+		}
+		w.v, w.mth, w.p = v, v.Method, cp
+	}
+	return v, cp
+}
+
+// newObject is OpNew: regs[A] = a new Classes[B] whose leading fields
+// come from the C..C+D-1 window; the remaining fields run their
+// initializer thunks, and every field is declared-type checked.
+func (m *Machine) newObject(st *execState, i *Instr) {
+	ref := &st.p.News[i.B]
+	cls := ref.Class
+	obj := &interp.Object{Class: cls, Fields: make([]interp.Value, len(cls.Fields))}
+	for f := range obj.Fields {
+		obj.Fields[f] = interp.NilV
+	}
+	copy(obj.Fields, st.regs[i.C:i.C+i.D])
+	inits := ref.inits
+	for f := int(i.D); f < len(cls.Fields); f++ {
+		if f < len(inits) && inits[f] != nil {
+			obj.Fields[f] = m.runThunk(inits[f])
+		}
+	}
+	for f := range cls.Fields {
+		m.in.CheckFieldType(cls, f, obj.Fields[f])
+	}
+	st.regs[i.A] = interp.ObjV(obj)
+}
+
+// makeClosure is OpMakeClosure: a closure over Closures[B] capturing
+// the current frame and activation.
+func (st *execState) makeClosure(i *Instr) {
+	st.cyc += interp.CostClosureMake
+	st.regs[i.A] = interp.CloV(&interp.Closure{Code: st.p.Closures[i.B], Frame: st.fr, Act: st.act})
+}
+
+// badClosure raises OpCheckClosure's error for clo: not a closure, or
+// a closure of another arity than B.
+func (st *execState) badClosure(i *Instr, clo *interp.Closure) {
+	if clo == nil {
+		vmFailAt(st.p.Poss[i.C], "calling a non-closure value %s", st.regs[i.A])
+	}
+	vmFailAt(st.p.Poss[i.C], "closure expects %d arguments, got %d", clo.Code.NumParams, i.B)
+}
+
+// upFrame returns the frame hops static-chain links out (hops >= 1).
+func (st *execState) upFrame(hops int32) *interp.Frame {
+	f := st.up
+	for d := hops; d > 1; d-- {
+		f = f.Parent
+	}
+	return f
+}
+
+// getUp is OpGetUp: regs[A] = slot C of the frame B hops out.
+func (st *execState) getUp(i *Instr) { st.regs[i.A] = st.upFrame(i.B).Slots[i.C] }
+
+// setUp is OpSetUp: slot C of the frame B hops out = regs[A].
+func (st *execState) setUp(i *Instr) { st.upFrame(i.B).Slots[i.C] = st.regs[i.A] }
+
+// returnNonLocal is OpRetNL: unwind to the enclosing method activation
+// with regs[A], failing if that activation already exited.
+func (st *execState) returnNonLocal(m *Machine, i *Instr) {
+	if st.act == nil || !st.act.Alive() {
+		vmFail("return from a method activation that already exited")
+	}
+	m.returning = true
+	panic(vmReturn{act: st.act, val: st.regs[i.A]})
+}
+
+// fieldSlot resolves dynamic field op i's slot in o through its site
+// cache (FieldSites[C]), re-resolving by name Names[D] on a class miss.
+func (p *Proc) fieldSlot(i *Instr, o *interp.Object) int {
+	fs := &p.FieldSites[i.C]
+	if fs.cls == o.Class {
+		return fs.slot
+	}
+	return fs.resolve(o.Class, p.Names[i.D])
+}
+
+// The fallbacks below store their result into the register window
+// themselves and stay out of line (go:noinline), so no arm of exec
+// keeps its window or proc live across their calls: a value live
+// across a call is spilled on the arm's fast path.
+
+// callPrim is OpPrim through the shared CallPrim seam: every primitive
+// without an inline fast path, and every failure shape of those with
+// one (the seam charges first, then raises the tree tier's error).
+//
+//go:noinline
+func (m *Machine) callPrim(st *execState, i *Instr) {
+	st.regs[i.A] = m.in.CallPrim(ir.Prim(i.B), st.regs[i.C:i.C+i.D])
+}
+
+// agetSlow and aputSlow are the CallPrim fallbacks of the fused array
+// instructions, storing into register a.
+//
+//go:noinline
+func (m *Machine) agetSlow(st *execState, a int32, arr, ix interp.Value) {
+	st.regs[a] = m.in.CallPrim(ir.PrimAGet, []interp.Value{arr, ix})
+}
+
+//go:noinline
+func (m *Machine) aputSlow(st *execState, a int32, arr, ix, v interp.Value) {
+	st.regs[a] = m.in.CallPrim(ir.PrimAPut, []interp.Value{arr, ix, v})
+}
+
+// binSlow is the EvalBin fallback of the arithmetic arms: register a
+// = l op r for the operands and operators the inline integer paths do
+// not cover (EvalBin raises the error shapes).
+//
+//go:noinline
+func (st *execState) binSlow(a int32, op ir.BinOp, l, r interp.Value) {
+	st.regs[a] = interp.EvalBin(op, l, r)
 }
