@@ -87,7 +87,7 @@ func run() error {
 		retTypes   = flag.Bool("return-types", false, "enable return-value class propagation (paper §6 extension)")
 		rta        = flag.Bool("instantiation", false, "enable instantiation-aware (RTA-style) class analysis")
 		lazy       = flag.Bool("lazy", false, "lazy (dynamic) compilation: compile method versions on first invocation")
-		verify     = flag.Bool("verify", false, "run the bytecode verifier over every compiled proc before (and, for lazy configurations, after) execution")
+		verify     = flag.Bool("verify", false, "compile every proc whose body exists and run the bytecode verifier over them before execution, then again over the procs the run built lazily")
 		stepLimit  = flag.Uint64("step-limit", 0, "abort after this many interpreter steps (0 = unlimited)")
 		depthLimit = flag.Int("depth-limit", 0, "abort beyond this call depth (0 = default limit, negative = unlimited)")
 		timeout    = flag.Duration("timeout", 0, "abort after this wall-clock duration, e.g. 30s (0 = none)")
@@ -234,7 +234,10 @@ func run() error {
 	var mach *vm.Machine
 	if engine == driver.EngineVM || *verify {
 		var merr error
-		if mach, merr = vm.New(in); merr != nil {
+		if mach, merr = vm.New(in); merr == nil && *verify {
+			merr = mach.Module().CompileAll()
+		}
+		if merr != nil {
 			engine = driver.EngineTree
 			mach = nil
 		}
@@ -404,6 +407,9 @@ func bytecodeDiagnostics(label, src string, hasSourceFindings bool) ([]check.Dia
 		return skip(err)
 	}
 	m, err := vm.New(interp.New(c))
+	if err == nil {
+		err = m.Module().CompileAll()
+	}
 	if err != nil {
 		return skip(err)
 	}

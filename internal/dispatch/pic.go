@@ -114,13 +114,8 @@ func (p *PIC) Lookup(classes []*hier.Class) (Target, bool) {
 	}
 	for i := 1; i < len(p.entries); i++ {
 		if p.entries[i].match(classes) {
-			e := p.entries[i]
-			copy(p.entries[1:i+1], p.entries[:i])
-			p.entries[0] = e
-			p.Hits++
-			p.M.Hits.Inc()
-			p.M.Promotions.Inc()
-			return e.target, true
+			p.PromoteAt(i)
+			return p.entries[0].target, true
 		}
 	}
 	p.Misses++
@@ -147,8 +142,13 @@ func (p *PIC) Entry(i int) ([]*hier.Class, Target, bool) {
 // i is the matched one, so PIC state stays identical to a run that took
 // Lookup.
 func (p *PIC) PromoteAt(i int) {
+	// Element moves, not copy: a promotion shifts at most a few entries,
+	// and copy would be a runtime.typedslicecopy call on every hit
+	// behind the front.
 	e := p.entries[i]
-	copy(p.entries[1:i+1], p.entries[:i])
+	for k := i; k > 0; k-- {
+		p.entries[k] = p.entries[k-1]
+	}
 	p.entries[0] = e
 	p.Hits++
 	p.M.Hits.Inc()

@@ -99,9 +99,10 @@ type RunOptions struct {
 	// automatic fallback to the tree interpreter when the bytecode
 	// compiler does not support a construct).
 	Engine Engine
-	// Verify runs the bytecode verifier (internal/vmcheck) over every
-	// compiled proc before execution, and — for the VM engine — again
-	// after the run so lazily compiled procs are covered too. A verifier
+	// Verify compiles every proc whose body exists and runs the
+	// bytecode verifier (internal/vmcheck) over them before execution,
+	// and — for the VM engine — again after the run so the versions
+	// built lazily are covered too. A verifier
 	// finding aborts the run with a positioned *pipeline.StageError.
 	// When the tree engine is selected the bytecode module is still
 	// compiled and verified (skipped only if the compiler declines the
@@ -223,9 +224,14 @@ func Execute(c *opt.Compiled, ro RunOptions) (*Result, error) {
 	var mach *vm.Machine
 	if engine == EngineVM || ro.Verify {
 		var merr error
-		if mach, merr = vm.New(in); merr != nil {
-			// Unsupported construct: fall back to the tree tier. vm.New
-			// runs no guest code, so the fallback is side-effect free —
+		// Under Verify every proc compiles before the run, so an
+		// unsupported construct anywhere falls back here.
+		if mach, merr = vm.New(in); merr == nil && ro.Verify {
+			merr = mach.Module().CompileAll()
+		}
+		if merr != nil {
+			// Unsupported construct: fall back to the tree tier. No
+			// guest code has run, so the fallback is side-effect free —
 			// but counted, so a benchmark can never quietly measure the
 			// wrong tier. Under Verify with the tree engine selected
 			// there is simply nothing compiled to verify.
@@ -346,9 +352,11 @@ func (p *Pipeline) Build(bo BuildOptions) (*opt.Compiled, *specialize.Stats, err
 // collectProfile compiles the program under Base and runs it with
 // instrumentation on the training input, returning the weighted call
 // graph (the paper gathers profiles the same way: an instrumented run of
-// the unspecialized system, §3.7.2).
+// the unspecialized system, §3.7.2). The training compile is lazy: a
+// Base body does not depend on compile order, so building only the
+// bodies the run reaches records the same profile as an eager compile.
 func (p *Pipeline) collectProfile(ro RunOptions) (*profile.CallGraph, error) {
-	c, err := pipeline.Compile(p.Label, p.Prog, opt.Options{Config: opt.Base})
+	c, err := pipeline.Compile(p.Label, p.Prog, opt.Options{Config: opt.Base, Lazy: true})
 	if err != nil {
 		return nil, err
 	}

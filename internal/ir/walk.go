@@ -6,76 +6,83 @@ import "fmt"
 // including closure bodies. If f returns false for a node, its
 // children are skipped.
 func Walk(n Node, f func(Node) bool) {
-	if n == nil {
+	if n == nil || !f(n) {
 		return
 	}
-	if !f(n) {
+	if mc, ok := n.(*MakeClosure); ok {
+		Walk(mc.Fn.Body, f)
 		return
 	}
-	switch n := n.(type) {
-	case *Const, *Local, *Global:
-	case *SetLocal:
-		Walk(n.X, f)
-	case *SetGlobal:
-		Walk(n.X, f)
-	case *GetField:
-		Walk(n.Obj, f)
-	case *SetField:
-		Walk(n.Obj, f)
-		Walk(n.X, f)
-	case *Seq:
-		for _, c := range n.Nodes {
-			Walk(c, f)
-		}
-	case *If:
-		Walk(n.Cond, f)
-		Walk(n.Then, f)
-		Walk(n.Else, f)
-	case *While:
-		Walk(n.Cond, f)
-		Walk(n.Body, f)
-	case *Return:
-		Walk(n.X, f)
-	case *New:
-		for _, c := range n.Args {
-			Walk(c, f)
-		}
-	case *MakeClosure:
-		Walk(n.Fn.Body, f)
-	case *CallClosure:
-		Walk(n.Fn, f)
-		for _, c := range n.Args {
-			Walk(c, f)
-		}
-	case *Send:
-		for _, c := range n.Args {
-			Walk(c, f)
-		}
-	case *StaticCall:
-		for _, c := range n.Args {
-			Walk(c, f)
-		}
-	case *VersionSelect:
-		for _, c := range n.Args {
-			Walk(c, f)
-		}
-	case *Bin:
-		Walk(n.L, f)
-		Walk(n.R, f)
-	case *Un:
-		Walk(n.X, f)
-	case *PrimCall:
-		for _, c := range n.Args {
-			Walk(c, f)
-		}
-	case *And:
-		Walk(n.L, f)
-		Walk(n.R, f)
-	case *Or:
-		Walk(n.L, f)
-		Walk(n.R, f)
-	default:
+	if !Children(n, func(c Node) { Walk(c, f) }) {
 		panic(fmt.Sprintf("ir.Walk: unknown node %T", n))
+	}
+}
+
+// Children calls fn on every direct child expression of n in
+// evaluation order, skipping the absent optional ones (If.Else,
+// Return.X). A closure body is a unit of its own, not a child of the
+// MakeClosure that creates it. Children reports false, calling fn on
+// nothing, for a node type it does not know.
+func Children(n Node, fn func(Node)) bool {
+	switch n := n.(type) {
+	case *Const, *Local, *Global, *MakeClosure:
+	case *SetLocal:
+		fn(n.X)
+	case *SetGlobal:
+		fn(n.X)
+	case *GetField:
+		fn(n.Obj)
+	case *SetField:
+		fn(n.Obj)
+		fn(n.X)
+	case *Seq:
+		each(n.Nodes, fn)
+	case *If:
+		fn(n.Cond)
+		fn(n.Then)
+		if n.Else != nil {
+			fn(n.Else)
+		}
+	case *While:
+		fn(n.Cond)
+		fn(n.Body)
+	case *Return:
+		if n.X != nil {
+			fn(n.X)
+		}
+	case *New:
+		each(n.Args, fn)
+	case *CallClosure:
+		fn(n.Fn)
+		each(n.Args, fn)
+	case *Send:
+		each(n.Args, fn)
+	case *StaticCall:
+		each(n.Args, fn)
+	case *VersionSelect:
+		each(n.Args, fn)
+	case *Bin:
+		fn(n.L)
+		fn(n.R)
+	case *Un:
+		fn(n.X)
+	case *PrimCall:
+		each(n.Args, fn)
+	case *And:
+		fn(n.L)
+		fn(n.R)
+	case *Or:
+		fn(n.L)
+		fn(n.R)
+	default:
+		return false
+	}
+	return true
+}
+
+func each(ns []Node, fn func(Node)) {
+	for _, n := range ns {
+		fn(n)
 	}
 }
 

@@ -72,6 +72,14 @@ func FuzzParser(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p1, err := lang.Parse(src)
+		// The parser streams tokens, but its verdict on malformed input
+		// is the whole-source lexer's: the first lexer error wins.
+		if _, lexErr := lang.Tokenize(src); lexErr != nil {
+			if err == nil || err.Error() != lexErr.Error() {
+				t.Fatalf("Parse error %v, want the lexer's %v", err, lexErr)
+			}
+			return
+		}
 		if err != nil {
 			return // rejecting is fine; only panics and broken round-trips count
 		}

@@ -5,11 +5,19 @@ import (
 	"strconv"
 )
 
-// Parser is a recursive-descent parser for Mini-Cecil.
+// Parser is a recursive-descent parser for Mini-Cecil. It never
+// backtracks and looks at most one token past the current one, so it
+// pulls tokens from the lexer through a two-token window instead of
+// lexing the whole source first.
 type Parser struct {
-	toks  []Token
-	pos   int
-	depth int // expression/statement nesting depth (see maxNestingDepth)
+	lx *Lexer
+	// win[0] is the current token and win[1], when n == 2, the one
+	// after it. A lexer error ends the stream: lexErr keeps it and the
+	// window ends in an EOF token at its position.
+	win    [2]Token
+	n      int
+	lexErr error
+	depth  int // expression/statement nesting depth (see maxNestingDepth)
 }
 
 // maxNestingDepth bounds expression and statement nesting. The parser
@@ -33,43 +41,74 @@ func (p *Parser) pop() { p.depth-- }
 
 // Parse parses a whole program.
 func Parse(src string) (*Program, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
+	p := &Parser{lx: NewLexer(src)}
+	prog, err := p.parseProgram()
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
-	return p.parseProgram()
+	return prog, nil
 }
 
 // ParseExpr parses a single expression followed by EOF; handy in tests.
 func ParseExpr(src string) (Expr, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lx: NewLexer(src)}
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.cur().Kind != EOF {
+		err = errf(p.cur().Pos, "unexpected %s after expression", p.cur())
 	}
-	if p.cur().Kind != EOF {
-		return nil, errf(p.cur().Pos, "unexpected %s after expression", p.cur())
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
-func (p *Parser) peek() Token { // token after cur
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// finish settles the outcome of a parse whose result is err: the first
+// lexer error anywhere in the source wins over a syntax error (as when
+// the whole source was lexed up front), so after a syntax error the
+// rest of the source is lexed to look for one.
+func (p *Parser) finish(err error) error {
+	if err != nil {
+		for p.lexErr == nil && p.cur().Kind != EOF {
+			p.advance()
+		}
 	}
-	return p.toks[len(p.toks)-1]
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
+// fill lexes tokens into the window until it holds n of them (n <= 2).
+// Past EOF or a lexer error the window repeats its final EOF token.
+func (p *Parser) fill(n int) {
+	for p.n < n {
+		if p.n > 0 && p.win[p.n-1].Kind == EOF {
+			p.win[p.n] = p.win[p.n-1]
+		} else if t, err := p.lx.Next(); err != nil {
+			p.lexErr = err
+			p.win[p.n] = Token{Kind: EOF, Pos: p.lx.pos()}
+		} else {
+			p.win[p.n] = t
+		}
+		p.n++
+	}
+}
+
+func (p *Parser) cur() Token {
+	p.fill(1)
+	return p.win[0]
+}
+
+func (p *Parser) peek() Token { // token after cur
+	p.fill(2)
+	return p.win[1]
 }
 
 func (p *Parser) advance() Token {
-	t := p.toks[p.pos]
+	t := p.cur()
 	if t.Kind != EOF {
-		p.pos++
+		p.win[0] = p.win[1]
+		p.n--
 	}
 	return t
 }

@@ -288,3 +288,27 @@ method main() {
 		t.Errorf("Format not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s", f1, f2)
 	}
 }
+
+// TestParseReportsFirstLexError: the parser pulls tokens on demand, but
+// a lexer error anywhere in the source is still the error Parse
+// reports, ahead of an earlier syntax error and after a complete
+// program, exactly as when the whole source was lexed first.
+func TestParseReportsFirstLexError(t *testing.T) {
+	for _, src := range []string{
+		"method main() { 1 + ; }\nmethod g() { a & b; }",
+		"method main() { 1; }\n$",
+		"method main() { \"open",
+		"class A isa { }\n|",
+	} {
+		_, lexErr := Tokenize(src)
+		if lexErr == nil {
+			t.Fatalf("%q: no lexer error", src)
+		}
+		if _, err := Parse(src); err == nil || err.Error() != lexErr.Error() {
+			t.Errorf("Parse(%q) = %v, want %v", src, err, lexErr)
+		}
+		if _, err := ParseExpr(src); err == nil || err.Error() != lexErr.Error() {
+			t.Errorf("ParseExpr(%q) = %v, want %v", src, err, lexErr)
+		}
+	}
+}

@@ -268,6 +268,6 @@ func VerifyMachine(label, config string, m *vm.Machine) error {
 // code, dead stores) over a compiled machine inside the boundary.
 func CheckBytecode(label string, m *vm.Machine) ([]check.Diagnostic, error) {
 	return Guard(StageCheck, label, "", func() ([]check.Diagnostic, error) {
-		return vmcheck.Diagnose(m, label), nil
+		return vmcheck.Diagnose(m, label)
 	})
 }

@@ -3,6 +3,8 @@ package vm_test
 import (
 	"testing"
 
+	"selspec/internal/driver"
+	"selspec/internal/gen"
 	"selspec/internal/interp"
 	"selspec/internal/ir"
 	"selspec/internal/lang"
@@ -142,3 +144,32 @@ func BenchmarkVMDispatchLoop(b *testing.B) { benchRun(b, dispatchLoopSrc, opt.CH
 // BenchmarkSendPoly3 is the run cost of a 3-class polymorphic send and
 // return (the flattened call sequence).
 func BenchmarkSendPoly3(b *testing.B) { benchRun(b, sendPoly3Src, opt.Base) }
+
+// BenchmarkCompileGen200 is the full bytecode compile of a 200-class
+// generated program under CHA: vm.New plus CompileAll over every
+// version body the optimizer built, the work a run defers to first use.
+func BenchmarkCompileGen200(b *testing.B) {
+	g := gen.New(gen.Config{Seed: 1, Classes: 200})
+	p, err := driver.LoadNamed(g.Name(), g.Source())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.CHA})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var procs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := vm.New(interp.New(c))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Module().CompileAll(); err != nil {
+			b.Fatal(err)
+		}
+		procs = len(m.Module().Procs())
+	}
+	b.ReportMetric(float64(procs), "procs/op")
+}

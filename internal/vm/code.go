@@ -324,8 +324,9 @@ type StaticRef struct {
 }
 
 // NewRef is the class operand of one OpNew, with the field-initializer
-// thunk procs resolved at compile time (aligned with Class.Fields; nil
-// entries for fields without initializers).
+// thunk procs (aligned with Class.Fields; nil entries for fields without
+// initializers). inits stays nil until the first construction resolves
+// it through Module.fieldInitsOf, which never returns a nil slice.
 type NewRef struct {
 	Class *hier.Class
 	inits []*Proc

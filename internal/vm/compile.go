@@ -21,10 +21,12 @@ func (e *CompileError) Error() string {
 }
 
 // Module is the compiled form of one opt.Compiled: procs for every
-// method version, closure body and initializer thunk. Version procs are
-// compiled eagerly for bodies that exist at construction time and
-// lazily for versions the lazy configurations create mid-run; the
-// module is single-goroutine state, like the Interp it executes under.
+// method version, closure body and initializer thunk. Only global
+// initializers compile up front; a version body compiles on its first
+// invocation (Machine.proc), a class's field initializers on its first
+// `new`, and CompileAll compiles everything that exists for the
+// verifier and the diagnostics. The module is single-goroutine state,
+// like the Interp it executes under.
 type Module struct {
 	c           *opt.Compiled
 	procs       map[*ir.Version]*Proc
@@ -47,35 +49,56 @@ func newModule(c *opt.Compiled) (*Module, error) {
 		}
 		mod.globalInits = append(mod.globalInits, p)
 	}
-	for cls, inits := range c.FieldInits {
-		ps := make([]*Proc, len(inits))
-		for i, init := range inits {
-			if init == nil {
-				continue
-			}
-			p, err := mod.compile(fmt.Sprintf("<%s.%s>", cls.Name, cls.Fields[i].Name), KindInit, init, 0)
-			if err != nil {
-				return nil, err
-			}
-			ps[i] = p
+	return mod, nil
+}
+
+// CompileAll compiles every proc whose body exists now: all field
+// initializers and every version the optimizer has built a body for
+// (eager configurations build them all up front; lazy ones hand out
+// nil bodies until first invocation). The verifier and the bytecode
+// diagnostics call it so they see every proc before the run; the run
+// itself compiles only what it reaches.
+func (mod *Module) CompileAll() error {
+	for _, cls := range mod.c.Prog.H.Classes() {
+		if _, err := mod.fieldInitsOf(cls); err != nil {
+			return err
 		}
-		mod.fieldInits[cls] = ps
 	}
-	// Every version whose body exists now (eager configurations compile
-	// all bodies up front) is compiled here, so an unsupported construct
-	// is detected before the run starts and the driver can fall back to
-	// the tree tier with no side effects. Lazy configurations hand out
-	// nil bodies until first invocation; those compile in Machine.proc.
-	for m := range c.Prog.Bodies {
-		for _, v := range c.VersionsOf(m) {
+	for _, m := range mod.c.Prog.H.Methods() {
+		if _, ok := mod.c.Prog.Bodies[m]; !ok {
+			continue
+		}
+		for _, v := range mod.c.VersionsOf(m) {
 			if v.Body != nil {
 				if _, err := mod.version(v); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 	}
-	return mod, nil
+	return nil
+}
+
+// fieldInitsOf compiles (and caches) the field-initializer thunks of
+// cls, aligned with cls.Fields (nil entries for fields without one).
+func (mod *Module) fieldInitsOf(cls *hier.Class) ([]*Proc, error) {
+	if ps, ok := mod.fieldInits[cls]; ok {
+		return ps, nil
+	}
+	inits := mod.c.FieldInits[cls]
+	ps := make([]*Proc, len(inits))
+	for i, init := range inits {
+		if init == nil {
+			continue
+		}
+		p, err := mod.compile(fmt.Sprintf("<%s.%s>", cls.Name, cls.Fields[i].Name), KindInit, init, 0)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
+	}
+	mod.fieldInits[cls] = ps
+	return ps, nil
 }
 
 // version compiles (and caches) the proc for one method version whose
@@ -615,7 +638,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 	case *ir.New:
 		mark := c.save()
 		cls := int32(len(c.p.News))
-		c.p.News = append(c.p.News, NewRef{Class: n.Class, inits: c.mod.fieldInits[n.Class]})
+		c.p.News = append(c.p.News, NewRef{Class: n.Class})
 		// The tree tier charges construction before evaluating field
 		// arguments; keep that order so a guard trip lands identically.
 		// B records the News index the charge belongs to (ignored by the

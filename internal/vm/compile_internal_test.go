@@ -29,6 +29,9 @@ func compileModule(t *testing.T, src string, cfg opt.Config) *Module {
 		t.Fatalf("opt: %v", err)
 	}
 	mod, err := newModule(c)
+	if err == nil {
+		err = mod.CompileAll()
+	}
 	if err != nil {
 		t.Fatalf("vm compile: %v", err)
 	}

@@ -4,212 +4,112 @@ package vm
 // register discipline reads depth-0 locals in place (the slot register
 // IS the operand register), which is only sound when no code that runs
 // between operand selection and instruction execution can write that
-// slot. The old predicate (`effectFree`: constants and depth-0 locals
-// only) was purely syntactic and — worse — was not applied at every
-// site that needed it: a call operand evaluated after an in-place slot
-// read could mutate the slot through a closure before the reading
-// instruction executed, diverging from the tree tier's left-to-right
-// value capture.
+// slot; otherwise the tree tier's left-to-right value capture needs a
+// snapshot move.
 //
-// This analysis answers the precise question instead: "can evaluating
-// node n write frame slot s of the proc being compiled?" A slot is
-// written either directly (a depth-0 ir.SetLocal inside n) or
-// transitively, by a call into guest code that reaches a closure
-// capturing this frame. The transitive channel exists at all only when
-// the body creates closures: a proc without ir.MakeClosure never
-// materializes a heap frame (Proc.NeedsFrame stays false), methods
-// enter with a nil static chain, and OpSetUp can only reach frames that
-// some closure captured — so for closure-free procs, calls cannot touch
-// the frame and in-place slot reads are unconditionally safe. That is
-// both sharper than `effectFree` (code-emitting-but-slot-pure operands
-// no longer force snapshot moves) and sound where `effectFree`'s use
-// was not (call operands in closure-creating procs now do).
+// The analysis answers: "can evaluating node n write frame slot s of
+// the proc being compiled?" A slot is written either directly (a
+// depth-0 ir.SetLocal inside n) or transitively, by a call into guest
+// code that reaches a closure capturing this frame. The transitive
+// channel exists only when the body creates closures: a proc without
+// ir.MakeClosure never materializes a heap frame (Proc.NeedsFrame stays
+// false), methods enter with a nil static chain, and OpSetUp can only
+// reach frames that some closure captured — so in closure-free procs
+// calls cannot touch the frame.
 
-import (
-	"selspec/internal/bits"
-	"selspec/internal/ir"
-)
+import "selspec/internal/ir"
 
-// effects holds the per-body analysis state, created once per compiled
-// proc. Facts are computed on demand and memoized per node.
+// effects holds the per-body analysis, created once per compiled proc
+// by one bottom-up pass over the body.
 type effects struct {
 	// hasClosures: the body contains an ir.MakeClosure, so its frame is
 	// heap-materialized and calls may transitively write any slot.
 	hasClosures bool
-	memo        map[ir.Node]*nodeFacts
+	// facts holds every node of the body whose subtree writes a slot
+	// or calls; a node absent from it has neither effect. It stays nil
+	// for an effect-free body.
+	facts map[ir.Node]nodeFacts
 }
 
 // nodeFacts summarizes one subtree's frame effects.
 type nodeFacts struct {
-	// writes is the set of depth-0 slots the subtree assigns directly
-	// (nil = none).
-	writes *bits.Set
+	// writes is the set of depth-0 slots below 64 the subtree assigns
+	// directly; wide says it assigns some slot from 64 up.
+	writes uint64
+	wide   bool
 	// calls: the subtree invokes guest code (send, static call, version
 	// select, closure call, or a `new` whose field initializers may call).
 	calls bool
 }
 
 func analyzeEffects(body ir.Node) *effects {
-	return &effects{
-		hasClosures: containsClosure(body),
-		memo:        map[ir.Node]*nodeFacts{},
+	e := &effects{}
+	e.visit(body)
+	return e
+}
+
+// visit computes n's facts from its children's, records them when
+// non-empty, and returns them.
+func (e *effects) visit(n ir.Node) nodeFacts {
+	var f nodeFacts
+	switch n := n.(type) {
+	case *ir.Const, *ir.Local, *ir.Global:
+		return f
+	case *ir.MakeClosure:
+		// Creating the closure runs nothing; its body's effects happen
+		// at call time, covered by the calls+hasClosures channel.
+		e.hasClosures = true
+		return f
+	case *ir.SetLocal:
+		if n.Depth == 0 {
+			if n.Slot < 64 {
+				f.writes = 1 << n.Slot
+			} else {
+				f.wide = true
+			}
+		}
+	case *ir.Send, *ir.StaticCall, *ir.VersionSelect, *ir.CallClosure, *ir.New:
+		// A `new` runs field-initializer thunks, which may invoke
+		// arbitrary guest code.
+		f.calls = true
 	}
+	// Unknown nodes have no visible children here and fail later in
+	// compile's default case (*CompileError).
+	ir.Children(n, func(c ir.Node) {
+		cf := e.visit(c)
+		f.writes |= cf.writes
+		f.wide = f.wide || cf.wide
+		f.calls = f.calls || cf.calls
+	})
+	if f != (nodeFacts{}) {
+		if e.facts == nil {
+			e.facts = map[ir.Node]nodeFacts{}
+		}
+		e.facts[n] = f
+	}
+	return f
 }
 
 // mayWriteSlot reports whether evaluating n can write frame slot s of
 // the current proc.
 func (e *effects) mayWriteSlot(n ir.Node, s int) bool {
-	f := e.facts(n)
+	f := e.facts[n]
 	if f.calls && e.hasClosures {
 		return true
 	}
-	return f.writes.Has(s)
+	if s < 64 {
+		return f.writes&(1<<s) != 0
+	}
+	return f.wide && writesSlot(n, s)
 }
 
-func (e *effects) facts(n ir.Node) *nodeFacts {
-	if f, ok := e.memo[n]; ok {
-		return f
-	}
-	f := &nodeFacts{}
-	e.memo[n] = f
-	switch n := n.(type) {
-	case *ir.SetLocal:
-		*f = *e.facts(n.X)
-		if n.Depth == 0 {
-			w := f.writes.Clone()
-			w.Add(n.Slot)
-			f.writes = w
-		}
-	case *ir.Send:
-		f.calls = true
-		e.mergeAll(f, n.Args)
-	case *ir.StaticCall:
-		f.calls = true
-		e.mergeAll(f, n.Args)
-	case *ir.VersionSelect:
-		f.calls = true
-		e.mergeAll(f, n.Args)
-	case *ir.CallClosure:
-		f.calls = true
-		e.merge(f, n.Fn)
-		e.mergeAll(f, n.Args)
-	case *ir.New:
-		// Field-initializer thunks run inside the construction and may
-		// invoke arbitrary guest code.
-		f.calls = true
-		e.mergeAll(f, n.Args)
-	case *ir.MakeClosure:
-		// Creating the closure runs nothing; its body's effects happen
-		// at call time, covered by the calls+hasClosures channel.
-	default:
-		walkChildren(n, func(c ir.Node) { e.merge(f, c) })
-	}
-	return f
-}
-
-func (e *effects) merge(f *nodeFacts, n ir.Node) {
-	cf := e.facts(n)
-	f.calls = f.calls || cf.calls
-	if !cf.writes.Empty() {
-		if f.writes == nil {
-			f.writes = cf.writes.Clone()
-		} else {
-			f.writes = bits.Union(f.writes, cf.writes)
-		}
-	}
-}
-
-func (e *effects) mergeAll(f *nodeFacts, ns []ir.Node) {
-	for _, n := range ns {
-		e.merge(f, n)
-	}
-}
-
-// containsClosure reports whether the body tree holds an
-// ir.MakeClosure. Nested closure bodies (MakeClosure.Fn.Body) are
-// separate compilation units and are not descended into: any chain of
-// captures that could reach this frame starts at a MakeClosure in this
-// body.
-func containsClosure(n ir.Node) bool {
-	if _, ok := n.(*ir.MakeClosure); ok {
+// writesSlot reports whether n's subtree assigns depth-0 slot s: the
+// exact answer for slots past nodeFacts' inline set.
+func writesSlot(n ir.Node, s int) bool {
+	if sl, ok := n.(*ir.SetLocal); ok && sl.Depth == 0 && sl.Slot == s {
 		return true
 	}
 	found := false
-	walkChildren(n, func(c ir.Node) {
-		found = found || containsClosure(c)
-	})
+	ir.Children(n, func(c ir.Node) { found = found || writesSlot(c, s) })
 	return found
-}
-
-// walkChildren calls fn on every direct child expression of n. It
-// covers every node type the bytecode compiler accepts; unknown nodes
-// have no visible children here and fail later in compile's default
-// case (*CompileError).
-func walkChildren(n ir.Node, fn func(ir.Node)) {
-	switch n := n.(type) {
-	case *ir.Const, *ir.Local, *ir.Global:
-	case *ir.SetLocal:
-		fn(n.X)
-	case *ir.SetGlobal:
-		fn(n.X)
-	case *ir.GetField:
-		fn(n.Obj)
-	case *ir.SetField:
-		fn(n.Obj)
-		fn(n.X)
-	case *ir.Seq:
-		for _, c := range n.Nodes {
-			fn(c)
-		}
-	case *ir.If:
-		fn(n.Cond)
-		fn(n.Then)
-		if n.Else != nil {
-			fn(n.Else)
-		}
-	case *ir.While:
-		fn(n.Cond)
-		fn(n.Body)
-	case *ir.Return:
-		if n.X != nil {
-			fn(n.X)
-		}
-	case *ir.New:
-		for _, a := range n.Args {
-			fn(a)
-		}
-	case *ir.MakeClosure:
-	case *ir.CallClosure:
-		fn(n.Fn)
-		for _, a := range n.Args {
-			fn(a)
-		}
-	case *ir.Send:
-		for _, a := range n.Args {
-			fn(a)
-		}
-	case *ir.StaticCall:
-		for _, a := range n.Args {
-			fn(a)
-		}
-	case *ir.VersionSelect:
-		for _, a := range n.Args {
-			fn(a)
-		}
-	case *ir.Bin:
-		fn(n.L)
-		fn(n.R)
-	case *ir.Un:
-		fn(n.X)
-	case *ir.PrimCall:
-		for _, a := range n.Args {
-			fn(a)
-		}
-	case *ir.And:
-		fn(n.L)
-		fn(n.R)
-	case *ir.Or:
-		fn(n.L)
-		fn(n.R)
-	}
 }

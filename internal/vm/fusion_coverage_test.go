@@ -52,6 +52,9 @@ func TestFusionCoverageNonDecreasing(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, err := vm.New(interp.New(c))
+			if err == nil {
+				err = m.Module().CompileAll()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

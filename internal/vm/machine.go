@@ -93,10 +93,12 @@ type vmReturn struct {
 	val interp.Value
 }
 
-// New compiles in's program to bytecode and wraps in in a Machine. An
-// error means the program uses a construct the bytecode compiler does
-// not support; the caller (driver) falls back to the tree tier. No
-// guest code runs here, so fallback has no observable side effects.
+// New wraps in in a Machine, compiling the global initializers to
+// bytecode; every other proc compiles when the run first reaches it
+// (Module.CompileAll compiles them all). An error means a global
+// initializer uses a construct the bytecode compiler does not support;
+// the caller (driver) falls back to the tree tier. No guest code runs
+// here, so fallback has no observable side effects.
 func New(in *interp.Interp) (*Machine, error) {
 	mod, err := newModule(in.C)
 	if err != nil {
@@ -326,10 +328,10 @@ func (m *Machine) runThunk(p *Proc) interp.Value {
 	return m.exec(p, make([]interp.Value, p.NumRegs), nil, nil, nil, -1)
 }
 
-// proc resolves the compiled proc for a method version, compiling
-// lazily for versions whose bodies the lazy configurations produce
-// mid-run. Raises the tree tier's "compile: ..." RuntimeError when lazy
-// body compilation fails.
+// proc resolves the compiled proc for a method version, compiling it on
+// first use (and, under the lazy configurations, building its optimized
+// body first). Raises the tree tier's "compile: ..." RuntimeError when
+// lazy body compilation fails.
 func (m *Machine) proc(v *ir.Version) *Proc {
 	if p, ok := m.mod.procs[v]; ok {
 		return p
@@ -339,23 +341,20 @@ func (m *Machine) proc(v *ir.Version) *Proc {
 	}
 	p, err := m.mod.version(v)
 	if err != nil {
-		// Unreachable for today's IR (the compiler covers every node
-		// type); surface as the tree tier's internal-error shape.
-		var ce *CompileError
-		if ok := asCompileError(err, &ce); ok {
-			vmFailAt(m.g.CallPos(), "internal error: unknown IR node %T", ce.Node)
-		}
-		vmFail("compile: %v", err)
+		m.compileFailed(err)
 	}
 	return p
 }
 
-func asCompileError(err error, out **CompileError) bool {
-	ce, ok := err.(*CompileError)
-	if ok {
-		*out = ce
+// compileFailed raises a bytecode compile failure met mid-run. It is
+// unreachable for today's IR (the compiler covers every node type, see
+// TestEveryNodeTypeCompiles); it surfaces as the tree tier's
+// internal-error shape.
+func (m *Machine) compileFailed(err error) {
+	if ce, ok := err.(*CompileError); ok {
+		vmFailAt(m.g.CallPos(), "internal error: unknown IR node %T", ce.Node)
 	}
-	return ok
+	vmFail("compile: %v", err)
 }
 
 // invoke runs one method version from the Run boundary: the VM
@@ -430,11 +429,7 @@ func (m *Machine) runEntered(p *Proc, args []interp.Value, up *interp.Frame, act
 func (m *Machine) closureProc(code *ir.ClosureCode) *Proc {
 	p, err := m.mod.closure(code)
 	if err != nil {
-		var ce *CompileError
-		if asCompileError(err, &ce) {
-			vmFailAt(m.g.CallPos(), "internal error: unknown IR node %T", ce.Node)
-		}
-		vmFail("compile: %v", err)
+		m.compileFailed(err)
 	}
 	return p
 }
@@ -1197,6 +1192,13 @@ func (m *Machine) newObject(st *execState, i *Instr) {
 		obj.Fields[f] = interp.NilV
 	}
 	copy(obj.Fields, st.regs[i.C:i.C+i.D])
+	if ref.inits == nil {
+		ps, err := m.mod.fieldInitsOf(cls)
+		if err != nil {
+			m.compileFailed(err)
+		}
+		ref.inits = ps
+	}
 	inits := ref.inits
 	for f := int(i.D); f < len(cls.Fields); f++ {
 		if f < len(inits) && inits[f] != nil {

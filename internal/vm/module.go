@@ -38,9 +38,9 @@ type ProcInfo struct {
 // independent of map iteration: global initializers, field initializers
 // (class declaration order), method versions (method then version
 // order), and each proc's closures in creation order (recursively).
-// Lazy configurations compile versions mid-run, so the snapshot grows
-// between calls; callers verifying a finished run see every proc that
-// ever executed.
+// Procs compile on first use (CompileAll compiles every one whose body
+// exists), so the snapshot grows between calls; callers verifying a
+// finished run see every proc that ever executed.
 func (mod *Module) Procs() []ProcInfo {
 	var out []ProcInfo
 	seen := map[*Proc]bool{}

@@ -43,7 +43,13 @@ var scaffold = map[vm.Op]bool{
 // user-level finding already shows on the general version, while the
 // extra static binding and inlining routinely orphan parameter-passing
 // moves that no user edit can address.
-func Diagnose(m *vm.Machine, file string) []check.Diagnostic {
+//
+// Diagnose compiles every proc whose body exists first
+// (Module.CompileAll) and returns a compile failure as is.
+func Diagnose(m *vm.Machine, file string) ([]check.Diagnostic, error) {
+	if err := m.Module().CompileAll(); err != nil {
+		return nil, err
+	}
 	var out []check.Diagnostic
 	for _, pi := range m.Module().Procs() {
 		if pi.Version != nil && !pi.Version.General {
@@ -51,7 +57,7 @@ func Diagnose(m *vm.Machine, file string) []check.Diagnostic {
 		}
 		out = append(out, diagnoseProc(pi, file)...)
 	}
-	return out
+	return out, nil
 }
 
 func diagnoseProc(pi vm.ProcInfo, file string) []check.Diagnostic {

@@ -25,7 +25,7 @@ method main() {
 }
 `
 	m := buildMachine(t, src, opt.Base)
-	ds := vmcheck.Diagnose(m, "u.mc")
+	ds := diagnose(t, m, "u.mc")
 	var hits []check.Diagnostic
 	for _, d := range ds {
 		if d.Check == check.CheckVMUnreachable {
@@ -58,7 +58,7 @@ method main() {
 }
 `
 	m := buildMachine(t, src, opt.Base)
-	ds := vmcheck.Diagnose(m, "d.mc")
+	ds := diagnose(t, m, "d.mc")
 	found := false
 	for _, d := range ds {
 		if d.Check == check.CheckVMDeadStore {
@@ -85,7 +85,7 @@ method main() {
 }
 `
 	m := buildMachine(t, src, opt.Base)
-	if ds := vmcheck.Diagnose(m, "c.mc"); len(ds) != 0 {
+	if ds := diagnose(t, m, "c.mc"); len(ds) != 0 {
 		t.Fatalf("clean program produced findings: %v", ds)
 	}
 }
@@ -138,12 +138,12 @@ method main() {
 }
 `
 	m := buildMachine(t, src, opt.Base)
-	a := vmcheck.Diagnose(m, "s.mc")
+	a := diagnose(t, m, "s.mc")
 	if len(a) == 0 {
 		t.Fatal("expected findings")
 	}
 	for i := 0; i < 5; i++ {
-		b := vmcheck.Diagnose(m, "s.mc")
+		b := diagnose(t, m, "s.mc")
 		if len(a) != len(b) {
 			t.Fatalf("run %d: %d findings vs %d", i, len(b), len(a))
 		}
@@ -164,9 +164,19 @@ method first(n@Int) { while n > 0 { return n; } 0; }
 method main() { first(3); }
 `
 	m := buildMachine(t, src, opt.Base)
-	for _, d := range vmcheck.Diagnose(m, "l.mc") {
+	for _, d := range diagnose(t, m, "l.mc") {
 		if d.Check == check.CheckVMUnreachable {
 			t.Errorf("unexpected finding: %+v", d)
 		}
 	}
+}
+
+// diagnose runs the bytecode diagnostics, failing t on a compile error.
+func diagnose(t *testing.T, m *vm.Machine, file string) []check.Diagnostic {
+	t.Helper()
+	ds, err := vmcheck.Diagnose(m, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }

@@ -63,6 +63,9 @@ func buildFuzzMachine(tb testing.TB) *vm.Machine {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if err := m.Module().CompileAll(); err != nil {
+		tb.Fatal(err)
+	}
 	return m
 }
 

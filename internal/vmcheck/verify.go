@@ -67,11 +67,15 @@ func procPos(pi vm.ProcInfo) lang.Pos {
 //   - dataflow: every register read is preceded by a write on every
 //     path from entry (frame slots count as written at entry)
 //
-// The first violation is returned as an *Error; nil means every proc
-// verified. Run it after compilation (eager configs) and again after a
-// run (lazy configs compile procs mid-run).
+// Verify first compiles every proc whose body exists (Module.CompileAll)
+// and returns a compile failure as is. The first violation is returned
+// as an *Error; nil means every proc verified. Run it before the run
+// and again after it (lazy configs build version bodies mid-run).
 func Verify(m *vm.Machine) error {
 	mod := m.Module()
+	if err := mod.CompileAll(); err != nil {
+		return err
+	}
 	numSites := len(mod.Compiled().Prog.Sites)
 	numGlobals := len(mod.Compiled().Prog.Globals)
 	for _, pi := range mod.Procs() {

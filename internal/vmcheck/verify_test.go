@@ -59,6 +59,9 @@ func buildMachine(t *testing.T, src string, cfg opt.Config) *vm.Machine {
 	if err != nil {
 		t.Fatalf("vm: %v", err)
 	}
+	if err := m.Module().CompileAll(); err != nil {
+		t.Fatalf("vm: %v", err)
+	}
 	return m
 }
 
