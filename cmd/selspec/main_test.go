@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,26 +17,44 @@ import (
 // stdout, and returns (stdout, err). Flags are reset between runs.
 func execMain(t *testing.T, args ...string) (string, error) {
 	t.Helper()
-	oldArgs, oldOut := os.Args, os.Stdout
+	stdout, _, err := execStreams(t, args...)
+	return stdout, err
+}
+
+// execStreams is execMain capturing stderr too. Each stream drains in
+// its own goroutine, so output larger than a pipe buffer cannot block
+// the run.
+func execStreams(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	oldArgs, oldOut, oldErr := os.Args, os.Stdout, os.Stderr
 	oldFlags := flag.CommandLine
 	defer func() {
-		os.Args, os.Stdout = oldArgs, oldOut
+		os.Args, os.Stdout, os.Stderr = oldArgs, oldOut, oldErr
 		flag.CommandLine = oldFlags
 	}()
 	flag.CommandLine = flag.NewFlagSet("selspec", flag.ContinueOnError)
 
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	capture := func(dst **os.File) (*os.File, <-chan string) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		*dst = w
+		ch := make(chan string, 1)
+		go func() {
+			data, _ := io.ReadAll(r)
+			r.Close()
+			ch <- string(data)
+		}()
+		return w, ch
 	}
-	os.Stdout = w
+	wOut, outCh := capture(&os.Stdout)
+	wErr, errCh := capture(&os.Stderr)
 	os.Args = append([]string{"selspec"}, args...)
-	runErr := run()
-	w.Close()
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
-	r.Close()
-	return string(buf[:n]), runErr
+	err = run()
+	wOut.Close()
+	wErr.Close()
+	return <-outCh, <-errCh, err
 }
 
 func writeProg(t *testing.T, src string) string {
