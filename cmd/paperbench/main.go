@@ -61,7 +61,7 @@ func run() error {
 		depth     = flag.Int("depthlimit", 0, "per-cell call-depth limit (0 = interpreter default, negative = unlimited)")
 		timeout   = flag.Duration("timeout", 0, "per-cell wall-clock budget, e.g. 30s (0 = none)")
 		trace     = flag.Bool("trace", false, "print per-stage span summaries (count, failures, wall time) to stderr at exit")
-		engineFl  = flag.String("engine", "", "execution engine: vm (default), tree, or both; vm falls back to tree per cell on unsupported constructs; both measures the two tiers interleaved (requires -json) and writes -out plus -baseline-out")
+		engineFl  = flag.String("engine", "", "execution engine: vm (default), tree (the reference interpreter), or both; both measures the two tiers interleaved (requires -json) and writes -out plus -baseline-out")
 		baseOut   = flag.String("baseline-out", "BENCH_baseline.json", "output path for the tree-tier trajectory in -engine both mode")
 		reps      = flag.Int("reps", 1, "repeat each cell's measured run N times, keeping the fastest wall (counters are deterministic and identical across reps)")
 		verify    = flag.Bool("verify", false, "run the bytecode verifier over every cell's compiled module (outside the measured window)")
@@ -196,12 +196,6 @@ func run() error {
 			return err
 		}
 		fmt.Printf("wrote %s and %s (suite wall %s)\n", *baseOut, *outPath, suiteWall.Round(time.Millisecond))
-		// Surface silent vm→tree fallbacks: a pair run that quietly
-		// measured the tree tier twice would make the comparison
-		// meaningless, so the count goes to stderr even when zero.
-		fbU := hoVM.Metrics.Counter("selspec_vm_fallback_total", obs.Label{Key: "reason", Value: "unsupported-node"}).Value()
-		fbI := hoVM.Metrics.Counter("selspec_vm_fallback_total", obs.Label{Key: "reason", Value: "internal"}).Value()
-		fmt.Fprintf(os.Stderr, "paperbench: vm fallbacks: %d unsupported-node, %d internal\n", fbU, fbI)
 		if treeSuite.Failed() || vmSuite.Failed() {
 			treeSuite.FailureSummary(os.Stderr)
 			vmSuite.FailureSummary(os.Stderr)

@@ -38,12 +38,10 @@ import (
 	"selspec/internal/check"
 	"selspec/internal/driver"
 	"selspec/internal/interp"
-	"selspec/internal/ir"
 	"selspec/internal/obs"
 	"selspec/internal/opt"
 	"selspec/internal/pipeline"
 	"selspec/internal/profdb"
-	"selspec/internal/profile"
 	"selspec/internal/programs"
 	"selspec/internal/specialize"
 	"selspec/internal/vm"
@@ -78,7 +76,7 @@ func run() error {
 		benchName  = flag.String("bench", "", "run an embedded benchmark ("+strings.Join(programs.Names(), ", ")+") instead of a file")
 		threshold  = flag.Int64("threshold", specialize.DefaultThreshold, "specialization threshold (arc invocations)")
 		mechName   = flag.String("dispatch", "PIC", "dispatch mechanism: "+strings.Join(interp.MechanismNames(), ", "))
-		engineName = flag.String("engine", "", "execution engine: "+strings.Join(driver.EngineNames(), ", ")+" (default vm, falling back to tree on unsupported constructs)")
+		engineName = flag.String("engine", "", "execution engine: "+strings.Join(driver.EngineNames(), ", ")+" (default vm; tree is the reference interpreter)")
 		stats      = flag.Bool("stats", false, "print dispatch and code-space statistics")
 		writeProf  = flag.String("profile", "", "run under Base with instrumentation and write the call-graph profile to this file")
 		useProf    = flag.String("use-profile", "", "read a previously written profile instead of running a training pass (Selective)")
@@ -156,14 +154,10 @@ func run() error {
 
 	// Profile-writing mode: an instrumented Base run on the training input.
 	if *writeProf != "" {
-		c, _, err := p.Build(driver.BuildOptions{Opt: opt.Options{Config: opt.Base}})
-		if err != nil {
-			return err
-		}
-		cg := profile.NewCallGraph(p.Prog)
 		ro := guards
-		ro.Overrides, ro.Profile = train, cg
-		if _, err := driver.Execute(c, ro); err != nil {
+		ro.Overrides = train
+		cg, err := p.Profile(ro)
+		if err != nil {
 			return err
 		}
 		data, err := cg.MarshalJSON()
@@ -200,81 +194,26 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "specialized %d methods (+%d versions, max %d, avg %.2f)\n",
 			spec.MethodsSpecialized, spec.AddedSpecs, spec.MaxPerMethod, spec.AvgPerMethod)
 	}
-	in := interp.New(c)
-	in.Out = os.Stdout
-	in.Mech = mech
-	in.StepLimit = *stepLimit
-	in.DepthLimit = *depthLimit
-	runCtx := ctx
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	in.Ctx = runCtx
+	ro := guards
+	ro.Overrides, ro.Out, ro.Label = test, os.Stdout, label
+	ro.Mechanism, ro.Engine, ro.Verify = mech, engine, *verify
 	if *traceDisp {
-		in.Trace = os.Stderr
+		ro.Trace = os.Stderr
 	}
-
-	// Benchmarks run on their measurement input.
-	if test != nil {
-		for name, val := range test {
-			idx, ok := p.Prog.GlobalIdx[name]
-			if !ok {
-				return fmt.Errorf("benchmark override %q not found", name)
-			}
-			c.GlobalInits[idx] = &ir.Const{Kind: ir.KInt, Int: val}
-		}
+	res, err := driver.Execute(c, ro)
+	if err != nil {
+		return err
 	}
-
-	// Engine selection mirrors driver.Execute: the bytecode compiler
-	// runs no guest code, so falling back to the tree tier on an
-	// unsupported construct is side-effect free. Under -verify the
-	// module is compiled and checked even when the tree tier will run.
-	var mach *vm.Machine
-	if engine == driver.EngineVM || *verify {
-		var merr error
-		if mach, merr = vm.New(in); merr == nil && *verify {
-			merr = mach.Module().CompileAll()
-		}
-		if merr != nil {
-			engine = driver.EngineTree
-			mach = nil
-		}
-	}
-	if *verify && mach != nil {
-		if err := pipeline.VerifyMachine(label, cfg.String(), mach); err != nil {
-			return err
-		}
-	}
-	var val interp.Value
-	var rerr error
-	if engine == driver.EngineVM {
-		val, rerr = pipeline.RunVM(label, cfg.String(), mach)
-	} else {
-		val, rerr = pipeline.RunInterp(label, cfg.String(), in)
-	}
-	if rerr != nil {
-		return rerr
-	}
-	// Lazy configurations compile procs during the run; re-verify so
-	// every specialized version that materialized is covered.
-	if *verify && engine == driver.EngineVM {
-		if err := pipeline.VerifyMachine(label, cfg.String(), mach); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("=> %s\n", val)
+	fmt.Printf("=> %s\n", res.Value)
 
 	if *stats {
-		ct := in.Counters
-		st := c.Stats()
+		ct, st := res.Counters, res.Stats
 		fmt.Fprintf(os.Stderr, "dispatches=%d (PIC hits=%d misses=%d) version-selects=%d static-calls=%d\n",
 			ct.Dispatches, ct.PICHits, ct.PICMisses, ct.VersionSelects, ct.StaticCalls)
 		fmt.Fprintf(os.Stderr, "cycles=%d method-entries=%d closure-calls=%d\n",
 			ct.Cycles, ct.MethodEntries, ct.ClosureCalls)
 		fmt.Fprintf(os.Stderr, "versions=%d (invoked %d) ir-nodes=%d inlined=%d static-bound=%d\n",
-			st.Versions, in.InvokedVersions(), st.IRNodes, st.InlinedCalls, st.StaticBound)
+			st.Versions, res.Invoked, st.IRNodes, st.InlinedCalls, st.StaticBound)
 	}
 	return nil
 }
@@ -386,14 +325,12 @@ func runCheck(args []string) error {
 }
 
 // bytecodeDiagnostics compiles one unit under Base and runs the
-// vm-level checks over the resulting module. Units the bytecode
-// compiler declines (tree-only constructs) are skipped, as is any
-// compilation failure on a unit the source-level analyses already
-// flagged; a failure on a unit they called clean is an internal error.
+// vm-level checks over the resulting module. A compilation failure on a
+// unit the source-level analyses already flagged is skipped; a failure
+// on a unit they called clean is an internal error.
 func bytecodeDiagnostics(label, src string, hasSourceFindings bool) ([]check.Diagnostic, error) {
 	skip := func(err error) ([]check.Diagnostic, error) {
-		var ce *vm.CompileError
-		if errors.As(err, &ce) || hasSourceFindings {
+		if hasSourceFindings {
 			return nil, nil
 		}
 		return nil, err

@@ -24,7 +24,6 @@ import (
 	"selspec/internal/interp"
 	"selspec/internal/opt"
 	"selspec/internal/profdb"
-	"selspec/internal/profile"
 	"selspec/internal/programs"
 	"selspec/internal/specialize"
 )
@@ -38,12 +37,8 @@ func main() {
 
 	// 1. An instrumented Base run on the training input, persisted to
 	// disk.
-	base, _, err := p.Build(driver.BuildOptions{Opt: opt.Options{Config: opt.Base}})
+	cg, err := p.Profile(driver.RunOptions{Overrides: b.Train})
 	if err != nil {
-		log.Fatal(err)
-	}
-	cg := profile.NewCallGraph(p.Prog)
-	if _, err := driver.Execute(base, driver.RunOptions{Overrides: b.Train, Profile: cg}); err != nil {
 		log.Fatal(err)
 	}
 	profPath := filepath.Join(os.TempDir(), "richards-profile.json")
@@ -72,6 +67,10 @@ func main() {
 		specialize.DefaultThreshold, directives.Describe(p.Prog.H))
 
 	// 3. Measure Base and Selective on the test input.
+	base, _, err := p.Build(driver.BuildOptions{Opt: opt.Options{Config: opt.Base}})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, c := range []*opt.Compiled{base, sel} {
 		res, err := driver.Execute(c, driver.RunOptions{
 			Overrides:     b.Test,

@@ -37,7 +37,7 @@ type Result struct {
 	Cycles         uint64 // abstract cost model ("execution speed")
 	Steps          uint64 // interpreter steps charged (engine-independent)
 	Wall           time.Duration
-	Engine         driver.Engine // tier that actually ran (after any fallback)
+	Engine         driver.Engine // tier that ran
 
 	StaticVersions  int // routines a static compile produces (Fig 6 left)
 	InvokedVersions int // routines invoked at run time (Fig 6 right)
@@ -83,9 +83,8 @@ type Options struct {
 	// for the JSON trajectory's metrics block.
 	Metrics *obs.Registry
 	// Engine selects the execution tier for every cell (default
-	// driver.EngineVM with automatic per-cell fallback to the tree
-	// interpreter on unsupported constructs). The tier that actually ran
-	// is recorded per Result, so a fallback is visible in the trajectory.
+	// driver.EngineVM; driver.EngineTree is the reference interpreter).
+	// The tier that ran is recorded per Result, and perfgate checks it.
 	Engine driver.Engine
 	// Reps re-executes each cell's measured run this many times and
 	// keeps the fastest wall clock (<=1 means once). Execution is

@@ -17,7 +17,7 @@ import (
 type JSONResult struct {
 	Benchmark         string  `json:"benchmark"`
 	Config            string  `json:"config"`
-	Engine            string  `json:"engine"` // tier that actually ran this cell
+	Engine            string  `json:"engine"` // tier that ran this cell
 	WallNS            int64   `json:"wall_ns"`
 	Steps             uint64  `json:"steps"`
 	StepsPerSec       float64 `json:"steps_per_sec"`
@@ -78,7 +78,7 @@ func (s *Suite) WriteJSON(w io.Writer, suiteWall time.Duration, quick bool, reps
 		Workers:     runtime.GOMAXPROCS(0),
 		Quick:       quick,
 		Reps:        reps,
-		Failures:    append([]Failure{}, s.Failures...),    // non-null even when empty
+		Failures:    append([]Failure{}, s.Failures...),   // non-null even when empty
 		Metrics:     append([]JSONMetric{}, s.Metrics...), // likewise
 	}
 	for _, name := range s.Names {

@@ -118,7 +118,8 @@ method main() { var p := new P(); println(g1); println(g2); println(g3); println
 
 // TestTopLevelInitializersAllConfigs: top-level initializers compile
 // and run under every configuration on both engines, printing what the
-// tree interpreter prints at Base.
+// tree interpreter prints at Base. Streamed to RunOptions.Out, the
+// measured run's output is the same bytes CaptureOutput returns.
 func TestTopLevelInitializersAllConfigs(t *testing.T) {
 	const want = "true\ntrue\nno\n30\n4\ntrue\ntrue\n7\n"
 	p := MustLoad(topLevelProgram)
@@ -133,6 +134,17 @@ func TestTopLevelInitializersAllConfigs(t *testing.T) {
 			}
 			if res.Output != want || res.Value != "0" {
 				t.Errorf("%v/%v: value %q output %q, want 0 and %q", cfg, eng, res.Value, res.Output, want)
+			}
+			var out strings.Builder
+			streamed, err := p.RunConfig(ConfigOptions{
+				Opt: opt.Options{Config: cfg},
+				Run: RunOptions{Out: &out, Engine: eng},
+			})
+			if err != nil {
+				t.Fatalf("%v/%v streamed: %v", cfg, eng, err)
+			}
+			if out.String() != res.Output || streamed.Output != "" {
+				t.Errorf("%v/%v: Out received %q and Result.Output %q, want %q and empty", cfg, eng, out.String(), streamed.Output, res.Output)
 			}
 		}
 	}

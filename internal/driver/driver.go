@@ -7,8 +7,8 @@ package driver
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -67,6 +67,14 @@ type RunOptions struct {
 	Overrides map[string]int64
 	// CaptureOutput buffers print/println output into Result.Output.
 	CaptureOutput bool
+	// Out, when CaptureOutput is off, receives print/println output as
+	// the program runs (nil discards it).
+	Out io.Writer
+	// Trace, when non-nil, receives one line per dynamic dispatch.
+	Trace io.Writer
+	// Label names the compilation unit in the run's and the verifier's
+	// stage errors (benchmark name, file path, ...).
+	Label string
 	// Profile, when non-nil, records the weighted call graph.
 	Profile *profile.CallGraph
 	// Mechanism selects the dispatch mechanism (default PIC).
@@ -95,18 +103,16 @@ type RunOptions struct {
 	// NewInstruments) and takes precedence over Metrics, keeping the
 	// registry mutex entirely off the per-request path.
 	Instruments *Instruments
-	// Engine selects the execution tier (default EngineVM, with
-	// automatic fallback to the tree interpreter when the bytecode
-	// compiler does not support a construct).
+	// Engine selects the execution tier (default EngineVM). A bytecode
+	// compile failure is an internal error, not a switch to the tree
+	// tier.
 	Engine Engine
 	// Verify compiles every proc whose body exists and runs the
 	// bytecode verifier (internal/vmcheck) over them before execution,
 	// and — for the VM engine — again after the run so the versions
-	// built lazily are covered too. A verifier
-	// finding aborts the run with a positioned *pipeline.StageError.
-	// When the tree engine is selected the bytecode module is still
-	// compiled and verified (skipped only if the compiler declines the
-	// program entirely).
+	// built lazily are covered too. A verifier finding aborts the run
+	// with a positioned *pipeline.StageError. When the tree engine is
+	// selected the bytecode module is still compiled and verified.
 	Verify bool
 }
 
@@ -120,26 +126,6 @@ type RunOptions struct {
 type Instruments struct {
 	Interp *interp.Metrics
 	Lookup *hier.LookupMetrics
-	// FallbackUnsupported/FallbackInternal count silent vm→tree engine
-	// fallbacks by reason (series of selspec_vm_fallback_total): the
-	// bytecode compiler declining a construct vs. any other failure to
-	// build the machine. Without these the fallback is invisible — a
-	// benchmark could quietly measure the tree tier.
-	FallbackUnsupported *obs.Counter
-	FallbackInternal    *obs.Counter
-}
-
-// NoteVMFallback records one vm→tree fallback, classified by cause.
-func (ins *Instruments) NoteVMFallback(err error) {
-	if ins == nil {
-		return
-	}
-	var ce *vm.CompileError
-	if errors.As(err, &ce) {
-		ins.FallbackUnsupported.Inc()
-	} else {
-		ins.FallbackInternal.Inc()
-	}
 }
 
 // NewInstruments registers (idempotently) the interpreter and
@@ -150,17 +136,15 @@ func NewInstruments(r *obs.Registry) *Instruments {
 		return nil
 	}
 	return &Instruments{
-		Interp:              interp.NewMetrics(r),
-		Lookup:              hier.NewLookupMetrics(r),
-		FallbackUnsupported: r.Counter("selspec_vm_fallback_total", obs.Label{Key: "reason", Value: "unsupported-node"}),
-		FallbackInternal:    r.Counter("selspec_vm_fallback_total", obs.Label{Key: "reason", Value: "internal"}),
+		Interp: interp.NewMetrics(r),
+		Lookup: hier.NewLookupMetrics(r),
 	}
 }
 
 // Result reports one execution.
 type Result struct {
 	Config   opt.Config
-	Engine   Engine // tier that actually ran (after any fallback)
+	Engine   Engine // tier that ran
 	Value    string
 	Output   string
 	Counters interp.Counters
@@ -179,9 +163,11 @@ type Result struct {
 func Execute(c *opt.Compiled, ro RunOptions) (*Result, error) {
 	in := interp.New(c)
 	var buf bytes.Buffer
+	in.Out = ro.Out
 	if ro.CaptureOutput {
 		in.Out = &buf
 	}
+	in.Trace = ro.Trace
 	in.Mech = ro.Mechanism
 	in.Profile = ro.Profile
 	in.StepLimit = ro.StepLimit
@@ -220,41 +206,30 @@ func Execute(c *opt.Compiled, ro RunOptions) (*Result, error) {
 		defer restoreGlobals(c, saved)
 	}
 
-	engine := ro.Engine
+	cfg := c.Opts.Config.String()
 	var mach *vm.Machine
-	if engine == EngineVM || ro.Verify {
-		var merr error
-		// Under Verify every proc compiles before the run, so an
-		// unsupported construct anywhere falls back here.
-		if mach, merr = vm.New(in); merr == nil && ro.Verify {
-			merr = mach.Module().CompileAll()
+	if ro.Engine == EngineVM || ro.Verify {
+		var err error
+		if mach, err = vm.New(in); err == nil && ro.Verify {
+			err = mach.Module().CompileAll()
 		}
-		if merr != nil {
-			// Unsupported construct: fall back to the tree tier. No
-			// guest code has run, so the fallback is side-effect free —
-			// but counted, so a benchmark can never quietly measure the
-			// wrong tier. Under Verify with the tree engine selected
-			// there is simply nothing compiled to verify.
-			if engine == EngineVM {
-				ins.NoteVMFallback(merr)
-				engine = EngineTree
-			}
-			mach = nil
+		if err != nil {
+			return nil, err
 		}
 	}
-	if ro.Verify && mach != nil {
-		if verr := pipeline.VerifyMachine("", c.Opts.Config.String(), mach); verr != nil {
-			return nil, verr
+	if ro.Verify {
+		if err := pipeline.VerifyMachine(ro.Label, cfg, mach); err != nil {
+			return nil, err
 		}
 	}
 
 	start := time.Now()
 	var val interp.Value
 	var err error
-	if engine == EngineVM {
-		val, err = pipeline.RunVM("", c.Opts.Config.String(), mach)
+	if ro.Engine == EngineVM {
+		val, err = pipeline.RunVM(ro.Label, cfg, mach)
 	} else {
-		val, err = pipeline.RunInterp("", c.Opts.Config.String(), in)
+		val, err = pipeline.RunInterp(ro.Label, cfg, in)
 	}
 	wall := time.Since(start)
 	if err != nil {
@@ -262,14 +237,14 @@ func Execute(c *opt.Compiled, ro RunOptions) (*Result, error) {
 	}
 	// Lazy configurations compile procs mid-run; re-verify so every
 	// specialized version that executed has been checked.
-	if ro.Verify && engine == EngineVM {
-		if verr := pipeline.VerifyMachine("", c.Opts.Config.String(), mach); verr != nil {
-			return nil, verr
+	if ro.Verify && ro.Engine == EngineVM {
+		if err := pipeline.VerifyMachine(ro.Label, cfg, mach); err != nil {
+			return nil, err
 		}
 	}
 	return &Result{
 		Config:   c.Opts.Config,
-		Engine:   engine,
+		Engine:   ro.Engine,
 		Value:    val.String(),
 		Output:   buf.String(),
 		Counters: in.Counters,
@@ -332,7 +307,7 @@ func (p *Pipeline) Build(bo BuildOptions) (*opt.Compiled, *specialize.Stats, err
 		cg := bo.Profile
 		if cg == nil {
 			var err error
-			if cg, err = p.collectProfile(bo.Train); err != nil {
+			if cg, err = p.Profile(bo.Train); err != nil {
 				return nil, nil, fmt.Errorf("training run: %w", err)
 			}
 		}
@@ -349,13 +324,15 @@ func (p *Pipeline) Build(bo BuildOptions) (*opt.Compiled, *specialize.Stats, err
 	return c, stats, nil
 }
 
-// collectProfile compiles the program under Base and runs it with
-// instrumentation on the training input, returning the weighted call
-// graph (the paper gathers profiles the same way: an instrumented run of
-// the unspecialized system, §3.7.2). The training compile is lazy: a
-// Base body does not depend on compile order, so building only the
-// bodies the run reaches records the same profile as an eager compile.
-func (p *Pipeline) collectProfile(ro RunOptions) (*profile.CallGraph, error) {
+// Profile compiles the program under Base and runs it with
+// instrumentation as ro describes (its overrides select the training
+// input), returning the weighted call graph recorded in ro.Profile or,
+// when that is nil, in a new one. The paper gathers profiles the same
+// way: an instrumented run of the unspecialized system (§3.7.2). The
+// training compile is lazy: a Base body does not depend on compile
+// order, so building only the bodies the run reaches records the same
+// profile as an eager compile.
+func (p *Pipeline) Profile(ro RunOptions) (*profile.CallGraph, error) {
 	c, err := pipeline.Compile(p.Label, p.Prog, opt.Options{Config: opt.Base, Lazy: true})
 	if err != nil {
 		return nil, err
@@ -425,7 +402,8 @@ type ConfigOptions struct {
 	Train map[string]int64
 	Test  map[string]int64
 	// Run is the guards, engine and capture settings of both runs. The
-	// training run always dispatches through PICs.
+	// training run always dispatches through PICs, and Out and Trace
+	// see only the measured run.
 	Run RunOptions
 }
 
@@ -436,6 +414,7 @@ func (p *Pipeline) RunConfig(co ConfigOptions) (*Result, error) {
 	train := co.Run
 	train.Overrides = co.Train
 	train.Mechanism = interp.MechPIC
+	train.Out, train.Trace = nil, nil
 	c, _, err := p.Build(BuildOptions{Opt: co.Opt, Spec: co.Spec, Train: train})
 	if err != nil {
 		return nil, err

@@ -220,6 +220,9 @@ func TestSharedInstrumentsAccumulate(t *testing.T) {
 	}
 }
 
+// TestMechanismsAgree: every dispatch mechanism computes the same
+// value, and on each mechanism the two engines write the same dispatch
+// trace (PIC traces every lookup and hit; the others trace nothing).
 func TestMechanismsAgree(t *testing.T) {
 	p := MustLoad(setProgram)
 	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.Base})
@@ -228,13 +231,21 @@ func TestMechanismsAgree(t *testing.T) {
 	}
 	var vals []string
 	for _, mech := range []interp.Mechanism{interp.MechPIC, interp.MechGlobal, interp.MechTables} {
-		res, err := Execute(c, RunOptions{Mechanism: mech, StepLimit: 50_000_000})
-		if err != nil {
-			t.Fatalf("%v: %v", mech, err)
+		var traces [2]strings.Builder
+		for i, eng := range []Engine{EngineVM, EngineTree} {
+			res, err := Execute(c, RunOptions{Mechanism: mech, Engine: eng, Trace: &traces[i], StepLimit: 50_000_000})
+			if err != nil {
+				t.Fatalf("%v/%v: %v", mech, eng, err)
+			}
+			vals = append(vals, res.Value)
 		}
-		vals = append(vals, res.Value)
+		if (mech == interp.MechPIC) != (traces[0].Len() > 0) || traces[0].String() != traces[1].String() {
+			t.Errorf("%v: dispatch traces of vm (%d bytes) and tree (%d bytes) differ or are missing", mech, traces[0].Len(), traces[1].Len())
+		}
 	}
-	if vals[0] != vals[1] || vals[1] != vals[2] {
-		t.Fatalf("mechanisms disagree: %v", vals)
+	for _, v := range vals[1:] {
+		if v != vals[0] {
+			t.Fatalf("mechanisms or engines disagree: %v", vals)
+		}
 	}
 }

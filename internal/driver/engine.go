@@ -9,9 +9,9 @@ import (
 // default: it executes compiled register code at a multiple of the tree
 // tier's speed while producing byte-identical output, errors and
 // dispatch counters (the differential suites enforce this). The tree
-// interpreter remains available as the differential-testing oracle and
-// as the automatic fallback when the bytecode compiler meets a
-// construct it does not support.
+// interpreter is the reference tier: the differential-testing oracle
+// and the target of "-engine tree". A run never switches tiers; a
+// bytecode compile failure is an internal error.
 type Engine int
 
 // Execution engines. The zero value is EngineVM so RunOptions defaults

@@ -1,10 +1,12 @@
 package driver
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"selspec/internal/opt"
+	"selspec/internal/pipeline"
 	"selspec/internal/specialize"
 )
 
@@ -127,9 +129,40 @@ func TestExecuteRuntimeErrorSurfaced(t *testing.T) {
 	}
 }
 
+// TestExecuteStageErrorsNameLabel: a contained fault in the verifier or
+// in either engine's run reports RunOptions.Label as its unit.
+func TestExecuteStageErrorsNameLabel(t *testing.T) {
+	const label = "unit.mc"
+	p := MustLoad(`method main() { 1; }`)
+	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.Base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		stage pipeline.Stage
+		ro    RunOptions
+	}{
+		{pipeline.StageVerify, RunOptions{Label: label, Verify: true}},
+		{pipeline.StageVerify, RunOptions{Label: label, Verify: true, Engine: EngineTree}},
+		{pipeline.StageInterp, RunOptions{Label: label}},
+		{pipeline.StageInterp, RunOptions{Label: label, Engine: EngineTree}},
+	}
+	for _, tc := range cases {
+		disarm := pipeline.ArmFaults(pipeline.NewInjector(1, pipeline.FaultRule{
+			Stage: tc.stage, Program: label, Action: pipeline.FaultPanic,
+		}))
+		_, err := Execute(c, tc.ro)
+		disarm()
+		var se *pipeline.StageError
+		if !errors.As(err, &se) || se.Stage != tc.stage || se.Program != label {
+			t.Errorf("%s fault on %v: err = %v, want a %s StageError naming %s", tc.stage, tc.ro.Engine, err, tc.stage, label)
+		}
+	}
+}
+
 func TestCollectProfileOnErroringProgram(t *testing.T) {
 	p := MustLoad(`method main() { abort("nope"); }`)
-	if _, err := p.collectProfile(RunOptions{}); err == nil {
+	if _, err := p.Profile(RunOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -21,9 +21,9 @@ import (
 func FuzzInterp(f *testing.F) {
 	for _, s := range []string{
 		"method main() { 1; }",
-		"method main() { while true { 1; } }",                        // step guard
-		"method f(n) { f(n + 1); }\nmethod main() { f(0); }",         // depth guard
-		"method main() { 1 / 0; }",                                   // runtime error
+		"method main() { while true { 1; } }",                            // step guard
+		"method f(n) { f(n + 1); }\nmethod main() { f(0); }",             // depth guard
+		"method main() { 1 / 0; }",                                       // runtime error
 		"class A\nmethod main() { var keep := new A(); missing(keep); }", // MNU
 		"method main() { var f := fn(x) { x(x); }; f(f); }",
 		"method main() { [1, 2][5]; }",

@@ -194,9 +194,9 @@ func (in *Interp) charge(c uint64) { in.Counters.Cycles += c }
 
 // step, enter and leave delegate to the shared Guard (guard.go) so the
 // tree tier and the bytecode VM enforce byte-identical limits.
-func (in *Interp) step()             { in.g.Step() }
+func (in *Interp) step()              { in.g.Step() }
 func (in *Interp) enter(pos lang.Pos) { in.g.Enter(pos) }
-func (in *Interp) leave()            { in.g.Leave() }
+func (in *Interp) leave()             { in.g.Leave() }
 
 // Guard exposes the interpreter's resource guard. The bytecode VM runs
 // against the same instance, so both tiers share one step budget, one

@@ -32,7 +32,7 @@ func seedSources(f *testing.F) []string {
 		"global g := 41;\nmethod main() { g := g + 1; g; }",
 		"class P { x: int, y: int }\nmethod main() { (new P(1, 2)).x; }",
 		"method main() { [1, 2, 3]; }",
-		"method main() { 1 + }",     // parse error
+		"method main() { 1 + }",  // parse error
 		"method main() { \"open", // unterminated string
 		"\x00\xff\xfe",
 		strings.Repeat("(", 600), // beyond the nesting guard

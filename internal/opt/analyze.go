@@ -143,10 +143,13 @@ func (c *Compiled) EnsureBody(v *ir.Version) error {
 	body = a.eliminateDead(body)
 	ret := join(a.retJoin, bodyInfo)
 	ret.closure = nil
+	size := ir.Size(body)
 	c.mu.Lock()
 	if v.Body == nil { // another goroutine may have raced us; first wins
 		v.NumSlots = f.size
 		v.Body = body
+		c.compiledBodies++
+		c.irNodes += size
 	}
 	if c.Opts.ReturnTypeAnalysis {
 		c.retInfo[v] = ret

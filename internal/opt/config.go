@@ -157,6 +157,10 @@ type Compiled struct {
 
 	mu       sync.Mutex
 	versions map[*hier.Method]*methodVersions
+	// compiledBodies and irNodes count the version bodies built so far
+	// and their total ir.Size, added under mu where EnsureBody installs
+	// a body.
+	compiledBodies, irNodes int
 
 	// globalInfos[i] is the class info of global i: derived from the
 	// initializer for never-assigned globals (sound because reading an
@@ -581,6 +585,8 @@ func (c *Compiled) Stats() Stats {
 	defer c.mu.Unlock()
 	s := Stats{
 		Config:         c.Opts.Config,
+		CompiledBodies: c.compiledBodies,
+		IRNodes:        c.irNodes,
 		InlinedCalls:   int(c.inlinedCalls.Load()),
 		StaticBound:    int(c.staticBound.Load()),
 		VersionSelects: int(c.versionSelects.Load()),
@@ -592,12 +598,6 @@ func (c *Compiled) Stats() Stats {
 		s.Versions += len(mv.list)
 		if len(mv.list) > 1 {
 			s.SpecializedMeth++
-		}
-		for _, v := range mv.list {
-			if v.Body != nil {
-				s.CompiledBodies++
-				s.IRNodes += ir.Size(v.Body)
-			}
 		}
 	}
 	return s

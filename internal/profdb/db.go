@@ -189,18 +189,18 @@ type DB struct {
 	dir string
 	cfg Config
 
-	mu       sync.Mutex
-	state    string
-	failErr  error // the fault that moved state to failed
-	wal      *os.File
-	walSize  int64
-	walRecs  int
-	seq      uint64
-	progs    map[string]*programAgg
-	openErr  error // recovery failure (OpenAsync)
+	mu        sync.Mutex
+	state     string
+	failErr   error // the fault that moved state to failed
+	wal       *os.File
+	walSize   int64
+	walRecs   int
+	seq       uint64
+	progs     map[string]*programAgg
+	openErr   error // recovery failure (OpenAsync)
 	recovered chan struct{}
 
-	mIngests, mRejects, mWALBytes       *obs.Counter
+	mIngests, mRejects, mWALBytes         *obs.Counter
 	mCompactions, mRecoveries, mTruncated *obs.Counter
 }
 

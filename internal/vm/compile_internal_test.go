@@ -1,11 +1,9 @@
 package vm
 
 // White-box compiler tests: superinstruction selection, disassembly,
-// and the unsupported-construct error path that drives the driver's
-// tree-tier fallback.
+// and the unknown-node error path.
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -126,15 +124,13 @@ method main() { pos(new P(1)); }
 	t.Fatal("proc for pos not found")
 }
 
-// TestCompileErrorUnsupported pins the fallback contract: an IR shape
-// the compiler does not know produces a *CompileError (which the driver
-// turns into a silent tree-tier fallback), never a panic.
+// TestCompileErrorUnsupported: an IR shape the compiler does not know
+// is reported as an error naming the node type, never a panic.
 func TestCompileErrorUnsupported(t *testing.T) {
 	mod := compileModule(t, "method main() { 1; }", opt.Base)
 	_, err := mod.compile("bad", KindMethod, nil, 0)
-	var ce *CompileError
-	if !errors.As(err, &ce) {
-		t.Fatalf("compiling an unknown node: got %v, want *CompileError", err)
+	if err == nil || !strings.Contains(err.Error(), "unknown IR node <nil>") {
+		t.Fatalf("compiling an unknown node: got %v, want an unknown-node error", err)
 	}
 }
 

@@ -74,7 +74,7 @@ func (e *effects) visit(n ir.Node) nodeFacts {
 		f.calls = true
 	}
 	// Unknown nodes have no visible children here and fail later in
-	// compile's default case (*CompileError).
+	// compile's default case (an internal error).
 	ir.Children(n, func(c ir.Node) {
 		cf := e.visit(c)
 		f.writes |= cf.writes

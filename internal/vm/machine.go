@@ -96,9 +96,8 @@ type vmReturn struct {
 // New wraps in in a Machine, compiling the global initializers to
 // bytecode; every other proc compiles when the run first reaches it
 // (Module.CompileAll compiles them all). An error means a global
-// initializer uses a construct the bytecode compiler does not support;
-// the caller (driver) falls back to the tree tier. No guest code runs
-// here, so fallback has no observable side effects.
+// initializer holds an IR node the bytecode compiler does not know, an
+// internal error (TestEveryNodeTypeCompiles covers every node type).
 func New(in *interp.Interp) (*Machine, error) {
 	mod, err := newModule(in.C)
 	if err != nil {
@@ -346,15 +345,11 @@ func (m *Machine) proc(v *ir.Version) *Proc {
 	return p
 }
 
-// compileFailed raises a bytecode compile failure met mid-run. It is
-// unreachable for today's IR (the compiler covers every node type, see
-// TestEveryNodeTypeCompiles); it surfaces as the tree tier's
-// internal-error shape.
+// compileFailed raises a bytecode compile failure met mid-run in the
+// tree tier's internal-error shape. It is unreachable for today's IR
+// (the compiler covers every node type, see TestEveryNodeTypeCompiles).
 func (m *Machine) compileFailed(err error) {
-	if ce, ok := err.(*CompileError); ok {
-		vmFailAt(m.g.CallPos(), "internal error: unknown IR node %T", ce.Node)
-	}
-	vmFail("compile: %v", err)
+	vmFailAt(m.g.CallPos(), "%v", err)
 }
 
 // invoke runs one method version from the Run boundary: the VM

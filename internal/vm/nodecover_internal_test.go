@@ -37,9 +37,9 @@ func irNodeTypes(t *testing.T) []string {
 // each shape the compiler tells apart, as method, closure and
 // initializer bodies. None may fail: version bodies and field
 // initializers compile on first use in the middle of a run, so a
-// *CompileError there could only surface as a run-time internal error
-// (Machine.compileFailed) instead of a fallback to the tree tier before
-// the run. The sample set must name every type implementing ir.Node.
+// failure there could only surface as a run-time internal error
+// (Machine.compileFailed). The sample set must name every type
+// implementing ir.Node.
 func TestEveryNodeTypeCompiles(t *testing.T) {
 	mod := compileModule(t, `
 class P { field n : Int := 0; }

@@ -14,9 +14,9 @@ import (
 )
 
 // runBoth executes src under both engines with the given guards and
-// returns (treeValue, treeErr, vmValue, vmErr). A vm-tier fallback to
-// tree (unsupported construct) fails the test: everything here must
-// actually execute as bytecode.
+// returns (treeValue, treeErr, vmValue, vmErr). A run reporting the
+// wrong engine fails the test: everything here must actually execute
+// as bytecode.
 func runBoth(t *testing.T, src string, step uint64, depth int) (string, error, string, error) {
 	t.Helper()
 	run := func(eng driver.Engine) (string, error) {
