@@ -94,6 +94,23 @@ method main() {
 }
 `
 
+// sendMonoSrc sends area(x) from one site to one receiver class, so
+// every send hits the front entry of its inline cache: the path most
+// sends of the paper programs take.
+const sendMonoSrc = `
+class Shape { } class Sq isa Shape { } class Ci isa Shape { }
+method area(x@Sq) { 4; }
+method area(x@Ci) { 3; }
+method main() {
+  var xs := newarray(1);
+  aput(xs, 0, new Sq());
+  var s := 0;
+  var i := 0;
+  while i < 6000 { s := s + area(aget(xs, 0)); i := i + 1; }
+  s;
+}
+`
+
 // benchRun measures repeated VM runs of src under cfg on one machine,
 // after a first run has filled its caches, and reports the guest steps
 // and sends of one run.
@@ -144,6 +161,10 @@ func BenchmarkVMDispatchLoop(b *testing.B) { benchRun(b, dispatchLoopSrc, opt.CH
 // BenchmarkSendPoly3 is the run cost of a 3-class polymorphic send and
 // return (the flattened call sequence).
 func BenchmarkSendPoly3(b *testing.B) { benchRun(b, sendPoly3Src, opt.Base) }
+
+// BenchmarkSendMono is the run cost of a monomorphic send and return
+// (the front-entry inline-cache hit).
+func BenchmarkSendMono(b *testing.B) { benchRun(b, sendMonoSrc, opt.Base) }
 
 // BenchmarkCompileGen200 is the full bytecode compile of a 200-class
 // generated program under CHA: vm.New plus CompileAll over every
