@@ -6,6 +6,9 @@
 package dispatch
 
 import (
+	"cmp"
+	"slices"
+
 	"selspec/internal/hier"
 	"selspec/internal/ir"
 	"selspec/internal/obs"
@@ -23,9 +26,23 @@ type Target struct {
 // no longer added.
 const DefaultPICSize = 8
 
-type picEntry struct {
-	classes []*hier.Class
-	target  Target
+// Entry is one PIC entry: an argument class tuple and the target it
+// dispatches to. One- and two-argument tuples, the dominant send
+// arities, are held inline so an engine can compare them without a
+// tuple slice; wider (and empty) tuples keep a slice behind a pointer,
+// which holds an entry at 64 bytes, a size the move-to-front shifts
+// with inline moves rather than a runtime copy loop.
+type Entry struct {
+	Target
+
+	// Payload belongs to the engine that probes the cache: the bytecode
+	// VM keeps the entry's compiled proc here, resolved on its first hit
+	// through the entry. The tree tier leaves it nil.
+	Payload any
+
+	c0, c1 *hier.Class    // the tuple when n is 1 or 2 (c1 nil for n == 1)
+	n      int32          // 1 or 2; 0 means the tuple is wide
+	wide   *[]*hier.Class // the tuple when n is 0
 }
 
 // PICMetrics is the observability hook of a PIC: shared counters
@@ -56,8 +73,9 @@ func NewPICMetrics(r *obs.Registry) PICMetrics {
 // list mapping actual argument class tuples to dispatch targets. The
 // key covers every argument position because specialized versions may
 // constrain positions the generic function itself does not dispatch on.
+// The zero PIC is an empty cache of DefaultPICSize entries.
 type PIC struct {
-	entries []picEntry
+	entries []Entry
 	max     int
 
 	Hits   uint64
@@ -77,71 +95,85 @@ func NewPIC(max int) *PIC {
 	return &PIC{max: max}
 }
 
-// match compares an entry's class tuple against the actuals. The
-// common arities are unrolled so a monomorphic site costs one (or two)
-// pointer compares instead of a counted loop.
-func (e *picEntry) match(classes []*hier.Class) bool {
-	k := e.classes
-	if len(k) != len(classes) {
-		return false
-	}
-	switch len(k) {
+// Is reports whether e caches the one- or two-argument tuple of arity n
+// whose classes are c0 and c1 (c1 is ignored when n is 1). Wide entries
+// never match here.
+func (e *Entry) Is(c0, c1 *hier.Class, n int32) bool {
+	return e.n == n && e.c0 == c0 && (n == 1 || e.c1 == c1)
+}
+
+// match compares an entry's class tuple against the actuals.
+func (e *Entry) match(classes []*hier.Class) bool {
+	switch len(classes) {
 	case 1:
-		return k[0] == classes[0]
+		return e.Is(classes[0], nil, 1)
 	case 2:
-		return k[0] == classes[0] && k[1] == classes[1]
-	case 3:
-		return k[0] == classes[0] && k[1] == classes[1] && k[2] == classes[2]
-	default:
-		for j, c := range k {
-			if c != classes[j] {
-				return false
-			}
-		}
-		return true
+		return e.Is(classes[0], classes[1], 2)
 	}
+	return e.n == 0 && slices.Equal(*e.wide, classes)
+}
+
+// Classes returns a copy of the entry's class tuple.
+func (e *Entry) Classes() []*hier.Class {
+	if e.n == 0 {
+		return slices.Clone(*e.wide)
+	}
+	return []*hier.Class{e.c0, e.c1}[:e.n]
 }
 
 // Lookup searches the cache for the class tuple. Hits behind the front
 // entry move to the front (preserving the relative order of the rest),
 // so a site's hottest tuple is always the first — monomorphic and
-// phase-stable sites pay a single arity-specialized compare.
+// phase-stable sites pay a single compare.
 func (p *PIC) Lookup(classes []*hier.Class) (Target, bool) {
 	if len(p.entries) > 0 && p.entries[0].match(classes) {
-		p.Hits++
-		p.M.Hits.Inc()
-		return p.entries[0].target, true
+		p.HitFront()
+		return p.entries[0].Target, true
 	}
 	for i := 1; i < len(p.entries); i++ {
 		if p.entries[i].match(classes) {
-			p.PromoteAt(i)
-			return p.entries[0].target, true
+			p.promote(i)
+			return p.entries[0].Target, true
 		}
 	}
-	p.Misses++
-	p.M.Misses.Inc()
+	p.NoteMiss()
 	return Target{}, false
 }
 
-// Entry exposes the i'th cache entry (tuple and target) for engines
-// that mirror the cache's hottest entries into faster structures; ok
-// is false past the live entries. The returned tuple slice is owned by
-// the PIC and must not be mutated.
-func (p *PIC) Entry(i int) ([]*hier.Class, Target, bool) {
-	if i < 0 || i >= len(p.entries) {
-		return nil, Target{}, false
+// Front returns the front entry, the one Lookup compares first, or nil
+// when the cache is empty. An engine that matches it itself counts the
+// hit with HitFront.
+func (p *PIC) Front() *Entry {
+	if len(p.entries) == 0 {
+		return nil
 	}
-	return p.entries[i].classes, p.entries[i].target, true
+	return &p.entries[0]
 }
 
-// PromoteAt replays the bookkeeping of a Lookup that matched entry i
-// (i >= 1) — hit counters, promotion counter, and the move-to-front
-// that preserves the relative order of the entries it displaces — for
-// an engine-side cache that matched a mirrored entry itself. The caller
-// guarantees the cache currently has more than i entries and that entry
-// i is the matched one, so PIC state stays identical to a run that took
-// Lookup.
-func (p *PIC) PromoteAt(i int) {
+// HitFront counts a hit on the front entry.
+func (p *PIC) HitFront() {
+	p.Hits++
+	p.M.Hits.Inc()
+}
+
+// Promote is Lookup behind the front entry for a one- or two-argument
+// tuple (see Entry.Is), for an engine that has already compared the
+// front entry itself: a match moves to the front, is counted as a hit
+// and a promotion, and is returned. A miss returns nil and counts
+// nothing; the caller's full dispatch counts it.
+func (p *PIC) Promote(c0, c1 *hier.Class, n int32) *Entry {
+	for i := 1; i < len(p.entries); i++ {
+		if p.entries[i].Is(c0, c1, n) {
+			p.promote(i)
+			return &p.entries[0]
+		}
+	}
+	return nil
+}
+
+// promote moves entry i (i >= 1) to the front, preserving the relative
+// order of the entries it displaces, and counts the hit and promotion.
+func (p *PIC) promote(i int) {
 	// Element moves, not copy: a promotion shifts at most a few entries,
 	// and copy would be a runtime.typedslicecopy call on every hit
 	// behind the front.
@@ -150,8 +182,7 @@ func (p *PIC) PromoteAt(i int) {
 		p.entries[k] = p.entries[k-1]
 	}
 	p.entries[0] = e
-	p.Hits++
-	p.M.Hits.Inc()
+	p.HitFront()
 	p.M.Promotions.Inc()
 }
 
@@ -166,26 +197,30 @@ func (p *PIC) NoteMiss() {
 
 // Add inserts an entry unless the cache is megamorphic (full).
 func (p *PIC) Add(classes []*hier.Class, t Target) {
-	if len(p.entries) >= p.max {
+	if p.Megamorphic() {
 		return
 	}
-	cp := make([]*hier.Class, len(classes))
-	copy(cp, classes)
-	p.entries = append(p.entries, picEntry{classes: cp, target: t})
+	e := Entry{Target: t, n: int32(len(classes))}
+	switch e.n {
+	case 2:
+		e.c1 = classes[1]
+		fallthrough
+	case 1:
+		e.c0 = classes[0]
+	default:
+		wide := slices.Clone(classes)
+		e.n, e.wide = 0, &wide
+	}
+	p.entries = append(p.entries, e)
 }
 
 // Len returns the number of cached entries.
 func (p *PIC) Len() int { return len(p.entries) }
 
 // Megamorphic reports whether the cache has hit its entry bound.
-func (p *PIC) Megamorphic() bool { return len(p.entries) >= p.max }
+func (p *PIC) Megamorphic() bool { return len(p.entries) >= cmp.Or(p.max, DefaultPICSize) }
 
-// Entries returns the cached targets (for profile-style inspection: the
-// paper gathers its call graph from PIC counters, §3.7.2).
-func (p *PIC) Entries() []Target {
-	out := make([]Target, len(p.entries))
-	for i, e := range p.entries {
-		out[i] = e.target
-	}
-	return out
-}
+// Entries returns a copy of the cached entries, front first (for
+// profile-style inspection: the paper gathers its call graph from PIC
+// counters, §3.7.2).
+func (p *PIC) Entries() []Entry { return slices.Clone(p.entries) }

@@ -74,9 +74,6 @@ func (c *Class) FieldIndex(name string) int {
 // IsSubclassOf reports whether c ⊑ d (reflexive).
 func (c *Class) IsSubclassOf(d *Class) bool { return c.ancestors.Has(d.ID) }
 
-// Ancestors returns the set of ancestor class IDs including c itself.
-func (c *Class) Ancestors() *bits.Set { return c.ancestors }
-
 // Cone returns the set of class IDs of c and all its descendants.
 // Valid only after Hierarchy.Freeze.
 func (c *Class) Cone() *bits.Set {

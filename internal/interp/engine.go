@@ -10,10 +10,14 @@ import (
 // VM (internal/vm) executes compiled register code but runs every
 // observable event — dispatch, version selection, profiling, counter
 // and cycle accounting, primitive evaluation — through the Interp it
-// wraps, via the exported entry points below. That is what makes the
-// tree interpreter usable as a differential-testing oracle: both tiers
-// share one implementation of everything that is counted, so metric
-// blocks are byte-comparable across engines by construction.
+// wraps, via the exported entry points below. Send sites have one
+// inline cache, the Interp's per-site dispatch.PIC (SitePICs): the VM
+// probes it in place and charges its hits through ChargePICHit, so
+// entry order and PIC counters are the same structure on both tiers.
+// That is what makes the tree interpreter usable as a differential-
+// testing oracle: both tiers share one implementation of everything
+// that is counted, so metric blocks are byte-comparable across engines
+// by construction.
 
 // ClassesOf computes the runtime classes of a value slice into buf
 // (reusing its storage), for engines that keep a scratch buffer across
@@ -38,47 +42,20 @@ func (in *Interp) SelectVersionClasses(site *ir.CallSite, m *hier.Method, classe
 	return v
 }
 
-// NotePICHit charges a send resolved by an engine-side monomorphic
-// inline cache, replaying exactly the front-entry PIC-hit path of
-// DispatchSendClasses — including the site PIC's own hit counters, so
-// the PIC state and every metric stay identical to a run that took the
-// generic path. The caller guarantees the cached tuple is the PIC's
-// front entry (the cache is filled only after a PIC hit, when the
-// looked-up tuple has just moved to or confirmed the front), so no
-// promotion is skipped.
-func (in *Interp) NotePICHit(site *ir.CallSite, mth *hier.Method, v *ir.Version) {
+// ChargePICHit charges a send that an engine resolved from its site's
+// PIC itself — matching an entry and counting the hit on the PIC
+// (PIC.HitFront, PIC.Promote) — with exactly the rest of the accounting
+// of DispatchSendClasses' PIC-hit path.
+func (in *Interp) ChargePICHit(site *ir.CallSite, t dispatch.Target) {
 	in.Counters.Dispatches++
-	pic := in.pics[site.ID]
-	pic.Hits++
-	pic.M.Hits.Inc()
-	in.Counters.PICHits++
-	in.charge(CostPICHit)
-	in.record(site, mth)
-	if in.Trace != nil {
-		in.trace("pic-hit", site, v)
-	}
+	in.picHit(site, t)
 }
 
-// NotePICHitAt charges a send resolved by an engine cache's way i
-// (i >= 1), replaying Lookup's behind-the-front hit exactly: hit and
-// promotion counters plus the PIC's own move-to-front, so the PIC ends
-// in the same state the tree tier's lookup would leave it in. The
-// engine guarantees its way i mirrors the PIC's entry i.
-func (in *Interp) NotePICHitAt(site *ir.CallSite, mth *hier.Method, v *ir.Version, i int) {
-	in.Counters.Dispatches++
-	in.pics[site.ID].PromoteAt(i)
-	in.Counters.PICHits++
-	in.charge(CostPICHit)
-	in.record(site, mth)
-	if in.Trace != nil {
-		in.trace("pic-hit", site, v)
-	}
-}
-
-// SitePIC returns a call site's polymorphic inline cache — nil until
-// the site's first dispatch under MechPIC creates it. Engines use it
-// to mirror the cache's front entries after a generic dispatch.
-func (in *Interp) SitePIC(id int) *dispatch.PIC { return in.pics[id] }
+// SitePICs returns the per-site polymorphic inline caches, indexed by
+// call-site ID. Both tiers read and write the same caches: the tree
+// tier through DispatchSendClasses, the VM by probing them in place.
+// A site's cache stays empty until its first dispatch under MechPIC.
+func (in *Interp) SitePICs() []dispatch.PIC { return in.pics }
 
 // NoteVersionSelect charges a version-select site whose selection an
 // engine-side cache resolved: the counter/charge/record/trace sequence
@@ -102,21 +79,13 @@ func (in *Interp) NoteStaticCall(site *ir.CallSite, target *ir.Version) {
 	in.record(site, target.Method)
 }
 
-// NoteInvoke charges a method-version entry: the profile entry record,
-// the invoked-version set, the entry counter, the cycle cost and one
-// step — the exact sequence the tree tier runs after a version's body
-// has been resolved, in the same order relative to any guard trip.
-func (in *Interp) NoteInvoke(v *ir.Version, args []Value) {
-	if !in.invoked[v] {
-		in.invoked[v] = true
-	}
-	in.NoteInvokeKnown(v, args)
-}
-
-// NoteInvokeKnown is NoteInvoke minus the invoked-set insertion, for an
-// engine that tracks set membership itself: the VM keeps a noted bit on
-// each compiled proc and calls MarkInvoked exactly once, removing a map
-// access from every later entry through that proc.
+// NoteInvokeKnown charges a method-version entry — the profile entry
+// record, the entry counter, the cycle cost and one step — the exact
+// sequence the tree tier runs after a version's body has been resolved,
+// in the same order relative to any guard trip. It leaves out the
+// invoked-set insertion: the VM keeps a noted bit on each compiled proc
+// and calls MarkInvoked exactly once, removing a map access from every
+// later entry through that proc.
 func (in *Interp) NoteInvokeKnown(v *ir.Version, args []Value) {
 	if in.Profile != nil && len(args) > 0 {
 		in.Profile.RecordEntry(v.Method, in.classesOf(args, make([]*hier.Class, 0, len(args))))
@@ -157,12 +126,6 @@ func EvalBin(op ir.BinOp, l, r Value) Value { return evalBin(op, l, r) }
 func (in *Interp) CheckFieldType(cls *hier.Class, idx int, v Value) {
 	in.checkFieldType(cls, idx, v)
 }
-
-// Charge adds to the abstract cycle counter. The VM uses this for the
-// node costs it executes natively (control flow, field access, object
-// construction); everything dispatch-related is charged inside the
-// shared seams above.
-func (in *Interp) Charge(c uint64) { in.charge(c) }
 
 // FlushObs flushes the run-scoped observability totals (send/static/
 // step counters) into the attached Metrics, as the tree tier does when

@@ -152,8 +152,8 @@ type Interp struct {
 	g            Guard // step/depth/cancellation limits, shared with the VM tier
 	returning    bool  // a returnSignal unwind is in flight (see runBody)
 
-	pics     []*dispatch.PIC // per call-site ID
-	memos    []sendMemo      // per call-site ID; nil until the site's PIC is full
+	pics     []dispatch.PIC // per call-site ID, probed in place by the VM
+	memos    []sendMemo     // per call-site ID; nil until the site's PIC is full
 	mmTables map[*hier.GF]*dispatch.MMTable
 
 	invoked map[*ir.Version]bool
@@ -165,7 +165,7 @@ func New(c *opt.Compiled) *Interp {
 		C:        c,
 		H:        c.Prog.H,
 		Mech:     MechPIC,
-		pics:     make([]*dispatch.PIC, len(c.Prog.Sites)),
+		pics:     make([]dispatch.PIC, len(c.Prog.Sites)),
 		memos:    make([]sendMemo, len(c.Prog.Sites)),
 		mmTables: map[*hier.GF]*dispatch.MMTable{},
 		invoked:  map[*ir.Version]bool{},
@@ -215,8 +215,7 @@ func (in *Interp) Run() (v Value, err error) {
 				err = re
 				return
 			}
-			if rs, ok := r.(returnSignal); ok {
-				_ = rs
+			if _, ok := r.(returnSignal); ok {
 				in.returning = false
 				err = &RuntimeError{Msg: "return from a method activation that already exited"}
 				return
@@ -333,13 +332,9 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 
 	switch in.Mech {
 	case MechPIC:
-		pic := in.pics[site.ID]
-		if pic == nil {
-			pic = dispatch.NewPIC(0)
-			if in.Obs != nil {
-				pic.M = in.Obs.PIC
-			}
-			in.pics[site.ID] = pic
+		pic := &in.pics[site.ID]
+		if pic.Len() == 0 && in.Obs != nil {
+			pic.M = in.Obs.PIC // the site's first dispatch
 		}
 		memo := in.memos[site.ID]
 		if memo != nil {
@@ -357,12 +352,7 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 			}
 		}
 		if t, ok := pic.Lookup(classes); ok {
-			in.Counters.PICHits++
-			in.charge(CostPICHit)
-			in.record(site, t.Method)
-			if in.Trace != nil {
-				in.trace("pic-hit", site, t.Version)
-			}
+			in.picHit(site, t)
 			return t.Version
 		}
 		in.Counters.PICMisses++
@@ -406,6 +396,17 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 		return in.C.SelectVersion(m, classes)
 	}
 	panic("interp: unknown mechanism")
+}
+
+// picHit charges a send resolved by a hit in its site's PIC, apart from
+// the PIC's own counters and the Dispatches counter.
+func (in *Interp) picHit(site *ir.CallSite, t dispatch.Target) {
+	in.Counters.PICHits++
+	in.charge(CostPICHit)
+	in.record(site, t.Method)
+	if in.Trace != nil {
+		in.trace("pic-hit", site, t.Version)
+	}
 }
 
 // sendMemo holds the targets of tuples that missed one send site's full

@@ -24,6 +24,13 @@ type MethodBody struct {
 	// the method (killing its pass-through status and its class-set
 	// stability for analysis).
 	AssignedFormals []bool
+
+	// Size is Size(Code) and HasReturn reports a Return node anywhere in
+	// Code, both recorded once at lowering: the optimizer clones source
+	// bodies but never changes them, and reads these per inlining
+	// candidate.
+	Size      int
+	HasReturn bool
 }
 
 // Program is the lowered program: the hierarchy plus IR for every
@@ -192,7 +199,15 @@ func lowerMethod(p *Program, m *hier.Method) (*MethodBody, error) {
 	for i := range assigned {
 		assigned[i] = lw.assignedFormals[i]
 	}
-	return &MethodBody{Method: m, NumSlots: f.numSlots, Code: code, Sites: lw.sites, AssignedFormals: assigned}, nil
+	hasReturn := false
+	Walk(code, func(n Node) bool {
+		if _, ok := n.(*Return); ok {
+			hasReturn = true
+		}
+		return !hasReturn
+	})
+	return &MethodBody{Method: m, NumSlots: f.numSlots, Code: code, Sites: lw.sites,
+		AssignedFormals: assigned, Size: Size(code), HasReturn: hasReturn}, nil
 }
 
 func (lw *lowerer) curFrame() *frame { return lw.frames[len(lw.frames)-1] }

@@ -1166,7 +1166,7 @@ func (a *analyzer) canInline(m *hier.Method) bool {
 		return false
 	}
 	src := a.c.Prog.Bodies[m]
-	if src == nil || ir.Size(src.Code) > a.c.Opts.inlineThreshold() {
+	if src == nil || src.HasReturn || src.Size > a.c.Opts.inlineThreshold() {
 		return false
 	}
 	for _, active := range a.inlineStack {
@@ -1174,18 +1174,7 @@ func (a *analyzer) canInline(m *hier.Method) bool {
 			return false
 		}
 	}
-	if a.version != nil && a.version.Method == m {
-		return false
-	}
-	hasReturn := false
-	ir.Walk(src.Code, func(n ir.Node) bool {
-		if _, ok := n.(*ir.Return); ok {
-			hasReturn = true
-			return false
-		}
-		return true
-	})
-	return !hasReturn
+	return a.version == nil || a.version.Method != m
 }
 
 // inlineMethod splices the source body of m into the current frame,

@@ -35,26 +35,21 @@ type Machine struct {
 	clsBuf    []*hier.Class // scratch for dispatch class tuples
 	returning bool          // a vmReturn unwind is in flight
 
-	// ic is the per-call-site inline-cache slot array, indexed directly
-	// by the site ID baked into each OpSend/OpVSelect instruction: a
-	// dispatch whose version matches the slot jumps straight to the
-	// precompiled proc, skipping the version→proc map. The slot is
-	// filled at cache-fill time (the first dispatch to that version),
-	// which is also when version-table selection ran — per the issue's
-	// "version-table selection happens at cache-fill time, not per
-	// send": a PIC hit re-uses both the selected version and its proc.
-	//
-	// Send and version-select caches are separate arrays even though
-	// both are keyed by site ID: a VersionSelect reuses the CallSite of
+	// pics are the wrapped Interp's per-site PICs, indexed by the site
+	// ID baked into each OpSend: the one inline cache of a send site,
+	// shared with the tree tier. Each entry's Payload holds its resolved
+	// proc, so a hit jumps straight to precompiled code. Under the global
+	// and table mechanisms they stay empty, and every send takes the full
+	// dispatch.
+	pics []dispatch.PIC
+
+	// icSel is the version-select cache, a free-standing MRU per site.
+	// It is not kept in the PICs: a VersionSelect reuses the CallSite of
 	// the send it was devirtualized from, so under configs that
 	// specialize (CHA/Selective) the same ID can be a dynamic send in
-	// one compiled version and a static version-select in another. Send
-	// ways must mirror the site's PIC exactly (NotePICHitAt replays the
-	// PIC promotion by index); version-select ways are a free-standing
-	// MRU cache. Sharing one array lets vselect plant ways the PIC
-	// never had, driving PromoteAt out of bounds — or worse, resolving
-	// a dynamic send to the statically-selected version.
-	ic    []icEntry
+	// one compiled version and a static version-select in another, and
+	// a shared structure would resolve a dynamic send to the statically
+	// selected version.
 	icSel []icEntry
 
 	// One-entry closure-proc cache: loops overwhelmingly re-invoke the
@@ -98,6 +93,8 @@ type vmReturn struct {
 // (Module.CompileAll compiles them all). An error means a global
 // initializer holds an IR node the bytecode compiler does not know, an
 // internal error (TestEveryNodeTypeCompiles covers every node type).
+// Run in with one Machine only: its PIC entries keep that Machine's
+// procs.
 func New(in *interp.Interp) (*Machine, error) {
 	mod, err := newModule(in.C)
 	if err != nil {
@@ -108,48 +105,36 @@ func New(in *interp.Interp) (*Machine, error) {
 		g:     in.Guard(),
 		mod:   mod,
 		stack: make([]interp.Value, 4096),
-		ic:    make([]icEntry, len(in.C.Prog.Sites)),
+		pics:  in.SitePICs(),
 		icSel: make([]icEntry, len(in.C.Prog.Sites)),
 	}, nil
 }
 
-// icWay is one way of an inline-cache slot: a class tuple (up to two
-// positions, covering the dominant send arities) with the version it
-// dispatches to and that version's compiled proc (resolved lazily for
-// mirrored entries that have not been invoked through this way yet).
+// icWay is one way of a version-select cache slot: a class tuple (up
+// to two positions, covering the dominant call arities) with the
+// version it selects and that version's compiled proc.
 type icWay struct {
-	v   *ir.Version
-	p   *Proc
-	mth *hier.Method
-	c0  *hier.Class
-	c1  *hier.Class
-	n   int32
+	v  *ir.Version
+	p  *Proc
+	c0 *hier.Class
+	c1 *hier.Class
+	n  int32
 }
 
-// icWays is the number of ways per inline-cache slot: enough to keep a
-// site cycling among a few receiver classes (the InstSched pattern)
-// inside the cache, small enough that a full miss scan stays cheap.
+// icWays is the number of ways per version-select cache slot.
 const icWays = 4
 
-// icEntry is one multi-way inline-cache slot, indexed by site ID. A hit
-// is a compare-and-jump: pointer-compare the argument classes against a
-// way, charge the hit accounting through the shared seams, and enter
-// the precompiled body — no class-tuple buffer, no PIC probe, no
-// version-table lookup.
-//
-// For send sites the ways mirror the underlying PIC's first icWays
-// entries exactly (refreshed after every generic dispatch), and a
-// behind-the-front hit replays the PIC's order-preserving move-to-front
-// promotion through NotePICHitAt plus the identical shift on the mirror
-// — so the PIC's hit/miss/promotion counters and internal order stay
-// byte-identical to a tree run. Version-select sites have no PIC state;
-// their ways are a plain MRU set.
+// icEntry is one multi-way version-select cache slot, indexed by site
+// ID. A hit is a compare-and-jump: pointer-compare the argument classes
+// against a way, charge the selection through the shared seam, and
+// enter the precompiled body. Selection is a deterministic table lookup
+// with no engine-visible state, so the ways are a plain MRU set.
 type icEntry struct {
 	w [icWays]icWay
 }
 
 // argClasses returns the classes of an argument window's first two
-// values (nil past its end): the positions an inline-cache way keys on.
+// values (nil past its end): the positions an inline-cache entry keys on.
 func argClasses(args []interp.Value, h *hier.Hierarchy) (c0, c1 *hier.Class) {
 	if len(args) > 0 {
 		c0 = args[0].Class(h)
@@ -162,8 +147,7 @@ func argClasses(args []interp.Value, h *hier.Hierarchy) (c0, c1 *hier.Class) {
 
 // wayMatch reports whether the way caches exactly the argument classes
 // c0, c1 of an n-argument call. Empty ways have n == 0 and never match
-// (sends and selects through the cache always have at least the
-// receiver argument).
+// (version selects always have at least one argument).
 func (w *icWay) wayMatch(c0, c1 *hier.Class, n int32) bool {
 	return w.n == n && w.v != nil && c0 == w.c0 && (n == 1 || c1 == w.c1)
 }
@@ -188,60 +172,6 @@ func (ic *icEntry) toFront(wi int) {
 		ic.w[k] = ic.w[k-1]
 	}
 	ic.w[0] = w
-}
-
-// mirrorWay fills w from a PIC entry, or clears it when the entry is
-// absent or its tuple is too wide for the inline compare.
-func mirrorWay(w *icWay, classes []*hier.Class, t dispatch.Target, ok bool, v *ir.Version, cp *Proc) {
-	if !ok || len(classes) < 1 || len(classes) > 2 {
-		*w = icWay{}
-		return
-	}
-	w.n = int32(len(classes))
-	w.c0 = classes[0]
-	if w.n == 2 {
-		w.c1 = classes[1]
-	} else {
-		w.c1 = nil
-	}
-	w.v, w.mth = t.Version, t.Method
-	if t.Version == v {
-		w.p = cp
-	} else {
-		w.p = nil // resolved on first hit through this way
-	}
-}
-
-// refreshSendIC re-mirrors a send site's inline cache from its PIC
-// after a generic dispatch (v, cp = the dispatch result, for proc
-// reuse). Under the global or table mechanisms there is no PIC and the
-// cache stays empty — every dispatch keeps its full lookup accounting.
-func (m *Machine) refreshSendIC(ic *icEntry, site *ir.CallSite, v *ir.Version, cp *Proc) {
-	pic := m.in.SitePIC(site.ID)
-	if pic == nil {
-		return
-	}
-	prev := *ic
-	for i := range ic.w {
-		c, t, ok := pic.Entry(i)
-		w := &ic.w[i]
-		mirrorWay(w, c, t, ok, v, cp)
-		// A version the cache held before keeps its resolved proc, so
-		// a refresh does not send its next hit back to the proc map.
-		if w.p == nil && w.v != nil {
-			w.p = prev.procOf(w.v)
-		}
-	}
-}
-
-// procOf returns the proc a way has resolved for version v, or nil.
-func (ic *icEntry) procOf(v *ir.Version) *Proc {
-	for k := range ic.w {
-		if w := &ic.w[k]; w.v == v && w.p != nil {
-			return w.p
-		}
-	}
-	return nil
 }
 
 // Interp returns the wrapped interpreter (counters, profile, metrics).
@@ -739,20 +669,26 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			case OpSend:
 				args := st.regs[i.C : i.C+i.D]
 				site := st.p.Sites[i.B]
-				ic := &m.ic[site.ID]
+				pic := &m.pics[site.ID]
 				c0, c1 := argClasses(args, m.in.H)
-				if w := &ic.w[0]; w.wayMatch(c0, c1, i.D) {
-					v, cp = w.v, w.p
-					m.in.NotePICHit(site, w.mth, v)
-					m.g.Enter(site.Pos)
-					if cp == nil {
-						cp = m.proc(v)
-						w.p = cp
-					}
-					// The way mirrors the PIC front entry: a front hit
-					// leaves PIC state untouched, so the mirror stays exact.
+				e := pic.Front()
+				if e != nil && e.Is(c0, c1, i.D) {
+					pic.HitFront()
 				} else {
-					v, cp = m.sendSlow(ic, site, args, c0, c1)
+					e = pic.Promote(c0, c1, i.D)
+				}
+				if e != nil {
+					// A hit, counted on the PIC: charge the rest and
+					// enter the entry's proc, resolved on its first hit.
+					m.in.ChargePICHit(site, e.Target)
+					m.g.Enter(site.Pos)
+					v = e.Version
+					if cp, _ = e.Payload.(*Proc); cp == nil {
+						cp = m.proc(v)
+						e.Payload = cp
+					}
+				} else {
+					v, cp = m.sendMiss(site, args)
 				}
 			case OpStaticCall:
 				ref := &st.p.Statics[i.B]
@@ -1099,48 +1035,15 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 	}
 }
 
-// sendSlow is OpSend past its front way: a hit behind the front (v, cp
-// from the way, with the PIC's move-to-front promotion replayed on the
-// mirror), or a full miss through the generic dispatch seam. Either way
-// the depth guard is entered, as on the front-hit path.
-func (m *Machine) sendSlow(ic *icEntry, site *ir.CallSite, args []interp.Value, c0, c1 *hier.Class) (*ir.Version, *Proc) {
-	in := m.in
-	if wi := ic.match(c0, c1, int32(len(args))); wi > 0 {
-		w := &ic.w[wi]
-		v := w.v
-		in.NotePICHitAt(site, w.mth, v, wi)
-		m.g.Enter(site.Pos)
-		cp := w.p
-		if cp == nil {
-			cp = m.proc(v)
-			w.p = cp
-		}
-		// NotePICHitAt promoted the PIC's entry wi to the front with an
-		// order-preserving shift; mirror the same shift.
-		ic.toFront(wi)
-		return v, cp
-	}
-	m.clsBuf = in.ClassesOf(args, m.clsBuf)
-	// A full PIC changes only when a lookup hits behind its front; a
-	// miss there leaves the mirror exact.
-	pic := in.SitePIC(site.ID)
-	full := pic != nil && pic.Megamorphic()
-	var misses uint64
-	if full {
-		misses = pic.Misses
-	}
-	v := in.DispatchSendClasses(site, m.clsBuf)
+// sendMiss is OpSend when no PIC entry matched: a full dispatch
+// through the generic seam, which also fills the PIC.
+func (m *Machine) sendMiss(site *ir.CallSite, args []interp.Value) (*ir.Version, *Proc) {
+	m.clsBuf = m.in.ClassesOf(args, m.clsBuf)
+	v := m.in.DispatchSendClasses(site, m.clsBuf)
 	// Enter before body resolution, as the tree tier does: a depth trip
 	// must win over a lazy-compile failure.
 	m.g.Enter(site.Pos)
-	cp := ic.procOf(v)
-	if cp == nil {
-		cp = m.proc(v)
-	}
-	if !full || pic.Misses == misses {
-		m.refreshSendIC(ic, site, v, cp)
-	}
-	return v, cp
+	return v, m.proc(v)
 }
 
 // vselectSlow is OpVSelect past its front way: a hit behind the front
@@ -1171,7 +1074,7 @@ func (m *Machine) vselectSlow(ic *icEntry, ref *VSelRef, args []interp.Value, c0
 		} else {
 			w.c1 = nil
 		}
-		w.v, w.mth, w.p = v, v.Method, cp
+		w.v, w.p = v, cp
 	}
 	return v, cp
 }

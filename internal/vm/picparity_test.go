@@ -45,22 +45,19 @@ method main() {
 func picStates(in *interp.Interp, sites int) []string {
 	var out []string
 	for id := 0; id < sites; id++ {
-		pic := in.SitePIC(id)
-		if pic == nil || pic.Len() == 0 && pic.Hits == 0 && pic.Misses == 0 {
+		pic := &in.SitePICs()[id]
+		if pic.Len() == 0 && pic.Hits == 0 && pic.Misses == 0 {
 			continue
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "site#%d hits=%d misses=%d", id, pic.Hits, pic.Misses)
-		for i := 0; ; i++ {
-			classes, t, ok := pic.Entry(i)
-			if !ok {
-				break
-			}
+		for _, e := range pic.Entries() {
+			classes := e.Classes()
 			names := make([]string, len(classes))
 			for j, c := range classes {
 				names[j] = c.Name
 			}
-			fmt.Fprintf(&b, " [%s -> %v]", strings.Join(names, ","), t.Version)
+			fmt.Fprintf(&b, " [%s -> %v]", strings.Join(names, ","), e.Version)
 		}
 		out = append(out, b.String())
 	}
