@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"selspec/internal/dispatch"
 	"selspec/internal/hier"
 	"selspec/internal/interp"
 	"selspec/internal/ir"
@@ -35,21 +34,16 @@ type Machine struct {
 	clsBuf    []*hier.Class // scratch for dispatch class tuples
 	returning bool          // a vmReturn unwind is in flight
 
-	// pics are the wrapped Interp's per-site PICs, indexed by the site
-	// ID baked into each OpSend: the one inline cache of a send site,
-	// shared with the tree tier. Each entry's Payload holds its resolved
-	// proc, so a hit jumps straight to precompiled code. Under the global
-	// and table mechanisms they stay empty, and every send takes the full
-	// dispatch.
-	pics []dispatch.PIC
-
 	// icSel is the version-select cache, a free-standing MRU per site.
-	// It is not kept in the PICs: a VersionSelect reuses the CallSite of
-	// the send it was devirtualized from, so under configs that
-	// specialize (CHA/Selective) the same ID can be a dynamic send in
-	// one compiled version and a static version-select in another, and
-	// a shared structure would resolve a dynamic send to the statically
-	// selected version.
+	// Sends use the wrapped Interp's per-site PICs instead (SitePICs),
+	// the one inline cache they share with the tree tier; each PIC
+	// entry's Payload holds its resolved proc. icSel is kept apart from
+	// the PICs: a VersionSelect reuses the CallSite of the send it was
+	// devirtualized from, so under configs that specialize (CHA,
+	// Selective) the same ID can be a dynamic send in one compiled
+	// version and a static version-select in another, and a shared
+	// structure would resolve a dynamic send to the statically selected
+	// version.
 	icSel []icEntry
 
 	// One-entry closure-proc cache: loops overwhelmingly re-invoke the
@@ -105,7 +99,6 @@ func New(in *interp.Interp) (*Machine, error) {
 		g:     in.Guard(),
 		mod:   mod,
 		stack: make([]interp.Value, 4096),
-		pics:  in.SitePICs(),
 		icSel: make([]icEntry, len(in.C.Prog.Sites)),
 	}, nil
 }
@@ -669,7 +662,7 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			case OpSend:
 				args := st.regs[i.C : i.C+i.D]
 				site := st.p.Sites[i.B]
-				pic := &m.pics[site.ID]
+				pic := &m.in.SitePICs()[site.ID]
 				c0, c1 := argClasses(args, m.in.H)
 				e := pic.Front()
 				if e != nil && e.Is(c0, c1, i.D) {
