@@ -44,8 +44,8 @@ func (in *Interp) SelectVersionClasses(site *ir.CallSite, m *hier.Method, classe
 
 // ChargePICHit charges a send that an engine resolved from its site's
 // PIC itself — matching an entry and counting the hit on the PIC
-// (PIC.HitFront, PIC.Promote) — with exactly the rest of the accounting
-// of DispatchSendClasses' PIC-hit path.
+// (PIC.HitFront, PIC.Promote, PIC.Find) — with exactly the rest of the
+// accounting of DispatchSendClasses' PIC-hit path.
 func (in *Interp) ChargePICHit(site *ir.CallSite, t dispatch.Target) {
 	in.Counters.Dispatches++
 	in.picHit(site, t)

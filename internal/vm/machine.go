@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"selspec/internal/dispatch"
 	"selspec/internal/hier"
 	"selspec/internal/interp"
 	"selspec/internal/ir"
@@ -663,12 +664,17 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				args := st.regs[i.C : i.C+i.D]
 				site := st.p.Sites[i.B]
 				pic := &m.in.SitePICs()[site.ID]
-				c0, c1 := argClasses(args, m.in.H)
-				e := pic.Front()
-				if e != nil && e.Is(c0, c1, i.D) {
-					pic.HitFront()
+				var e *dispatch.Entry
+				if i.D <= 2 {
+					c0, c1 := argClasses(args, m.in.H)
+					if e = pic.Front(); e != nil && e.Is(c0, c1, i.D) {
+						pic.HitFront()
+					} else {
+						e = pic.Promote(c0, c1, i.D)
+					}
 				} else {
-					e = pic.Promote(c0, c1, i.D)
+					m.clsBuf = m.in.ClassesOf(args, m.clsBuf)
+					e = pic.Find(m.clsBuf)
 				}
 				if e != nil {
 					// A hit, counted on the PIC: charge the rest and

@@ -129,3 +129,50 @@ func TestPICStateParity(t *testing.T) {
 		})
 	}
 }
+
+// TestWideSendHitsThroughEntry checks that the VM resolves hits on
+// three-argument tuples through the PIC entry, as it does for one and
+// two: after a VM run of poly3ArgSrc each of its eight wide entries (one
+// per class tuple) holds its proc in Payload, and after a tree run none
+// does.
+func TestWideSendHitsThroughEntry(t *testing.T) {
+	p, err := driver.LoadNamed("poly3arg", poly3ArgSrc)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.Base})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	for _, vmTier := range []bool{false, true} {
+		in := interp.New(c)
+		if vmTier {
+			m, err := vm.New(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.Run()
+		} else {
+			_, err = in.Run()
+		}
+		if err != nil {
+			t.Fatalf("vm=%v: %v", vmTier, err)
+		}
+		wide := 0
+		for id := range c.Prog.Sites {
+			pic := &in.SitePICs()[id]
+			for _, e := range pic.Entries() {
+				if len(e.Classes()) < 3 {
+					continue
+				}
+				wide++
+				if (e.Payload != nil) != vmTier {
+					t.Errorf("vm=%v: site#%d entry %v has Payload %v", vmTier, id, e.Version, e.Payload)
+				}
+			}
+		}
+		if wide != 8 {
+			t.Errorf("vm=%v: %d wide entries, want 8", vmTier, wide)
+		}
+	}
+}
