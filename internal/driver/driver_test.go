@@ -222,30 +222,40 @@ func TestSharedInstrumentsAccumulate(t *testing.T) {
 
 // TestMechanismsAgree: every dispatch mechanism computes the same
 // value, and on each mechanism the two engines write the same dispatch
-// trace (PIC traces every lookup and hit; the others trace nothing).
+// trace. Under Base, PIC traces every lookup and hit and the others
+// trace nothing; under Cust-MM every mechanism traces the version
+// selects that replace the program's sends.
 func TestMechanismsAgree(t *testing.T) {
 	p := MustLoad(setProgram)
-	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.Base})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var vals []string
-	for _, mech := range []interp.Mechanism{interp.MechPIC, interp.MechGlobal, interp.MechTables} {
-		var traces [2]strings.Builder
-		for i, eng := range []Engine{EngineVM, EngineTree} {
-			res, err := Execute(c, RunOptions{Mechanism: mech, Engine: eng, Trace: &traces[i], StepLimit: 50_000_000})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", mech, eng, err)
-			}
-			vals = append(vals, res.Value)
+	for _, cfg := range []opt.Config{opt.Base, opt.CustMM} {
+		c, err := opt.Compile(p.Prog, opt.Options{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if (mech == interp.MechPIC) != (traces[0].Len() > 0) || traces[0].String() != traces[1].String() {
-			t.Errorf("%v: dispatch traces of vm (%d bytes) and tree (%d bytes) differ or are missing", mech, traces[0].Len(), traces[1].Len())
+		for _, mech := range []interp.Mechanism{interp.MechPIC, interp.MechGlobal, interp.MechTables} {
+			var traces [2]strings.Builder
+			for i, eng := range []Engine{EngineVM, EngineTree} {
+				res, err := Execute(c, RunOptions{Mechanism: mech, Engine: eng, Trace: &traces[i], StepLimit: 50_000_000})
+				if err != nil {
+					t.Fatalf("%v/%v/%v: %v", cfg, mech, eng, err)
+				}
+				vals = append(vals, res.Value)
+			}
+			if traces[0].String() != traces[1].String() {
+				t.Errorf("%v/%v: dispatch traces of vm (%d bytes) and tree (%d bytes) differ", cfg, mech, traces[0].Len(), traces[1].Len())
+			}
+			switch tr := traces[0].String(); {
+			case cfg == opt.Base && (mech == interp.MechPIC) != (len(tr) > 0):
+				t.Errorf("%v/%v: dispatch trace is %d bytes, want non-empty only under PIC", cfg, mech, len(tr))
+			case cfg == opt.CustMM && !strings.Contains(tr, "vselect"):
+				t.Errorf("%v/%v: dispatch trace has no vselect lines", cfg, mech)
+			}
 		}
 	}
 	for _, v := range vals[1:] {
 		if v != vals[0] {
-			t.Fatalf("mechanisms or engines disagree: %v", vals)
+			t.Fatalf("configs, mechanisms or engines disagree: %v", vals)
 		}
 	}
 }

@@ -111,9 +111,37 @@ method main() {
 }
 `
 
+// vselectSrc calls pair(a, b), the one method of its name, from one
+// site over argument-class tuples that change every 100 calls. Each
+// argument is one of three objects chosen on a branch, so under Cust-MM
+// the call binds statically to a version chosen from the argument
+// classes at run time, and the side(x) sends inside each customized
+// version bind statically: every dispatch of the run is a version
+// select.
+const vselectSrc = `
+class Shape { } class Sq isa Shape { } class Ci isa Shape { } class Tr isa Shape { }
+method side(x@Sq) { 4; }
+method side(x@Ci) { 3; }
+method side(x@Tr) { 1; }
+method pair(a@Shape, b@Shape) { a.side() + b.side(); }
+method main() {
+  var q := new Sq(); var c := new Ci(); var t := new Tr();
+  var s := 0;
+  var i := 0;
+  while i < 6000 {
+    var a := q; var b := q;
+    if i / 100 % 3 == 1 { a := c; } else { if i / 100 % 3 == 2 { a := t; } }
+    if i / 300 % 3 == 1 { b := c; } else { if i / 300 % 3 == 2 { b := t; } }
+    s := s + pair(a, b);
+    i := i + 1;
+  }
+  s;
+}
+`
+
 // benchRun measures repeated VM runs of src under cfg on one machine,
-// after a first run has filled its caches, and reports the guest steps
-// and sends of one run.
+// after a first run has filled its caches, and reports the guest steps,
+// sends and version selects of one run.
 func benchRun(b *testing.B, src string, cfg opt.Config) {
 	parsed, err := lang.Parse(src)
 	if err != nil {
@@ -135,7 +163,7 @@ func benchRun(b *testing.B, src string, cfg opt.Config) {
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)
 	}
-	steps, sends := in.Steps(), in.Counters.Dispatches
+	steps, sends, vsels := in.Steps(), in.Counters.Dispatches, in.Counters.VersionSelects
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(); err != nil {
@@ -144,6 +172,7 @@ func benchRun(b *testing.B, src string, cfg opt.Config) {
 	}
 	b.ReportMetric(float64(in.Steps()-steps)/float64(b.N), "steps/op")
 	b.ReportMetric(float64(in.Counters.Dispatches-sends)/float64(b.N), "sends/op")
+	b.ReportMetric(float64(in.Counters.VersionSelects-vsels)/float64(b.N), "vselects/op")
 }
 
 // BenchmarkVMCondChain is the run cost of conditions built from && / ||
@@ -165,6 +194,11 @@ func BenchmarkSendPoly3(b *testing.B) { benchRun(b, sendPoly3Src, opt.Base) }
 // BenchmarkSendMono is the run cost of a monomorphic send and return
 // (the front-entry inline-cache hit).
 func BenchmarkSendMono(b *testing.B) { benchRun(b, sendMonoSrc, opt.Base) }
+
+// BenchmarkVSelect is the run cost of a statically bound call whose
+// version is selected from its argument classes at every call (the
+// VM's version-select path).
+func BenchmarkVSelect(b *testing.B) { benchRun(b, vselectSrc, opt.CustMM) }
 
 // BenchmarkCompileGen200 is the full bytecode compile of a 200-class
 // generated program under CHA: vm.New plus CompileAll over every
