@@ -14,23 +14,32 @@ import (
 // inline cache, the Interp's per-site dispatch.PIC (SitePICs): the VM
 // probes it in place and charges its hits through ChargePICHit, so
 // entry order and PIC counters are the same structure on both tiers.
-// That is what makes the tree interpreter usable as a differential-
-// testing oracle: both tiers share one implementation of everything
-// that is counted, so metric blocks are byte-comparable across engines
-// by construction.
+// Version selects have no cache on either tier: both select through
+// SelectVersionClasses on every call. That is what makes the tree
+// interpreter usable as a differential-testing oracle: both tiers share
+// one implementation of everything that is counted, so metric blocks
+// are byte-comparable across engines by construction.
 
-// ClassesOf computes the runtime classes of a value slice into buf
-// (reusing its storage), for engines that keep a scratch buffer across
-// dispatches. The result must be treated as dead after the next call
-// that receives it; see DispatchSendClasses for why that is safe here.
+// ClassesOf computes the runtime classes of a value slice into buf,
+// reusing its storage. The tree tier passes a fresh buffer per call;
+// the VM keeps one scratch buffer across dispatches, whose result must
+// be treated as dead after the next call that receives it (see
+// DispatchSendClasses for why that is safe here).
 func (in *Interp) ClassesOf(vals []Value, buf []*hier.Class) []*hier.Class {
-	return in.classesOf(vals, buf)
+	buf = buf[:0]
+	for _, v := range vals {
+		buf = append(buf, v.Class(in.H))
+	}
+	return buf
 }
 
-// SelectVersionClasses is the engine-shared core of an ir.VersionSelect
-// site: a statically-bound call whose specialized version is chosen at
-// run time from the argument classes. Counter and trace behavior is
-// identical to the tree interpreter's VersionSelect case.
+// SelectVersionClasses is the one implementation of an ir.VersionSelect
+// site, a statically bound call whose specialized version is chosen at
+// run time from the argument classes: it counts, charges
+// CostVersionSelect, records the profile arc, selects the version by
+// table lookup and traces the choice. Both tiers call it on every
+// select (the tree tier's VersionSelect case and the VM's OpVSelect);
+// like the paper's version select, it has no inline cache.
 func (in *Interp) SelectVersionClasses(site *ir.CallSite, m *hier.Method, classes []*hier.Class) *ir.Version {
 	in.Counters.VersionSelects++
 	in.charge(CostVersionSelect)
@@ -57,19 +66,6 @@ func (in *Interp) ChargePICHit(site *ir.CallSite, t dispatch.Target) {
 // A site's cache stays empty until its first dispatch under MechPIC.
 func (in *Interp) SitePICs() []dispatch.PIC { return in.pics }
 
-// NoteVersionSelect charges a version-select site whose selection an
-// engine-side cache resolved: the counter/charge/record/trace sequence
-// of SelectVersionClasses with the (deterministic) table lookup
-// skipped.
-func (in *Interp) NoteVersionSelect(site *ir.CallSite, m *hier.Method, v *ir.Version) {
-	in.Counters.VersionSelects++
-	in.charge(CostVersionSelect)
-	in.record(site, m)
-	if in.Trace != nil {
-		in.trace("vselect", site, v)
-	}
-}
-
 // NoteStaticCall charges a statically-bound call: the counter, the
 // cycle cost, and the profile arc, exactly as the tree tier's
 // StaticCall case does before invoking the target.
@@ -88,7 +84,7 @@ func (in *Interp) NoteStaticCall(site *ir.CallSite, target *ir.Version) {
 // later entry through that proc.
 func (in *Interp) NoteInvokeKnown(v *ir.Version, args []Value) {
 	if in.Profile != nil && len(args) > 0 {
-		in.Profile.RecordEntry(v.Method, in.classesOf(args, make([]*hier.Class, 0, len(args))))
+		in.Profile.RecordEntry(v.Method, in.ClassesOf(args, make([]*hier.Class, 0, len(args))))
 	}
 	in.Counters.MethodEntries++
 	in.charge(CostMethodEntry)

@@ -254,7 +254,7 @@ func (in *Interp) invoke(v *ir.Version, args []Value, pos lang.Pos) Value {
 		fail("compile: %v", err)
 	}
 	if in.Profile != nil && len(args) > 0 {
-		in.Profile.RecordEntry(v.Method, in.classesOf(args, make([]*hier.Class, 0, len(args))))
+		in.Profile.RecordEntry(v.Method, in.ClassesOf(args, make([]*hier.Class, 0, len(args))))
 	}
 	if !in.invoked[v] {
 		in.invoked[v] = true
@@ -303,19 +303,10 @@ func (in *Interp) runBody(body ir.Node, fr *Frame, act *Activation) (result Valu
 	return in.eval(body, fr, act)
 }
 
-// classesOf computes the runtime classes of a value slice.
-func (in *Interp) classesOf(vals []Value, buf []*hier.Class) []*hier.Class {
-	buf = buf[:0]
-	for _, v := range vals {
-		buf = append(buf, v.Class(in.H))
-	}
-	return buf
-}
-
 // dispatchSend performs dynamic dispatch for a send: lookup (via the
 // configured mechanism) plus specialized version selection.
 func (in *Interp) dispatchSend(site *ir.CallSite, args []Value) *ir.Version {
-	classes := in.classesOf(args, make([]*hier.Class, 0, len(args)))
+	classes := in.ClassesOf(args, make([]*hier.Class, 0, len(args)))
 	return in.DispatchSendClasses(site, classes)
 }
 
@@ -683,12 +674,7 @@ func (in *Interp) eval(n ir.Node, fr *Frame, act *Activation) Value {
 		for i, arg := range n.Args {
 			args[i] = in.eval(arg, fr, act)
 		}
-		in.Counters.VersionSelects++
-		in.charge(CostVersionSelect)
-		in.record(n.Site, n.Method)
-		classes := in.classesOf(args, make([]*hier.Class, 0, len(args)))
-		v := in.C.SelectVersion(n.Method, classes)
-		in.trace("vselect", n.Site, v)
+		v := in.SelectVersionClasses(n.Site, n.Method, in.ClassesOf(args, make([]*hier.Class, 0, len(args))))
 		return in.invoke(v, args, n.Site.Pos)
 
 	case *ir.Bin:

@@ -35,18 +35,6 @@ type Machine struct {
 	clsBuf    []*hier.Class // scratch for dispatch class tuples
 	returning bool          // a vmReturn unwind is in flight
 
-	// icSel is the version-select cache, a free-standing MRU per site.
-	// Sends use the wrapped Interp's per-site PICs instead (SitePICs),
-	// the one inline cache they share with the tree tier; each PIC
-	// entry's Payload holds its resolved proc. icSel is kept apart from
-	// the PICs: a VersionSelect reuses the CallSite of the send it was
-	// devirtualized from, so under configs that specialize (CHA,
-	// Selective) the same ID can be a dynamic send in one compiled
-	// version and a static version-select in another, and a shared
-	// structure would resolve a dynamic send to the statically selected
-	// version.
-	icSel []icEntry
-
 	// One-entry closure-proc cache: loops overwhelmingly re-invoke the
 	// closure they just called, so this removes the map lookup from the
 	// closure-call hot path.
@@ -100,35 +88,13 @@ func New(in *interp.Interp) (*Machine, error) {
 		g:     in.Guard(),
 		mod:   mod,
 		stack: make([]interp.Value, 4096),
-		icSel: make([]icEntry, len(in.C.Prog.Sites)),
 	}, nil
 }
 
-// icWay is one way of a version-select cache slot: a class tuple (up
-// to two positions, covering the dominant call arities) with the
-// version it selects and that version's compiled proc.
-type icWay struct {
-	v  *ir.Version
-	p  *Proc
-	c0 *hier.Class
-	c1 *hier.Class
-	n  int32
-}
-
-// icWays is the number of ways per version-select cache slot.
-const icWays = 4
-
-// icEntry is one multi-way version-select cache slot, indexed by site
-// ID. A hit is a compare-and-jump: pointer-compare the argument classes
-// against a way, charge the selection through the shared seam, and
-// enter the precompiled body. Selection is a deterministic table lookup
-// with no engine-visible state, so the ways are a plain MRU set.
-type icEntry struct {
-	w [icWays]icWay
-}
-
 // argClasses returns the classes of an argument window's first two
-// values (nil past its end): the positions an inline-cache entry keys on.
+// values (nil past its end): the positions OpSend compares against its
+// site's PIC entries inline. Version selects have no cache; OpVSelect
+// takes the whole tuple through ClassesOf.
 func argClasses(args []interp.Value, h *hier.Hierarchy) (c0, c1 *hier.Class) {
 	if len(args) > 0 {
 		c0 = args[0].Class(h)
@@ -137,35 +103,6 @@ func argClasses(args []interp.Value, h *hier.Hierarchy) (c0, c1 *hier.Class) {
 		c1 = args[1].Class(h)
 	}
 	return c0, c1
-}
-
-// wayMatch reports whether the way caches exactly the argument classes
-// c0, c1 of an n-argument call. Empty ways have n == 0 and never match
-// (version selects always have at least one argument).
-func (w *icWay) wayMatch(c0, c1 *hier.Class, n int32) bool {
-	return w.n == n && w.v != nil && c0 == w.c0 && (n == 1 || c1 == w.c1)
-}
-
-// match scans ways 1..icWays-1 for the argument classes (way 0 is the
-// caller's unrolled front fast path) and returns the matching way index,
-// or 0 when none matches behind the front.
-func (ic *icEntry) match(c0, c1 *hier.Class, n int32) int {
-	for i := 1; i < icWays; i++ {
-		if ic.w[i].wayMatch(c0, c1, n) {
-			return i
-		}
-	}
-	return 0
-}
-
-// toFront moves way wi to the front, shifting ways 0..wi-1 back one
-// place in order (the element moves avoid a runtime slice copy).
-func (ic *icEntry) toFront(wi int) {
-	w := ic.w[wi]
-	for k := wi; k > 0; k-- {
-		ic.w[k] = ic.w[k-1]
-	}
-	ic.w[0] = w
 }
 
 // Interp returns the wrapped interpreter (counters, profile, metrics).
@@ -701,16 +638,10 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				}
 			case OpVSelect:
 				ref := &st.p.VSels[i.B]
-				args := st.regs[i.C : i.C+i.D]
-				ic := &m.icSel[ref.Site.ID]
-				c0, c1 := argClasses(args, m.in.H)
-				if w := &ic.w[0]; w.wayMatch(c0, c1, i.D) {
-					v, cp = w.v, w.p
-					m.in.NoteVersionSelect(ref.Site, ref.Method, v)
-					m.g.Enter(ref.Site.Pos)
-				} else {
-					v, cp = m.vselectSlow(ic, ref, args, c0, c1)
-				}
+				m.clsBuf = m.in.ClassesOf(st.regs[i.C:i.C+i.D], m.clsBuf)
+				v = m.in.SelectVersionClasses(ref.Site, ref.Method, m.clsBuf)
+				m.g.Enter(ref.Site.Pos)
+				cp = m.proc(v)
 			default: // OpCallClosure
 				clo := st.regs[i.B].Clo()
 				n, up, act = clo.Code.NumParams, clo.Frame, clo.Act
@@ -1043,39 +974,6 @@ func (m *Machine) sendMiss(site *ir.CallSite, args []interp.Value) (*ir.Version,
 	// must win over a lazy-compile failure.
 	m.g.Enter(site.Pos)
 	return v, m.proc(v)
-}
-
-// vselectSlow is OpVSelect past its front way: a hit behind the front
-// moves to the front (selection is a deterministic table lookup with no
-// engine-visible cache state, so the ways are plain MRU), and a miss
-// selects through the shared seam and fills the front way.
-func (m *Machine) vselectSlow(ic *icEntry, ref *VSelRef, args []interp.Value, c0, c1 *hier.Class) (*ir.Version, *Proc) {
-	in := m.in
-	n := int32(len(args))
-	if wi := ic.match(c0, c1, n); wi > 0 {
-		w := &ic.w[wi]
-		in.NoteVersionSelect(ref.Site, ref.Method, w.v)
-		m.g.Enter(ref.Site.Pos)
-		v, cp := w.v, w.p
-		ic.toFront(wi)
-		return v, cp
-	}
-	m.clsBuf = in.ClassesOf(args, m.clsBuf)
-	v := in.SelectVersionClasses(ref.Site, ref.Method, m.clsBuf)
-	m.g.Enter(ref.Site.Pos)
-	cp := m.proc(v)
-	if n >= 1 && n <= 2 {
-		ic.toFront(icWays - 1)
-		w := &ic.w[0]
-		w.n, w.c0 = n, m.clsBuf[0]
-		if n == 2 {
-			w.c1 = m.clsBuf[1]
-		} else {
-			w.c1 = nil
-		}
-		w.v, w.p = v, cp
-	}
-	return v, cp
 }
 
 // newObject is OpNew: regs[A] = a new Classes[B] whose leading fields

@@ -53,7 +53,8 @@ func procPos(pi vm.ProcInfo) lang.Pos {
 //     selector, field-op, field-site, class, closure, and position
 //     indices in bounds; field-op entries with a resolved slot and
 //     pooled name;
-//     IC slots (call-site IDs) within the machine's inline-cache table
+//     call-site IDs within the program's site table (a send's ID also
+//     indexes its inline cache)
 //   - kind discipline: static-chain ops only in closure procs; no
 //     direct OpRet-adjacent OpRetNL in method procs; OpMakeClosure
 //     implies NeedsFrame
@@ -329,7 +330,7 @@ func verifyProc(pi vm.ProcInfo, numSites, numGlobals int) error {
 				return err
 			}
 			if id := p.VSels[i.B].Site.ID; id < 0 || id >= numSites {
-				return fail(pc, "version-select site ID %d outside the inline-cache table [0, %d)", id, numSites)
+				return fail(pc, "version-select site ID %d outside the site table [0, %d)", id, numSites)
 			}
 
 		case vm.OpPrim:
