@@ -175,7 +175,7 @@ func run() error {
 	}
 
 	bo := driver.BuildOptions{
-		Opt: opt.Options{Config: cfg, DisableInlining: *noInline, Lazy: *lazy,
+		Opt: opt.Options{Config: cfg, DisableInlining: *noInline,
 			ReturnTypeAnalysis: *retTypes, InstantiationAnalysis: *rta},
 		Spec:  specialize.Params{Threshold: *threshold},
 		Train: guards,
@@ -187,6 +187,9 @@ func run() error {
 		}
 	}
 	c, spec, err := p.Build(bo)
+	if err == nil && !*lazy {
+		err = pipeline.CompileAll(label, c)
+	}
 	if err != nil {
 		return err
 	}
@@ -340,6 +343,9 @@ func bytecodeDiagnostics(label, src string, hasSourceFindings bool) ([]check.Dia
 		return skip(err)
 	}
 	c, err := pipeline.Compile(label, prog, opt.Options{Config: opt.Base})
+	if err == nil {
+		err = pipeline.CompileAll(label, c)
+	}
 	if err != nil {
 		return skip(err)
 	}

@@ -34,6 +34,9 @@ func main() {
 		log.Fatal(err)
 	}
 	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.CHA})
+	if err == nil {
+		err = c.CompileAll()
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func Run(b programs.Benchmark, cfg opt.Config, ho Options) (*Result, error) {
 // pipeline fault boundary, so an internal panic in any of them comes
 // back as a structured error for this cell only.
 func RunOn(p *driver.Pipeline, b programs.Benchmark, cfg opt.Config, ho Options) (*Result, error) {
-	c, stats, err := prepare(p, b, cfg, ho)
+	c, stats, err := prepare(p, b, opt.Options{Config: cfg}, ho)
 	if err != nil {
 		return nil, err
 	}
@@ -191,14 +191,22 @@ func RunOn(p *driver.Pipeline, b programs.Benchmark, cfg opt.Config, ho Options)
 	return out, nil
 }
 
-// prepare compiles one cell's program (see driver.Build). The returned
-// stats are non-nil only for Selective.
-func prepare(p *driver.Pipeline, b programs.Benchmark, cfg opt.Config, ho Options) (*opt.Compiled, *specialize.Stats, error) {
-	return p.Build(driver.BuildOptions{
-		Opt:   opt.Options{Config: cfg},
+// prepare compiles one cell's program (see driver.Build) with every
+// static version body built, since the figures report code space. The
+// returned stats are non-nil only for Selective.
+func prepare(p *driver.Pipeline, b programs.Benchmark, oo opt.Options, ho Options) (*opt.Compiled, *specialize.Stats, error) {
+	c, stats, err := p.Build(driver.BuildOptions{
+		Opt:   oo,
 		Spec:  ho.SpecParams,
 		Train: ho.runOptions(b.Train),
 	})
+	if err == nil {
+		err = pipeline.CompileAll(p.Label, c)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, stats, nil
 }
 
 // testInput is the measurement input: the benchmark's test input, or
@@ -430,7 +438,7 @@ func RunSuitePair(a, b Options) (*Suite, *Suite, error) {
 				}
 				pr, err := pipeline.Guard(pipeline.StageHarness, bm.Name, cfg.String(),
 					func() (prepared, error) {
-						c, st, err := prepare(pipes[e][i], bm, cfg, opts[e])
+						c, st, err := prepare(pipes[e][i], bm, opt.Options{Config: cfg}, opts[e])
 						return prepared{c, st}, err
 					})
 				if err != nil {
@@ -742,11 +750,7 @@ func extensionRowsRaw(w io.Writer, b programs.Benchmark, ho Options) error {
 		{"Selective+ext", opt.Selective, true},
 	}
 	for _, row := range rows {
-		c, _, err := p.Build(driver.BuildOptions{
-			Opt:   opt.Options{Config: row.cfg, ReturnTypeAnalysis: row.ext, InstantiationAnalysis: row.ext},
-			Spec:  ho.SpecParams,
-			Train: ho.runOptions(b.Train),
-		})
+		c, _, err := prepare(p, b, opt.Options{Config: row.cfg, ReturnTypeAnalysis: row.ext, InstantiationAnalysis: row.ext}, ho)
 		if err != nil {
 			return err
 		}

@@ -194,7 +194,7 @@ func FromCompiled(c *opt.Compiled) *Graph {
 	for _, m := range c.Prog.H.Methods() {
 		for _, v := range c.VersionsOf(m) {
 			if v.Body == nil {
-				continue // lazy version never compiled: nothing to invalidate
+				continue // body never built: nothing to invalidate
 			}
 			vn := VersionNode(versionName(v))
 			g.AddDep(vn, BodyNode(m.Name()))

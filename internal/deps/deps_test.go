@@ -72,6 +72,9 @@ func buildGraph(t *testing.T) (*opt.Compiled, *Graph) {
 		t.Fatal(err)
 	}
 	c, err := opt.Compile(prog, opt.Options{Config: opt.CHA})
+	if err == nil {
+		err = c.CompileAll()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,8 +235,8 @@ func Execute(c *opt.Compiled, ro RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Lazy configurations compile procs mid-run; re-verify so every
-	// specialized version that executed has been checked.
+	// Bodies and procs build mid-run; re-verify so every version that
+	// executed has been checked.
 	if ro.Verify && ro.Engine == EngineVM {
 		if err := pipeline.VerifyMachine(ro.Label, cfg, mach); err != nil {
 			return nil, err
@@ -328,12 +328,12 @@ func (p *Pipeline) Build(bo BuildOptions) (*opt.Compiled, *specialize.Stats, err
 // instrumentation as ro describes (its overrides select the training
 // input), returning the weighted call graph recorded in ro.Profile or,
 // when that is nil, in a new one. The paper gathers profiles the same
-// way: an instrumented run of the unspecialized system (§3.7.2). The
-// training compile is lazy: a Base body does not depend on compile
-// order, so building only the bodies the run reaches records the same
-// profile as an eager compile.
+// way: an instrumented run of the unspecialized system (§3.7.2). Like
+// every run, it builds only the bodies it reaches: a Base body does not
+// depend on compile order, so the profile is the one an eager compile
+// records.
 func (p *Pipeline) Profile(ro RunOptions) (*profile.CallGraph, error) {
-	c, err := pipeline.Compile(p.Label, p.Prog, opt.Options{Config: opt.Base, Lazy: true})
+	c, err := pipeline.Compile(p.Label, p.Prog, opt.Options{Config: opt.Base})
 	if err != nil {
 		return nil, err
 	}

@@ -57,6 +57,7 @@ type Class struct {
 
 	ancestors *bits.Set // self + transitive parents
 	cone      *bits.Set // self + transitive children; valid after Freeze
+	singleton *bits.Set // {ID}; valid after Freeze
 }
 
 func (c *Class) String() string { return c.Name }
@@ -81,6 +82,16 @@ func (c *Class) Cone() *bits.Set {
 		panic("hier: Cone called before Freeze")
 	}
 	return c.cone
+}
+
+// Singleton returns the set {c.ID}, built once by Hierarchy.Freeze and
+// shared by every caller, which must not modify it. Valid only after
+// Freeze.
+func (c *Class) Singleton() *bits.Set {
+	if c.singleton == nil {
+		panic("hier: Singleton called before Freeze")
+	}
+	return c.singleton
 }
 
 // Method is one multi-method: an implementation attached to a generic
@@ -418,8 +429,8 @@ func (h *Hierarchy) AddMethod(name string, specs []*Class, decl *lang.MethodDecl
 	return m, nil
 }
 
-// Freeze finalizes the hierarchy: computes cones and enables lookup
-// and ApplicableClasses.
+// Freeze finalizes the hierarchy: computes cones and singleton sets and
+// enables lookup and ApplicableClasses.
 func (h *Hierarchy) Freeze() {
 	if h.frozen {
 		return
@@ -429,6 +440,8 @@ func (h *Hierarchy) Freeze() {
 	for _, c := range h.classes {
 		h.allClasses.Add(c.ID)
 		c.cone = bits.New(len(h.classes))
+		c.singleton = bits.New(len(h.classes))
+		c.singleton.Add(c.ID)
 	}
 	// cone(a) = {c : a ∈ ancestors(c)}.
 	for _, c := range h.classes {

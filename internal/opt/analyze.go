@@ -22,11 +22,9 @@ func topInfo() info { return info{top: true} }
 
 func setInfo(s *bits.Set) info { return info{set: s} }
 
-func exactInfo(h *hier.Hierarchy, c *hier.Class) info {
-	s := bits.New(h.NumClasses())
-	s.Add(c.ID)
-	return info{set: s}
-}
+// exactInfo is the info of a value of class c. It shares the class's
+// Freeze-time singleton set: the analysis never mutates an info's set.
+func exactInfo(c *hier.Class) info { return info{set: c.Singleton()} }
 
 // join computes the lattice join of two infos.
 func join(a, b info) info {
@@ -99,14 +97,25 @@ type analyzer struct {
 	// info joins in at the end.
 	retJoin    info
 	retTracked bool
+
+	// The counts of this body's optimizations, added to the Compiled's
+	// statistics when the body is installed.
+	staticBound, inlinedCalls, versionSelects int
 }
 
-// EnsureBody compiles the body of a version if it has not been compiled
-// yet (the lazy-compilation entry point; eager compilation calls it for
-// every version up front).
+// count adds the analyzer's optimization counts to c's statistics.
+func (a *analyzer) count() {
+	a.c.staticBound.Add(int64(a.staticBound))
+	a.c.inlinedCalls.Add(int64(a.inlinedCalls))
+	a.c.versionSelects.Add(int64(a.versionSelects))
+}
+
+// EnsureBody builds the body of a version if it has not been built yet:
+// a run calls it on a version's first invocation, CompileAll for every
+// static version.
 func (c *Compiled) EnsureBody(v *ir.Version) error {
 	// Note: the body is built outside the lock because optimization may
-	// itself take the lock (Cust-MM lazily defines versions for
+	// itself take the lock (Cust-MM defines versions on demand for
 	// statically-bound calls it discovers).
 	c.mu.Lock()
 	if v.Body != nil {
@@ -114,14 +123,10 @@ func (c *Compiled) EnsureBody(v *ir.Version) error {
 		return nil
 	}
 	src := c.Prog.Bodies[v.Method]
+	c.mu.Unlock()
 	if src == nil {
-		c.mu.Unlock()
 		return fmt.Errorf("opt: no source body for %s", v.Method.Name())
 	}
-	if c.Opts.Lazy {
-		c.lazyCompiles.Add(1)
-	}
-	c.mu.Unlock()
 	if c.Opts.ReturnTypeAnalysis {
 		c.mu.Lock()
 		c.retInProgress[v] = true
@@ -150,6 +155,10 @@ func (c *Compiled) EnsureBody(v *ir.Version) error {
 		v.Body = body
 		c.compiledBodies++
 		c.irNodes += size
+		a.count()
+		if c.onBody != nil {
+			c.onBody(a.staticBound, a.inlinedCalls)
+		}
 	}
 	if c.Opts.ReturnTypeAnalysis {
 		c.retInfo[v] = ret
@@ -201,7 +210,17 @@ func (c *Compiled) optimizeTopLevel(n ir.Node) (ir.Node, error) {
 	a := &analyzer{c: c, h: c.Prog.H}
 	body := ir.Clone(n)
 	out, _ := a.optimize(body)
+	a.count()
 	return out, nil
+}
+
+// OnBody registers fn to hear, for every version body installed from
+// now on, that body's statically bound sends and inlined calls.
+// Register before any body is built; Compile builds none.
+func (c *Compiled) OnBody(fn func(staticBound, inlined int)) {
+	c.mu.Lock()
+	c.onBody = fn
+	c.mu.Unlock()
 }
 
 // InstantiatedClasses collects every class the program can create: New
@@ -284,18 +303,18 @@ func (c *Compiled) initInfo(nd ir.Node, before int) info {
 	case *ir.Const:
 		switch nd.Kind {
 		case ir.KInt:
-			return exactInfo(h, h.Builtin(hier.IntName))
+			return exactInfo(h.B.Int)
 		case ir.KStr:
-			return exactInfo(h, h.Builtin(hier.StringName))
+			return exactInfo(h.B.String)
 		case ir.KBool:
-			return exactInfo(h, h.Builtin(hier.BoolName))
+			return exactInfo(h.B.Bool)
 		default:
-			return exactInfo(h, h.Builtin(hier.NilName))
+			return exactInfo(h.B.Nil)
 		}
 	case *ir.New:
-		return exactInfo(h, nd.Class)
+		return exactInfo(nd.Class)
 	case *ir.MakeClosure:
-		return exactInfo(h, h.Builtin(hier.ClosureName))
+		return exactInfo(h.B.Closure)
 	case *ir.Global:
 		if nd.Slot < before && !c.Prog.GlobalAssigned[nd.Slot] {
 			return c.initInfo(c.Prog.Globals[nd.Slot].Init, nd.Slot)
@@ -422,22 +441,22 @@ func (a *analyzer) quickInfo(n ir.Node) info {
 	case *ir.Const:
 		switch n.Kind {
 		case ir.KInt:
-			return exactInfo(h, h.Builtin(hier.IntName))
+			return exactInfo(h.B.Int)
 		case ir.KStr:
-			return exactInfo(h, h.Builtin(hier.StringName))
+			return exactInfo(h.B.String)
 		case ir.KBool:
-			return exactInfo(h, h.Builtin(hier.BoolName))
+			return exactInfo(h.B.Bool)
 		default:
-			return exactInfo(h, h.Builtin(hier.NilName))
+			return exactInfo(h.B.Nil)
 		}
 	case *ir.New:
-		return exactInfo(h, n.Class)
+		return exactInfo(n.Class)
 	case *ir.MakeClosure:
-		return exactInfo(h, h.Builtin(hier.ClosureName))
+		return exactInfo(h.B.Closure)
 	case *ir.Bin:
 		switch n.Op {
 		case ir.OpLT, ir.OpLE, ir.OpGT, ir.OpGE, ir.OpEQ, ir.OpNE:
-			return exactInfo(h, h.Builtin(hier.BoolName))
+			return exactInfo(h.B.Bool)
 		case ir.OpAdd:
 			// + is Int+Int or String+String: the result can only be Int
 			// if both operands can be Int, only String if both can be
@@ -458,20 +477,20 @@ func (a *analyzer) quickInfo(n ir.Node) info {
 			}
 			return setInfo(s)
 		default:
-			return exactInfo(h, h.Builtin(hier.IntName))
+			return exactInfo(h.B.Int)
 		}
 	case *ir.Un:
 		if n.Op == ir.OpNot {
-			return exactInfo(h, h.Builtin(hier.BoolName))
+			return exactInfo(h.B.Bool)
 		}
-		return exactInfo(h, h.Builtin(hier.IntName))
+		return exactInfo(h.B.Int)
 	case *ir.And, *ir.Or:
-		return exactInfo(h, h.Builtin(hier.BoolName))
+		return exactInfo(h.B.Bool)
 	case *ir.PrimCall:
 		return a.primInfo(n.Prim)
 	case *ir.Seq:
 		if len(n.Nodes) == 0 {
-			return exactInfo(h, h.Builtin(hier.NilName))
+			return exactInfo(h.B.Nil)
 		}
 		return a.quickInfo(n.Nodes[len(n.Nodes)-1])
 	case *ir.SetLocal:
@@ -479,7 +498,7 @@ func (a *analyzer) quickInfo(n ir.Node) info {
 	case *ir.If:
 		ti := a.quickInfo(n.Then)
 		if n.Else == nil {
-			return join(ti, exactInfo(h, h.Builtin(hier.NilName)))
+			return join(ti, exactInfo(h.B.Nil))
 		}
 		return join(ti, a.quickInfo(n.Else))
 	default:
@@ -495,13 +514,13 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 	case *ir.Const:
 		switch n.Kind {
 		case ir.KInt:
-			return n, exactInfo(h, h.Builtin(hier.IntName))
+			return n, exactInfo(h.B.Int)
 		case ir.KStr:
-			return n, exactInfo(h, h.Builtin(hier.StringName))
+			return n, exactInfo(h.B.String)
 		case ir.KBool:
-			return n, exactInfo(h, h.Builtin(hier.BoolName))
+			return n, exactInfo(h.B.Bool)
 		default:
-			return n, exactInfo(h, h.Builtin(hier.NilName))
+			return n, exactInfo(h.B.Nil)
 		}
 
 	case *ir.Local:
@@ -559,7 +578,7 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 			n.Nodes[i], last = a.optimize(ch)
 		}
 		if len(n.Nodes) == 0 {
-			return n, exactInfo(h, h.Builtin(hier.NilName))
+			return n, exactInfo(h.B.Nil)
 		}
 		if len(n.Nodes) == 1 {
 			return n.Nodes[0], last
@@ -577,7 +596,7 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 				branch = n.Else
 			}
 			if branch == nil {
-				return &ir.Const{Kind: ir.KNil}, exactInfo(h, h.Builtin(hier.NilName))
+				return &ir.Const{Kind: ir.KNil}, exactInfo(h.B.Nil)
 			}
 			return a.optimize(branch)
 		}
@@ -592,7 +611,7 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 			post = f.snapshot()
 			f.restore(pre)
 		}
-		var ei info = exactInfo(h, h.Builtin(hier.NilName))
+		var ei info = exactInfo(h.B.Nil)
 		if n.Else != nil {
 			var els ir.Node
 			els, ei = a.optimize(n.Else)
@@ -616,7 +635,7 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		n.Cond = cond
 		body, _ := a.optimize(n.Body)
 		n.Body = body
-		return n, exactInfo(h, h.Builtin(hier.NilName))
+		return n, exactInfo(h.B.Nil)
 
 	case *ir.Return:
 		var xi info
@@ -625,7 +644,7 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 			x, xi = a.optimize(n.X)
 			n.X = x
 		} else {
-			xi = exactInfo(a.h, a.h.Builtin(hier.NilName))
+			xi = exactInfo(a.h.B.Nil)
 		}
 		if a.retTracked {
 			a.retJoin = join(a.retJoin, xi)
@@ -638,11 +657,11 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		for i, arg := range n.Args {
 			n.Args[i], _ = a.optimize(arg)
 		}
-		return n, exactInfo(h, n.Class)
+		return n, exactInfo(n.Class)
 
 	case *ir.MakeClosure:
 		a.optimizeClosureBody(n.Fn)
-		in := exactInfo(h, h.Builtin(hier.ClosureName))
+		in := exactInfo(h.B.Closure)
 		in.closure = n
 		return n, in
 
@@ -673,15 +692,15 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		if c, ok := x.(*ir.Const); ok {
 			switch {
 			case n.Op == ir.OpNot && c.Kind == ir.KBool:
-				return &ir.Const{Kind: ir.KBool, Bool: !c.Bool}, exactInfo(h, h.Builtin(hier.BoolName))
+				return &ir.Const{Kind: ir.KBool, Bool: !c.Bool}, exactInfo(h.B.Bool)
 			case n.Op == ir.OpNeg && c.Kind == ir.KInt:
-				return &ir.Const{Kind: ir.KInt, Int: -c.Int}, exactInfo(h, h.Builtin(hier.IntName))
+				return &ir.Const{Kind: ir.KInt, Int: -c.Int}, exactInfo(h.B.Int)
 			}
 		}
 		if n.Op == ir.OpNot {
-			return n, exactInfo(h, h.Builtin(hier.BoolName))
+			return n, exactInfo(h.B.Bool)
 		}
-		return n, exactInfo(h, h.Builtin(hier.IntName))
+		return n, exactInfo(h.B.Int)
 
 	case *ir.PrimCall:
 		for i, arg := range n.Args {
@@ -711,11 +730,11 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		}
 		if lc, ok := l.(*ir.Const); ok && lc.Kind == ir.KBool {
 			if !lc.Bool {
-				return &ir.Const{Kind: ir.KBool, Bool: false}, exactInfo(h, h.Builtin(hier.BoolName))
+				return &ir.Const{Kind: ir.KBool, Bool: false}, exactInfo(h.B.Bool)
 			}
-			return r, exactInfo(h, h.Builtin(hier.BoolName))
+			return r, exactInfo(h.B.Bool)
 		}
-		return n, exactInfo(h, h.Builtin(hier.BoolName))
+		return n, exactInfo(h.B.Bool)
 
 	case *ir.Or:
 		l, _ := a.optimize(n.L)
@@ -736,11 +755,11 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		}
 		if lc, ok := l.(*ir.Const); ok && lc.Kind == ir.KBool {
 			if lc.Bool {
-				return &ir.Const{Kind: ir.KBool, Bool: true}, exactInfo(h, h.Builtin(hier.BoolName))
+				return &ir.Const{Kind: ir.KBool, Bool: true}, exactInfo(h.B.Bool)
 			}
-			return r, exactInfo(h, h.Builtin(hier.BoolName))
+			return r, exactInfo(h.B.Bool)
 		}
-		return n, exactInfo(h, h.Builtin(hier.BoolName))
+		return n, exactInfo(h.B.Bool)
 	}
 	panic(fmt.Sprintf("opt: unknown node %T", n))
 }
@@ -749,15 +768,15 @@ func (a *analyzer) primInfo(p ir.Prim) info {
 	h := a.h
 	switch p {
 	case ir.PrimStr, ir.PrimSubstr, ir.PrimCharAt, ir.PrimChr, ir.PrimClassName:
-		return exactInfo(h, h.Builtin(hier.StringName))
+		return exactInfo(h.B.String)
 	case ir.PrimNewArray:
-		return exactInfo(h, h.Builtin(hier.ArrayName))
+		return exactInfo(h.B.Array)
 	case ir.PrimALen, ir.PrimStrLen, ir.PrimOrd:
-		return exactInfo(h, h.Builtin(hier.IntName))
+		return exactInfo(h.B.Int)
 	case ir.PrimSame:
-		return exactInfo(h, h.Builtin(hier.BoolName))
+		return exactInfo(h.B.Bool)
 	case ir.PrimPrint, ir.PrimPrintln, ir.PrimAbort:
-		return exactInfo(h, h.Builtin(hier.NilName))
+		return exactInfo(h.B.Nil)
 	default: // aget, aput: element type unknown
 		return topInfo()
 	}
@@ -781,7 +800,7 @@ func (a *analyzer) optimizeBin(n *ir.Bin) (ir.Node, info) {
 
 	switch n.Op {
 	case ir.OpLT, ir.OpLE, ir.OpGT, ir.OpGE, ir.OpEQ, ir.OpNE:
-		return n, exactInfo(h, h.Builtin(hier.BoolName))
+		return n, exactInfo(h.B.Bool)
 	case ir.OpAdd:
 		// + is Int+Int or String+String.
 		intCls, strCls := h.Builtin(hier.IntName), h.Builtin(hier.StringName)
@@ -789,9 +808,9 @@ func (a *analyzer) optimizeBin(n *ir.Bin) (ir.Node, info) {
 		onlyStr := !li.top && li.set.SubsetOf(strCls.Cone()) && !ri.top && ri.set.SubsetOf(strCls.Cone())
 		switch {
 		case onlyInt:
-			return n, exactInfo(h, intCls)
+			return n, exactInfo(intCls)
 		case onlyStr:
-			return n, exactInfo(h, strCls)
+			return n, exactInfo(strCls)
 		default:
 			s := bits.New(h.NumClasses())
 			s.Add(intCls.ID)
@@ -799,7 +818,7 @@ func (a *analyzer) optimizeBin(n *ir.Bin) (ir.Node, info) {
 			return n, setInfo(s)
 		}
 	default:
-		return n, exactInfo(h, h.Builtin(hier.IntName))
+		return n, exactInfo(h.B.Int)
 	}
 }
 
@@ -807,13 +826,13 @@ func (a *analyzer) constInfo(n ir.Node) info {
 	c := n.(*ir.Const)
 	switch c.Kind {
 	case ir.KInt:
-		return exactInfo(a.h, a.h.Builtin(hier.IntName))
+		return exactInfo(a.h.B.Int)
 	case ir.KBool:
-		return exactInfo(a.h, a.h.Builtin(hier.BoolName))
+		return exactInfo(a.h.B.Bool)
 	case ir.KStr:
-		return exactInfo(a.h, a.h.Builtin(hier.StringName))
+		return exactInfo(a.h.B.String)
 	default:
-		return exactInfo(a.h, a.h.Builtin(hier.NilName))
+		return exactInfo(a.h.B.Nil)
 	}
 }
 
@@ -993,16 +1012,16 @@ func (a *analyzer) optimizeSend(n *ir.Send) (ir.Node, info) {
 	if !ok {
 		return n, topInfo()
 	}
-	a.c.staticBound.Add(1)
+	a.staticBound++
 
 	v, exact := a.c.selectVersionStatic(target, infos)
 	if !exact {
-		a.c.versionSelects.Add(1)
+		a.versionSelects++
 		return &ir.VersionSelect{Method: target, Site: n.Site, Args: n.Args}, topInfo()
 	}
 
 	if a.canInline(target) {
-		a.c.inlinedCalls.Add(1)
+		a.inlinedCalls++
 		return a.inlineMethod(target, n.Args, infos)
 	}
 	return &ir.StaticCall{Target: v, Site: n.Site, Args: n.Args}, a.c.returnInfoOf(v)

@@ -90,12 +90,6 @@ type Options struct {
 	// benefit of static binding).
 	DisableInlining bool
 
-	// Lazy defers version body compilation to first invocation and, for
-	// CustMM, creates version entries on demand — the paper's dynamic
-	// compilation mode (§3.7.3, Figure 6 right). Compile sets it for
-	// CustMM.
-	Lazy bool
-
 	// InstantiationAnalysis restricts CHA/Selective class sets to
 	// classes the program actually instantiates (plus builtins) — Rapid
 	// Type Analysis in the style of Bacon & Sweeney, the natural
@@ -159,8 +153,9 @@ type Compiled struct {
 	versions map[*hier.Method]*methodVersions
 	// compiledBodies and irNodes count the version bodies built so far
 	// and their total ir.Size, added under mu where EnsureBody installs
-	// a body.
+	// a body; onBody, when set, hears each installed body's counts.
 	compiledBodies, irNodes int
+	onBody                  func(staticBound, inlined int)
 
 	// globalInfos[i] is the class info of global i: derived from the
 	// initializer for never-assigned globals (sound because reading an
@@ -181,15 +176,18 @@ type Compiled struct {
 	sendArgs [][]*bits.Set
 
 	// Statistics. Atomic: method bodies compile on a worker pool and
-	// each worker's analyzer bumps these; addition commutes, so the
-	// totals stay deterministic under any compile order.
+	// each body's counts are added where it is installed; addition
+	// commutes, so the totals stay deterministic under any compile order.
 	inlinedCalls   atomic.Int64
 	staticBound    atomic.Int64
 	versionSelects atomic.Int64 // compile-time converted static→version-select
-	lazyCompiles   atomic.Int64
 }
 
-// Compile compiles the program under the given options.
+// Compile defines the program's versions under the given options and
+// optimizes its global and field initializers. It builds no version
+// body: a body is built on its version's first call (EnsureBody), as
+// the paper's dynamic compilation does (§3.7.3), or for every static
+// version at once by CompileAll.
 func Compile(p *ir.Program, opts Options) (*Compiled, error) {
 	return compileProgram(p, opts, nil)
 }
@@ -205,7 +203,11 @@ func Compile(p *ir.Program, opts Options) (*Compiled, error) {
 func SendArgSets(p *ir.Program, instantiation bool) ([][]*bits.Set, error) {
 	out := make([][]*bits.Set, len(p.Sites))
 	opts := Options{Config: CHA, DisableInlining: true, InstantiationAnalysis: instantiation}
-	if _, err := compileProgram(p, opts, out); err != nil {
+	c, err := compileProgram(p, opts, out)
+	if err == nil {
+		err = c.CompileAll()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -215,9 +217,6 @@ func compileProgram(p *ir.Program, opts Options, sendArgs [][]*bits.Set) (*Compi
 	if opts.Config == Selective && opts.Specializations == nil {
 		return nil, fmt.Errorf("opt: Selective configuration requires Specializations")
 	}
-	// The paper: Cust-MM "is practical only for dynamic compilation
-	// systems", so it always compiles lazily.
-	opts.Lazy = opts.Lazy || opts.Config == CustMM
 	c := &Compiled{
 		Prog:          p,
 		Opts:          opts,
@@ -239,17 +238,6 @@ func compileProgram(p *ir.Program, opts Options, sendArgs [][]*bits.Set) (*Compi
 		c.versions[m] = mv
 		for _, tpl := range c.versionTuples(m) {
 			c.defineVersion(m, tpl)
-		}
-	}
-
-	// Compile bodies eagerly unless lazy.
-	if !opts.Lazy {
-		var all []*ir.Version
-		for _, m := range p.H.Methods() {
-			all = append(all, c.versions[m].list...)
-		}
-		if err := c.compileAll(all); err != nil {
-			return nil, err
 		}
 	}
 
@@ -279,13 +267,27 @@ func compileProgram(p *ir.Program, opts Options, sendArgs [][]*bits.Set) (*Compi
 	return c, nil
 }
 
-// compileAll compiles every listed version body, fanning out over a
-// GOMAXPROCS-sized worker pool. Versions are independent except for
-// return-type analysis, whose recursion-cycle cutoff depends on
-// compile order — that mode stays serial so bodies remain
-// deterministic. Per-version outcomes land in a slot array and the
-// lowest-index error wins, so failures are deterministic too.
-func (c *Compiled) compileAll(all []*ir.Version) error {
+// CompileAll builds the body of every version a static compile would
+// build: all defined versions, except under Cust-MM, whose version set
+// exists only on demand (the paper: Cust-MM "is practical only for
+// dynamic compilation systems"), so CompileAll builds nothing there.
+// Callers that report code space call it; a run builds only the bodies
+// it reaches.
+//
+// The bodies compile on a GOMAXPROCS-sized worker pool. Versions are
+// independent except for return-type analysis, whose recursion-cycle
+// cutoff depends on compile order — that mode stays serial, in method
+// order, so bodies remain deterministic. Per-version outcomes land in a
+// slot array and the lowest-index error wins, so failures are
+// deterministic too.
+func (c *Compiled) CompileAll() error {
+	if c.Opts.Config == CustMM {
+		return nil
+	}
+	var all []*ir.Version
+	for _, m := range c.Prog.H.Methods() {
+		all = append(all, c.versions[m].list...)
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if c.Opts.ReturnTypeAnalysis || workers < 2 || len(all) < 2 {
 		for _, v := range all {
@@ -499,7 +501,7 @@ func (c *Compiled) General(m *hier.Method) *ir.Version {
 
 // SelectVersion picks the version of m to run for the given actual
 // argument classes — the paper's §3.5 run-time selection. For Cust and
-// Cust-MM it keys on exact classes (creating the version lazily for
+// Cust-MM it keys on exact classes (creating the version on demand for
 // Cust-MM); for Selective it returns the unique minimal specialization
 // tuple containing the actuals (uniqueness follows from intersection
 // closure); for Base/CHA it returns the single version.
@@ -568,13 +570,12 @@ func (c *Compiled) SelectVersion(m *hier.Method, classes []*hier.Class) *ir.Vers
 // Stats reports compile-time statistics.
 type Stats struct {
 	Config          Config
-	Versions        int // defined versions (lazy: includes uncompiled)
-	CompiledBodies  int
-	IRNodes         int // total IR nodes across compiled bodies
-	InlinedCalls    int
+	Versions        int // defined versions, built or not
+	CompiledBodies  int // version bodies built so far
+	IRNodes         int // total IR nodes across built bodies
+	InlinedCalls    int // over initializers and built bodies
 	StaticBound     int
 	VersionSelects  int
-	LazyCompiles    int
 	SourceMethods   int
 	SpecializedMeth int // methods with >1 version
 }
@@ -590,7 +591,6 @@ func (c *Compiled) Stats() Stats {
 		InlinedCalls:   int(c.inlinedCalls.Load()),
 		StaticBound:    int(c.staticBound.Load()),
 		VersionSelects: int(c.versionSelects.Load()),
-		LazyCompiles:   int(c.lazyCompiles.Load()),
 		SourceMethods:  len(c.Prog.H.Methods()),
 	}
 	for _, m := range c.Prog.H.Methods() {
@@ -635,8 +635,9 @@ func (c *Compiled) StaticVersionCount() int {
 	return total
 }
 
-// InvokedVersionCount counts versions whose bodies were actually
-// compiled (in lazy mode: invoked at least once) — Figure 6 right.
+// InvokedVersionCount counts versions whose bodies were built: after a
+// run without CompileAll, the versions invoked at least once — Figure 6
+// right.
 func (c *Compiled) InvokedVersionCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

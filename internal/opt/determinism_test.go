@@ -22,6 +22,9 @@ func TestCompileDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			c, err := Compile(prog, Options{Config: cfg})
+			if err == nil {
+				err = c.CompileAll()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,6 +60,9 @@ func TestParallelCompileDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, err := Compile(prog, Options{Config: CHA})
+		if err == nil {
+			err = c.CompileAll()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,6 +103,9 @@ func TestStatsDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, err := Compile(prog, Options{Config: CHA})
+		if err == nil {
+			err = c.CompileAll()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

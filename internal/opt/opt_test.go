@@ -18,6 +18,9 @@ func compile(t *testing.T, src string, opts Options) *Compiled {
 		t.Fatal(err)
 	}
 	c, err := Compile(prog, opts)
+	if err == nil {
+		err = c.CompileAll()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +138,37 @@ func findVersionWithClass(t *testing.T, c *Compiled, gf string, class string) *i
 	return nil
 }
 
+// TestCompileBuildsNoBody: Compile defines versions but builds no body
+// under any configuration; CompileAll builds the static set.
+func TestCompileBuildsNoBody(t *testing.T) {
+	prog, err := ir.Lower(lang.MustParse(optSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{Base, Cust, CHA} {
+		c, err := Compile(prog, Options{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Stats().CompiledBodies; n != 0 {
+			t.Fatalf("%v: %d version bodies built before any call", cfg, n)
+		}
+		if err := c.CompileAll(); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Stats(); s.CompiledBodies != s.Versions {
+			t.Fatalf("%v: CompileAll built %d bodies of %d versions", cfg, s.CompiledBodies, s.Versions)
+		}
+	}
+}
+
 // TestCustMMRequiresLazy: Cust-MM is practical only under dynamic
-// compilation, so Compile derives Lazy for it — no caller sets it.
+// compilation, so its static set is empty (CompileAll builds nothing)
+// and a body is built on its version's first call.
 func TestCustMMRequiresLazy(t *testing.T) {
 	c := compile(t, optSrc, Options{Config: CustMM})
-	if !c.Opts.Lazy {
-		t.Fatal("Cust-MM compiled eagerly")
-	}
 	if n := c.Stats().CompiledBodies; n != 0 {
-		t.Fatalf("%d version bodies compiled before any call", n)
+		t.Fatalf("%d version bodies built before any call", n)
 	}
 	a, _ := c.Prog.H.Class("A")
 	v := c.SelectVersion(methodByName(t, c, "m", "A"), []*hier.Class{a})
@@ -274,7 +299,7 @@ method f(x@A, y@A) { 1; }
 			}
 		}
 
-		c, err := Compile(prog, Options{Config: Selective, Lazy: true,
+		c, err := Compile(prog, Options{Config: Selective,
 			Specializations: map[*hier.Method][]hier.Tuple{f: tuples}})
 		if err != nil {
 			t.Fatal(err)
@@ -609,5 +634,20 @@ func TestCompileErrorOnBadSelectiveOpts(t *testing.T) {
 	_, err = Compile(prog, Options{Config: Selective})
 	if err == nil || !strings.Contains(err.Error(), "Specializations") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestExactInfoAllocatesNothing: the info of an exactly known class
+// shares the class's Freeze-time singleton set instead of building one
+// per node.
+func TestExactInfoAllocatesNothing(t *testing.T) {
+	c := compile(t, optSrc, Options{Config: Base})
+	cls := c.Prog.H.B.Int
+	var in info
+	if n := testing.AllocsPerRun(100, func() { in = exactInfo(cls) }); n != 0 {
+		t.Errorf("exactInfo allocates %v times per call", n)
+	}
+	if in.top || in.set.Len() != 1 || !in.set.Has(cls.ID) {
+		t.Errorf("exactInfo(Int) = %+v", in)
 	}
 }

@@ -107,7 +107,11 @@ func TestReturnTypeAnalysisResultsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Compile(prog, Options{Config: CHA, ReturnTypeAnalysis: rta}); err != nil {
+		c, err := Compile(prog, Options{Config: CHA, ReturnTypeAnalysis: rta})
+		if err == nil {
+			err = c.CompileAll()
+		}
+		if err != nil {
 			t.Fatalf("rta=%t: %v", rta, err)
 		}
 	}

@@ -114,7 +114,8 @@ func (o *Observer) observeSpecialize(s specialize.Stats) {
 	o.specCascades.Add(uint64(s.CascadeRequests))
 }
 
-// observeCompile flushes one compilation's optimizer statistics.
+// observeCompile adds optimizer statistics: a compile's initializers,
+// or one version body.
 func (o *Observer) observeCompile(static, inlined int) {
 	o.optStatic.Add(uint64(static))
 	o.optInlined.Add(uint64(inlined))

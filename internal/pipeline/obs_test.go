@@ -81,16 +81,37 @@ method main() { m(new A()) + m(new B()); }
 	if _, err := Specialize("obs-test", prog, cg, specialize.Params{Threshold: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile("obs-test", prog, opt.Options{Config: opt.CHA}); err != nil {
+	c, err := Compile("obs-test", prog, opt.Options{Config: opt.CHA})
+	if err != nil {
 		t.Fatal(err)
 	}
-
 	snap := reg.Snapshot()
 	if _, ok := snap.Counters["selspec_specialize_arcs_examined_total"]; !ok {
 		t.Error("specialize counters never registered")
 	}
-	if got := snap.Counters["selspec_opt_static_bound_sends_total"]; got == 0 {
-		t.Error("CHA compile bound no sends statically; static-bound counter is 0")
+	if got := snap.Counters["selspec_opt_static_bound_sends_total"]; got != 0 {
+		t.Errorf("static-bound counter is %d before any body is built", got)
+	}
+
+	// A body built on first call counts where it is installed, and
+	// CompileAll counts the rest once each.
+	mainV := c.General(prog.Main.Methods[0])
+	if err := c.EnsureBody(mainV); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["selspec_opt_static_bound_sends_total"]; got == 0 {
+		t.Error("main's CHA body bound no sends statically; static-bound counter is 0")
+	}
+	if err := CompileAll("obs-test", c); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	st := c.Stats()
+	if got := snap.Counters["selspec_opt_static_bound_sends_total"]; got != uint64(st.StaticBound) {
+		t.Errorf("static-bound counter %d, optimizer stats %d", got, st.StaticBound)
+	}
+	if got := snap.Counters["selspec_opt_inlined_calls_total"]; got != uint64(st.InlinedCalls) {
+		t.Errorf("inlined counter %d, optimizer stats %d", got, st.InlinedCalls)
 	}
 }
 

@@ -189,18 +189,30 @@ func Load(label, src string) (*ir.Program, error) {
 }
 
 // Compile runs the optimizing middle end inside the boundary. The
-// configuration is recorded on any contained fault.
+// configuration is recorded on any contained fault. When observing,
+// the optimizer counters take the initializers' counts now and each
+// version body's where it is built, during a run or in CompileAll.
 func Compile(label string, p *ir.Program, oo opt.Options) (*opt.Compiled, error) {
 	c, err := Guard(StageCompile, label, oo.Config.String(), func() (*opt.Compiled, error) {
 		return opt.Compile(p, oo)
 	})
 	if err == nil {
 		if o := observing.Load(); o != nil {
-			s := c.Stats()
+			s := c.Stats() // Compile builds no version body
 			o.observeCompile(s.StaticBound, s.InlinedCalls)
+			c.OnBody(o.observeCompile)
 		}
 	}
 	return c, err
+}
+
+// CompileAll builds every static version body of c
+// (opt.Compiled.CompileAll) inside the boundary, as a compile stage.
+func CompileAll(label string, c *opt.Compiled) error {
+	_, err := Guard(StageCompile, label, c.Opts.Config.String(), func() (struct{}, error) {
+		return struct{}{}, c.CompileAll()
+	})
+	return err
 }
 
 // Specialize runs the selective specialization algorithm inside the

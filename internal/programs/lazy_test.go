@@ -1,56 +1,119 @@
-package programs
+package programs_test
 
 import (
+	"fmt"
 	"testing"
 
 	"selspec/internal/driver"
+	"selspec/internal/gen"
+	"selspec/internal/interp"
 	"selspec/internal/opt"
+	"selspec/internal/programs"
+	"selspec/internal/vm"
 )
 
-// TestLazyCompilationEquivalence: §3.7.3 — compiling method versions
-// lazily on first invocation must not change program behaviour or
-// dispatch counts, only which versions get bodies.
+// TestLazyCompilationEquivalence: §3.7.3 — building method bodies on
+// first invocation must not change program behaviour, only which
+// versions get bodies. Every run is made twice: from a compile that
+// builds bodies on demand, and from one whose static bodies CompileAll
+// built up front (Cust-MM has no static set: both build on demand).
+// Both must agree on the value, the output and every counter, under
+// both engines, and the VM must emit the same bytecode for every proc
+// the on-demand run reached.
 func TestLazyCompilationEquivalence(t *testing.T) {
-	for _, b := range []Benchmark{Richards(), Sets()} {
+	benches := []programs.Benchmark{programs.Richards(), programs.Sets()}
+	if !testing.Short() {
+		for seed := uint64(1); seed <= 5; seed++ {
+			benches = append(benches, gen.New(gen.Config{Seed: seed}).Benchmark())
+		}
+	}
+	for _, b := range benches {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			for _, cfg := range []opt.Config{opt.Base, opt.Cust, opt.CHA} {
-				p, err := driver.Load(b.Source)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run := func(lazy bool) *driver.Result {
-					c, err := opt.Compile(p.Prog, opt.Options{Config: cfg, Lazy: lazy})
-					if err != nil {
-						t.Fatal(err)
+			p, err := driver.LoadNamed(b.Name, b.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range opt.Configs() {
+				for _, engine := range []driver.Engine{driver.EngineTree, driver.EngineVM} {
+					onDemand, lazyCode := lazyRun(t, p, b, cfg, engine, false)
+					static, staticCode := lazyRun(t, p, b, cfg, engine, true)
+					what := fmt.Sprintf("%v/%v", cfg, engine)
+					if onDemand.Value != static.Value || onDemand.Output != static.Output {
+						t.Errorf("%s: on-demand and static bodies disagree: %q vs %q", what, onDemand.Value, static.Value)
 					}
-					res, err := driver.Execute(c, driver.RunOptions{
-						Overrides: b.Train, CaptureOutput: true, StepLimit: 200_000_000,
-					})
-					if err != nil {
-						t.Fatalf("%v lazy=%t: %v", cfg, lazy, err)
+					if onDemand.Counters != static.Counters || onDemand.Steps != static.Steps || onDemand.Invoked != static.Invoked {
+						t.Errorf("%s: counters differ:\n on demand %+v steps=%d invoked=%d\n static    %+v steps=%d invoked=%d", what,
+							onDemand.Counters, onDemand.Steps, onDemand.Invoked, static.Counters, static.Steps, static.Invoked)
 					}
-					if lazy && c.InvokedVersionCount() != c.Stats().CompiledBodies {
-						t.Errorf("%v: lazy bookkeeping inconsistent", cfg)
+					for name, code := range lazyCode {
+						if staticCode[name] != code {
+							t.Errorf("%s: bytecode of %s differs:\n on demand:\n%s static:\n%s", what, name, code, staticCode[name])
+						}
 					}
-					return res
-				}
-				eager := run(false)
-				lazy := run(true)
-				if eager.Value != lazy.Value || eager.Output != lazy.Output {
-					t.Errorf("%v: lazy and eager disagree: %q vs %q", cfg, eager.Value, lazy.Value)
-				}
-				if eager.Counters.DynamicDispatches() != lazy.Counters.DynamicDispatches() {
-					t.Errorf("%v: dispatch counts differ: %d vs %d",
-						cfg, eager.Counters.DynamicDispatches(), lazy.Counters.DynamicDispatches())
-				}
-				if lazy.Invoked > eager.Invoked {
-					t.Errorf("%v: lazy invoked more versions (%d) than eager (%d)",
-						cfg, lazy.Invoked, eager.Invoked)
 				}
 			}
 		})
 	}
+}
+
+// lazyRun builds b under cfg, with every static body built first when
+// static is set, runs it on its training input under engine, and
+// returns the result and — for the VM — the disassembly of every method
+// version proc (with its closures) that the run compiled, by version.
+func lazyRun(t *testing.T, p *driver.Pipeline, b programs.Benchmark, cfg opt.Config, engine driver.Engine, static bool) (*driver.Result, map[string]string) {
+	t.Helper()
+	c, _, err := p.Build(driver.BuildOptions{
+		Opt:   opt.Options{Config: cfg},
+		Train: driver.RunOptions{Overrides: b.Train, StepLimit: 200_000_000},
+	})
+	if err == nil && static {
+		err = c.CompileAll()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := c.Stats().CompiledBodies
+	res, err := driver.Execute(c, driver.RunOptions{
+		Overrides: b.Train, CaptureOutput: true, StepLimit: 200_000_000, Engine: engine,
+	})
+	if err != nil {
+		t.Fatalf("%v/%v static=%t: %v", cfg, engine, static, err)
+	}
+	if st := c.Stats(); !static && (st.CompiledBodies != res.Invoked || c.InvokedVersionCount() != st.CompiledBodies) {
+		t.Errorf("%v/%v: on-demand run built %d bodies (%d counted) for %d invoked versions",
+			cfg, engine, c.InvokedVersionCount(), st.CompiledBodies, res.Invoked)
+	} else if static && cfg != opt.CustMM && st.CompiledBodies != built {
+		t.Errorf("%v/%v: the run built %d bodies after CompileAll", cfg, engine, st.CompiledBodies-built)
+	}
+	if engine != driver.EngineVM {
+		return res, nil
+	}
+	// The run's module is gone with its machine; a fresh machine over
+	// the same (now built) bodies compiles the same procs on demand.
+	// Compiling them through CompileAll covers every body that exists,
+	// which for the on-demand side is exactly the set the run reached.
+	m, err := vm.New(interp.New(c))
+	if err == nil {
+		err = m.Module().CompileAll()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := map[string]string{}
+	var cur string
+	for _, pi := range m.Module().Procs() {
+		switch {
+		case pi.Version != nil:
+			cur = pi.Version.String()
+		case pi.Closure == nil:
+			continue // initializer thunks
+		}
+		if cur != "" {
+			code[cur] += pi.Proc.Disasm()
+		}
+	}
+	return res, code
 }
 
 // TestProfileStabilityAcrossInputs checks the paper's §3.7.2
@@ -61,7 +124,7 @@ func TestLazyCompilationEquivalence(t *testing.T) {
 // perform within a few percent of each other on a common measurement
 // input.
 func TestProfileStabilityAcrossInputs(t *testing.T) {
-	b := InstSched()
+	b := programs.InstSched()
 	p, err := driver.Load(b.Source)
 	if err != nil {
 		t.Fatal(err)

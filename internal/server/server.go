@@ -86,7 +86,8 @@ type Config struct {
 	// watch a wind-down. Nil (the default) disables the endpoint.
 	Metrics *obs.Registry
 	// Verify runs the bytecode verifier over every request's compiled
-	// module before execution (and again after lazy runs): a defense
+	// module before execution (and again after the run, which builds
+	// bodies on demand): a defense
 	// layer for a service executing untrusted source through the
 	// bytecode tier. A verifier finding fails the request like any
 	// other contained pipeline fault.
@@ -408,13 +409,16 @@ type resolved struct {
 	threshold   int64
 	train, test map[string]int64
 	timeout     time.Duration
+	// stats: the response reports code space, so every static version
+	// body is built before the run (opt.Compiled.CompileAll).
+	stats bool
 }
 
 // resolve validates the request against the single sources of truth
 // the CLI uses (opt.ParseConfig, interp.ParseMechanism, programs
 // registry) and fills defaults.
 func (s *Server) resolve(req *RunRequest) (*resolved, error) {
-	rr := &resolved{threshold: specialize.DefaultThreshold}
+	rr := &resolved{threshold: specialize.DefaultThreshold, stats: req.Stats}
 	switch {
 	case req.Source != "" && req.Bench != "":
 		return nil, fmt.Errorf("source and bench are mutually exclusive")
@@ -545,6 +549,11 @@ func (s *Server) execute(ctx context.Context, rr *resolved) (*driver.Result, err
 		}
 		if bo.Train.Profile != nil {
 			s.profiles.put(key, bo.Train.Profile.Wire())
+		}
+		if rr.stats {
+			if err := pipeline.CompileAll(rr.label, c); err != nil {
+				return nil, err
+			}
 		}
 		ro.Overrides = rr.test
 		return driver.Execute(c, ro)

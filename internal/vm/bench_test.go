@@ -210,6 +210,9 @@ func BenchmarkCompileGen200(b *testing.B) {
 		b.Fatal(err)
 	}
 	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.CHA})
+	if err == nil {
+		err = c.CompileAll()
+	}
 	if err != nil {
 		b.Fatal(err)
 	}

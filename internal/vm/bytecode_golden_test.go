@@ -95,6 +95,9 @@ func TestBytecodeGolden(t *testing.T) {
 				Opt:   opt.Options{Config: cfg},
 				Train: driver.RunOptions{Overrides: c.b.Train, StepLimit: 2_000_000_000},
 			})
+			if err == nil {
+				err = comp.CompileAll()
+			}
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.b.Name, cfg, err)
 			}

@@ -23,6 +23,9 @@ func compileModule(t *testing.T, src string, cfg opt.Config) *Module {
 		t.Fatalf("lower: %v", err)
 	}
 	c, err := opt.Compile(prog, opt.Options{Config: cfg})
+	if err == nil {
+		err = c.CompileAll()
+	}
 	if err != nil {
 		t.Fatalf("opt: %v", err)
 	}

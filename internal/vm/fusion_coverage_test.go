@@ -48,6 +48,9 @@ func TestFusionCoverageNonDecreasing(t *testing.T) {
 				t.Fatal(err)
 			}
 			c, err := pipeline.Compile(b.Name, p.Prog, opt.Options{Config: cfg})
+			if err == nil {
+				err = c.CompileAll()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

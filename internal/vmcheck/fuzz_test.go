@@ -56,6 +56,9 @@ func buildFuzzMachine(tb testing.TB) *vm.Machine {
 		tb.Fatal(err)
 	}
 	c, err := opt.Compile(prog, opt.Options{Config: opt.Base})
+	if err == nil {
+		err = c.CompileAll()
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}

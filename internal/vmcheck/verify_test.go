@@ -52,6 +52,9 @@ func buildMachine(t *testing.T, src string, cfg opt.Config) *vm.Machine {
 		t.Fatalf("load: %v", err)
 	}
 	c, err := pipeline.Compile("mut.mc", p.Prog, opt.Options{Config: cfg})
+	if err == nil {
+		err = c.CompileAll()
+	}
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
