@@ -46,6 +46,9 @@ func TestLazyTrainingProfileMatchesEager(t *testing.T) {
 		}
 
 		c, err := pipeline.Compile(b.Name, p.Prog, opt.Options{Config: opt.Base})
+		if err == nil {
+			err = c.CompileAll()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

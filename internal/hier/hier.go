@@ -357,27 +357,42 @@ func (h *Hierarchy) AddClass(name string, parents []*Class, ownFields []Field) (
 	}
 
 	// Flatten fields: inherited (dedup by name, first wins must be
-	// unique) then own.
-	seen := map[string]*Class{}
+	// unique) then own. A single parent's layout is already unique, so
+	// only multiple inheritance needs the name map.
+	n := len(ownFields)
+	for _, p := range parents {
+		n += len(p.Fields)
+	}
+	if n > 0 {
+		c.Fields = make([]Field, 0, n)
+	}
+	var seen map[string]*Class
+	if len(parents) > 1 {
+		seen = make(map[string]*Class, n)
+	}
 	for _, p := range parents {
 		for _, f := range p.Fields {
-			if prev, dup := seen[f.Name]; dup {
-				if prev != f.Owner {
-					return nil, fmt.Errorf("hier: class %s inherits conflicting field %q from %s and %s",
-						name, f.Name, prev.Name, f.Owner.Name)
+			if seen != nil {
+				if prev, dup := seen[f.Name]; dup {
+					if prev != f.Owner {
+						return nil, fmt.Errorf("hier: class %s inherits conflicting field %q from %s and %s",
+							name, f.Name, prev.Name, f.Owner.Name)
+					}
+					continue // diamond: same declaration, keep one copy
 				}
-				continue // diamond: same declaration, keep one copy
+				seen[f.Name] = f.Owner
 			}
-			seen[f.Name] = f.Owner
 			c.Fields = append(c.Fields, f)
 		}
 	}
+	if len(ownFields) > 0 {
+		c.OwnFields = make([]Field, 0, len(ownFields))
+	}
 	for _, f := range ownFields {
-		if _, dup := seen[f.Name]; dup {
+		if c.FieldIndex(f.Name) >= 0 {
 			return nil, fmt.Errorf("hier: class %s redeclares field %q", name, f.Name)
 		}
 		f.Owner = c
-		seen[f.Name] = c
 		c.Fields = append(c.Fields, f)
 		c.OwnFields = append(c.OwnFields, f)
 	}

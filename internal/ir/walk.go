@@ -98,18 +98,16 @@ func Size(n Node) int {
 // Clone deep-copies an IR tree. CallSites are shared (site identity is
 // how profiles and arcs are keyed); ClosureCode is copied so each
 // compiled version can optimize its closure bodies independently.
+// Const and Global leaves are shared too: no pass modifies one after
+// lowering (Local leaves are copied: inlining renumbers their slots).
 func Clone(n Node) Node {
 	if n == nil {
 		return nil
 	}
 	switch n := n.(type) {
-	case *Const:
-		c := *n
-		return &c
+	case *Const, *Global:
+		return n
 	case *Local:
-		c := *n
-		return &c
-	case *Global:
 		c := *n
 		return &c
 	case *SetLocal:

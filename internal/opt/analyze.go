@@ -26,12 +26,21 @@ func setInfo(s *bits.Set) info { return info{set: s} }
 // Freeze-time singleton set: the analysis never mutates an info's set.
 func exactInfo(c *hier.Class) info { return info{set: c.Singleton()} }
 
-// join computes the lattice join of two infos.
+// join computes the lattice join of two infos. Info sets are never
+// mutated, so a join that adds nothing to one side shares its set.
 func join(a, b info) info {
 	if a.top || b.top {
 		return topInfo()
 	}
-	out := info{set: bits.Union(a.set, b.set)}
+	var out info
+	switch {
+	case b.set.SubsetOf(a.set):
+		out.set = a.set
+	case a.set.SubsetOf(b.set):
+		out.set = b.set
+	default:
+		out.set = bits.Union(a.set, b.set)
+	}
 	if a.closure != nil && a.closure == b.closure {
 		out.closure = a.closure
 	}
@@ -134,7 +143,7 @@ func (c *Compiled) EnsureBody(v *ir.Version) error {
 	}
 
 	a := &analyzer{c: c, h: c.Prog.H, version: v}
-	a.retJoin = info{set: bits.New(c.Prog.H.NumClasses())} // bottom
+	a.retJoin = info{set: c.empty} // bottom
 	f := newAFrame(src.NumSlots, true)
 	for i, in := range c.formalInfos(v) {
 		f.infos[i] = in
@@ -462,20 +471,18 @@ func (a *analyzer) quickInfo(n ir.Node) info {
 			// if both operands can be Int, only String if both can be
 			// String ("i := i + 1" therefore stays {Int}).
 			li, ri := a.quickInfo(n.L), a.quickInfo(n.R)
-			intC := h.Builtin(hier.IntName)
-			strC := h.Builtin(hier.StringName)
+			intC, strC := h.B.Int, h.B.String
 			canBe := func(in info, c *hier.Class) bool { return in.top || in.set.Has(c.ID) }
-			s := bits.New(h.NumClasses())
-			if canBe(li, intC) && canBe(ri, intC) {
-				s.Add(intC.ID)
+			isInt := canBe(li, intC) && canBe(ri, intC)
+			isStr := canBe(li, strC) && canBe(ri, strC)
+			switch {
+			case isInt && isStr:
+				return setInfo(a.c.intOrString)
+			case isStr:
+				return exactInfo(strC)
+			default:
+				return exactInfo(intC) // mismatched operands error at runtime
 			}
-			if canBe(li, strC) && canBe(ri, strC) {
-				s.Add(strC.ID)
-			}
-			if s.Empty() {
-				s.Add(intC.ID) // mismatched operands error at runtime
-			}
-			return setInfo(s)
 		default:
 			return exactInfo(h.B.Int)
 		}
@@ -651,7 +658,7 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		}
 		// Control never continues past a return: its "value" is bottom,
 		// which is the identity of join (keeps enclosing joins precise).
-		return n, info{set: bits.New(a.h.NumClasses())}
+		return n, info{set: a.c.empty}
 
 	case *ir.New:
 		for i, arg := range n.Args {
@@ -803,7 +810,7 @@ func (a *analyzer) optimizeBin(n *ir.Bin) (ir.Node, info) {
 		return n, exactInfo(h.B.Bool)
 	case ir.OpAdd:
 		// + is Int+Int or String+String.
-		intCls, strCls := h.Builtin(hier.IntName), h.Builtin(hier.StringName)
+		intCls, strCls := h.B.Int, h.B.String
 		onlyInt := !li.top && li.set.SubsetOf(intCls.Cone()) && !ri.top && ri.set.SubsetOf(intCls.Cone())
 		onlyStr := !li.top && li.set.SubsetOf(strCls.Cone()) && !ri.top && ri.set.SubsetOf(strCls.Cone())
 		switch {
@@ -812,10 +819,7 @@ func (a *analyzer) optimizeBin(n *ir.Bin) (ir.Node, info) {
 		case onlyStr:
 			return n, exactInfo(strCls)
 		default:
-			s := bits.New(h.NumClasses())
-			s.Add(intCls.ID)
-			s.Add(strCls.ID)
-			return n, setInfo(s)
+			return n, setInfo(a.c.intOrString)
 		}
 	default:
 		return n, exactInfo(h.B.Int)

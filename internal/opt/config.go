@@ -171,6 +171,10 @@ type Compiled struct {
 	retInfo       map[*ir.Version]info
 	retInProgress map[*ir.Version]bool
 
+	// empty and intOrString are shared info sets: bottom, and the
+	// classes a + yields when either operand may be a string.
+	empty, intOrString *bits.Set
+
 	// sendArgs, when non-nil, receives each send's argument class sets
 	// as static binding sees them, indexed by CallSite.ID (SendArgSets).
 	sendArgs [][]*bits.Set
@@ -225,6 +229,8 @@ func compileProgram(p *ir.Program, opts Options, sendArgs [][]*bits.Set) (*Compi
 		retInfo:       map[*ir.Version]info{},
 		retInProgress: map[*ir.Version]bool{},
 		sendArgs:      sendArgs,
+		empty:         bits.New(p.H.NumClasses()),
+		intOrString:   bits.Union(p.H.B.Int.Singleton(), p.H.B.String.Singleton()),
 	}
 
 	if opts.InstantiationAnalysis {

@@ -344,23 +344,26 @@ type FieldOpRef struct {
 	Mode Mode
 }
 
-// FieldSite is the inline cache of one OpGetFieldDyn/OpSetFieldDyn:
-// the receiver class the site last resolved and that class's slot for
-// the field. A site that sees another class re-resolves by name; a
-// failed resolution leaves the cache as it was.
+// FieldSite is the two-way inline cache of one OpGetFieldDyn/
+// OpSetFieldDyn: two receiver classes, the most recently used first,
+// each with its slot for the field. A site that sees a third class
+// re-resolves by name and evicts the older entry; a failed resolution
+// leaves the cache as it was.
 type FieldSite struct {
-	cls  *hier.Class
-	slot int
+	cls  [2]*hier.Class
+	slot [2]int
 }
 
-// resolve looks name up in cls, refills the cache and returns the slot,
-// raising the tree tier's error when cls has no such field.
+// resolve looks name up in cls, enters it as the newer entry and
+// returns the slot, raising the tree tier's error when cls has no such
+// field.
 func (fs *FieldSite) resolve(cls *hier.Class, name string) int {
 	idx := cls.FieldIndex(name)
 	if idx < 0 {
 		vmFail("class %s has no field %q", cls.Name, name)
 	}
-	fs.cls, fs.slot = cls, idx
+	fs.cls[1], fs.slot[1] = fs.cls[0], fs.slot[0]
+	fs.cls[0], fs.slot[0] = cls, idx
 	return idx
 }
 

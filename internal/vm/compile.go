@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"selspec/internal/hier"
 	"selspec/internal/interp"
@@ -22,6 +23,23 @@ type Module struct {
 	closures    map[*ir.ClosureCode]*Proc
 	globalInits []*Proc
 	fieldInits  map[*hier.Class][]*Proc
+
+	// scratch holds the reusable working state of proc compiles, one
+	// per nesting level: a proc's closures compile while it compiles.
+	scratch []*scratch
+	depth   int
+}
+
+// scratch is one proc compile's working state, reused by the next
+// compile at the same nesting level: the effect memo, the operand-pool
+// indexes, and the code and jump buffers the proc's exactly sized code
+// is copied out of.
+type scratch struct {
+	eff    effects
+	consts map[constKey]int32
+	names  map[string]int32
+	code   []Instr
+	jumps  []int32
 }
 
 func newModule(c *opt.Compiled) (*Module, error) {
@@ -120,20 +138,36 @@ func (mod *Module) closure(code *ir.ClosureCode) (*Proc, error) {
 }
 
 func (mod *Module) compile(name string, kind ProcKind, body ir.Node, numSlots int) (*Proc, error) {
+	if mod.depth == len(mod.scratch) {
+		mod.scratch = append(mod.scratch, &scratch{consts: map[constKey]int32{}, names: map[string]int32{}})
+	}
+	s := mod.scratch[mod.depth]
+	mod.depth++
+	defer func() { mod.depth-- }()
+	s.eff.reset(body)
+	clear(s.consts)
+	clear(s.names)
 	c := &compiler{
 		mod: mod,
 		p: &Proc{
 			Name:     name,
 			Kind:     kind,
 			NumSlots: numSlots,
+			Code:     s.code[:0],
 		},
-		eff:  analyzeEffects(body),
-		next: int32(numSlots),
-		max:  int32(numSlots),
+		eff:      &s.eff,
+		next:     int32(numSlots),
+		max:      int32(numSlots),
+		constIdx: s.consts,
+		nameIdx:  s.names,
+		jumps:    s.jumps[:0],
 	}
 	dest := c.temp()
 	c.into(body, dest)
 	c.emit(OpRet, dest, 0, 0, 0)
+	code := c.p.Code
+	c.p.Code = slices.Clone(code)
+	s.code, s.jumps = code[:0], c.jumps[:0]
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -221,9 +255,6 @@ func (c *compiler) patchSpan(from, to int) {
 }
 
 func (c *compiler) konst(v interp.Value) int32 {
-	if c.constIdx == nil {
-		c.constIdx = map[constKey]int32{}
-	}
 	k := constKey{k: v.K, i: v.I, s: v.Str()}
 	if idx, ok := c.constIdx[k]; ok {
 		return idx
@@ -235,9 +266,6 @@ func (c *compiler) konst(v interp.Value) int32 {
 }
 
 func (c *compiler) name(s string) int32 {
-	if c.nameIdx == nil {
-		c.nameIdx = map[string]int32{}
-	}
 	if idx, ok := c.nameIdx[s]; ok {
 		return idx
 	}

@@ -19,15 +19,20 @@ package vm
 
 import "selspec/internal/ir"
 
-// effects holds the per-body analysis, created once per compiled proc
-// by one bottom-up pass over the body.
+// effects answers the analysis for one body on demand. A query walks
+// only the subtree it asks about, memoizing every inner node it visits,
+// so the queries of one body walk each node at most once however they
+// nest. The memo and the closure scan are reset per body (reset) and
+// the map is reused across bodies, so the analysis allocates nothing
+// once the module's first bodies have sized it.
 type effects struct {
-	// hasClosures: the body contains an ir.MakeClosure, so its frame is
-	// heap-materialized and calls may transitively write any slot.
-	hasClosures bool
-	// facts holds every node of the body whose subtree writes a slot
-	// or calls; a node absent from it has neither effect. It stays nil
-	// for an effect-free body.
+	body ir.Node
+	// closures caches whether body contains an ir.MakeClosure (its frame
+	// is then heap-materialized and calls may transitively write any
+	// slot): 0 not yet scanned, 1 no, 2 yes.
+	closures int8
+	// facts memoizes the facts of the inner nodes visited so far; leaf
+	// nodes, which have none, are never stored.
 	facts map[ir.Node]nodeFacts
 }
 
@@ -42,23 +47,43 @@ type nodeFacts struct {
 	calls bool
 }
 
-func analyzeEffects(body ir.Node) *effects {
-	e := &effects{}
-	e.visit(body)
-	return e
+// reset starts the analysis of a new body, keeping the memo's storage.
+func (e *effects) reset(body ir.Node) {
+	e.body, e.closures = body, 0
+	if e.facts == nil {
+		e.facts = map[ir.Node]nodeFacts{}
+	}
+	clear(e.facts)
 }
 
-// visit computes n's facts from its children's, records them when
-// non-empty, and returns them.
+// hasClosures reports whether the body creates a closure.
+func (e *effects) hasClosures() bool {
+	if e.closures == 0 {
+		e.closures = 1
+		if containsClosure(e.body) {
+			e.closures = 2
+		}
+	}
+	return e.closures == 2
+}
+
+func containsClosure(n ir.Node) bool {
+	if _, ok := n.(*ir.MakeClosure); ok {
+		return true
+	}
+	found := false
+	ir.Children(n, func(c ir.Node) { found = found || containsClosure(c) })
+	return found
+}
+
+// visit returns n's facts, computing them from its children's (and
+// memoizing them) on the first visit.
 func (e *effects) visit(n ir.Node) nodeFacts {
 	var f nodeFacts
 	switch n := n.(type) {
-	case *ir.Const, *ir.Local, *ir.Global:
-		return f
-	case *ir.MakeClosure:
-		// Creating the closure runs nothing; its body's effects happen
-		// at call time, covered by the calls+hasClosures channel.
-		e.hasClosures = true
+	case *ir.Const, *ir.Local, *ir.Global, *ir.MakeClosure:
+		// Creating a closure runs nothing; its body's effects happen at
+		// call time, covered by the calls+hasClosures channel.
 		return f
 	case *ir.SetLocal:
 		if n.Depth == 0 {
@@ -73,6 +98,9 @@ func (e *effects) visit(n ir.Node) nodeFacts {
 		// arbitrary guest code.
 		f.calls = true
 	}
+	if memo, ok := e.facts[n]; ok {
+		return memo
+	}
 	// Unknown nodes have no visible children here and fail later in
 	// compile's default case (an internal error).
 	ir.Children(n, func(c ir.Node) {
@@ -81,20 +109,15 @@ func (e *effects) visit(n ir.Node) nodeFacts {
 		f.wide = f.wide || cf.wide
 		f.calls = f.calls || cf.calls
 	})
-	if f != (nodeFacts{}) {
-		if e.facts == nil {
-			e.facts = map[ir.Node]nodeFacts{}
-		}
-		e.facts[n] = f
-	}
+	e.facts[n] = f
 	return f
 }
 
 // mayWriteSlot reports whether evaluating n can write frame slot s of
 // the current proc.
 func (e *effects) mayWriteSlot(n ir.Node, s int) bool {
-	f := e.facts[n]
-	if f.calls && e.hasClosures {
+	f := e.visit(n)
+	if f.calls && e.hasClosures() {
 		return true
 	}
 	if s < 64 {

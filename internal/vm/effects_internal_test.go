@@ -15,7 +15,8 @@ func TestEffectsSlotSets(t *testing.T) {
 	narrow := &ir.SetLocal{Slot: 3, X: nilK}
 	call := &ir.Send{Site: &ir.CallSite{}, Args: []ir.Node{&ir.Local{Slot: 0}}}
 	body := &ir.Seq{Nodes: []ir.Node{wide, narrow, call}}
-	e := analyzeEffects(body)
+	var e effects
+	e.reset(body)
 	for _, c := range []struct {
 		n    ir.Node
 		slot int
@@ -30,7 +31,7 @@ func TestEffectsSlotSets(t *testing.T) {
 	}
 
 	clo := &ir.MakeClosure{Fn: &ir.ClosureCode{Body: nilK}}
-	e = analyzeEffects(&ir.Seq{Nodes: []ir.Node{clo, call, narrow}})
+	e.reset(&ir.Seq{Nodes: []ir.Node{clo, call, narrow}})
 	if !e.mayWriteSlot(call, 0) || !e.mayWriteSlot(call, 80) {
 		t.Error("a call in a closure-creating body must count as writing every slot")
 	}

@@ -10,5 +10,5 @@ func FlattenedHighWater(m *Machine) (frames, top, arena int) {
 			top = f.base + f.p.NumRegs
 		}
 	}
-	return len(m.frames), top, len(m.stack)
+	return len(m.frames), top, arenaSize
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"selspec/internal/dispatch"
 	"selspec/internal/hier"
@@ -25,7 +26,8 @@ type Machine struct {
 	// stack is the contiguous register arena for frames that no closure
 	// captures; sp is the allocation cursor. Frames that outgrow the
 	// arena fall back to individual heap windows, and frames captured
-	// by closures always live on the heap (see Proc.NeedsFrame).
+	// by closures always live on the heap (see Proc.NeedsFrame). Run
+	// takes the arena from the arenas pool and returns it on exit.
 	stack []interp.Value
 	sp    int
 
@@ -71,6 +73,25 @@ type vmReturn struct {
 	val interp.Value
 }
 
+// arenaSize is the length of a register arena in values (98 KB).
+const arenaSize = 4096
+
+// arenas recycles register arenas across runs, so a request does not
+// allocate (and the GC does not sweep) a fresh 98 KB arena. Every arena
+// is cleared before it goes back: no stale Value in it keeps a guest
+// object alive or leaks into the next run.
+var arenas = sync.Pool{New: func() any { return new([arenaSize]interp.Value) }}
+
+// takeArena gets a zeroed register arena from the pool.
+func takeArena() []interp.Value { return arenas.Get().(*[arenaSize]interp.Value)[:] }
+
+// releaseArena clears an arena from takeArena and returns it to the
+// pool.
+func releaseArena(a []interp.Value) {
+	clear(a)
+	arenas.Put((*[arenaSize]interp.Value)(a))
+}
+
 // New wraps in in a Machine, compiling the global initializers to
 // bytecode; every other proc compiles when the run first reaches it
 // (Module.CompileAll compiles them all). An error means a global
@@ -83,12 +104,7 @@ func New(in *interp.Interp) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{
-		in:    in,
-		g:     in.Guard(),
-		mod:   mod,
-		stack: make([]interp.Value, 4096),
-	}, nil
+	return &Machine{in: in, g: in.Guard(), mod: mod}, nil
 }
 
 // argClasses returns the classes of an argument window's first two
@@ -123,6 +139,11 @@ func vmFailAt(pos lang.Pos, format string, args ...any) {
 // observability totals flush on every exit path.
 func (m *Machine) Run() (v interp.Value, err error) {
 	in := m.in
+	m.stack = takeArena()
+	defer func() {
+		releaseArena(m.stack)
+		m.stack = nil
+	}()
 	defer in.FlushObs()
 	defer func() {
 		if r := recover(); r != nil {
@@ -1049,10 +1070,16 @@ func (st *execState) returnNonLocal(m *Machine, i *Instr) {
 
 // fieldSlot resolves dynamic field op i's slot in o through its site
 // cache (FieldSites[C]), re-resolving by name Names[D] on a class miss.
+// A hit on the older entry makes it the newer one.
 func (p *Proc) fieldSlot(i *Instr, o *interp.Object) int {
 	fs := &p.FieldSites[i.C]
-	if fs.cls == o.Class {
-		return fs.slot
+	switch o.Class {
+	case fs.cls[0]:
+		return fs.slot[0]
+	case fs.cls[1]:
+		fs.cls[0], fs.cls[1] = fs.cls[1], fs.cls[0]
+		fs.slot[0], fs.slot[1] = fs.slot[1], fs.slot[0]
+		return fs.slot[0]
 	}
 	return fs.resolve(o.Class, p.Names[i.D])
 }
