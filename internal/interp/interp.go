@@ -174,8 +174,7 @@ func New(c *opt.Compiled) *Interp {
 }
 
 // InvokedVersions returns the number of distinct method versions that
-// actually ran (Figure 6 right, for eager configurations; lazy
-// configurations can also use Compiled.InvokedVersionCount).
+// actually ran (Figure 6 right).
 func (in *Interp) InvokedVersions() int { return len(in.invoked) }
 
 // fail raises a Mini-Cecil runtime error.

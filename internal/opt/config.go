@@ -641,23 +641,6 @@ func (c *Compiled) StaticVersionCount() int {
 	return total
 }
 
-// InvokedVersionCount counts versions whose bodies were built: after a
-// run without CompileAll, the versions invoked at least once — Figure 6
-// right.
-func (c *Compiled) InvokedVersionCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, mv := range c.versions {
-		for _, v := range mv.list {
-			if v.Body != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // SpecializationHistogram returns, for methods with more than one
 // version, the number of versions per such method, sorted descending
 // (paper §3.2: "an average of 1.9 specializations per method receiving
