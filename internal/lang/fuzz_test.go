@@ -19,8 +19,8 @@ import (
 // seedSources collects the embedded benchmark corpus, the example
 // programs on disk, and a few small shapes that cover the syntax the
 // generators rarely stumble into on their own.
-func seedSources(f *testing.F) []string {
-	f.Helper()
+func seedSources(tb testing.TB) []string {
+	tb.Helper()
 	srcs := []string{
 		"",
 		"method main() { 1; }",

@@ -11,6 +11,7 @@ import (
 	"selspec/internal/driver"
 	"selspec/internal/gen"
 	"selspec/internal/interp"
+	"selspec/internal/ir"
 	"selspec/internal/opt"
 	"selspec/internal/programs"
 	"selspec/internal/vm"
@@ -53,6 +54,11 @@ func moduleDigest(t *testing.T, m *vm.Machine) (int, string) {
 	if err := m.Module().CompileAll(); err != nil {
 		t.Fatal(err)
 	}
+	return procsDigest(m)
+}
+
+// procsDigest hashes the procs m has compiled so far, in Procs order.
+func procsDigest(m *vm.Machine) (int, string) {
 	var b strings.Builder
 	procs := m.Module().Procs()
 	for _, pi := range procs {
@@ -63,7 +69,8 @@ func moduleDigest(t *testing.T, m *vm.Machine) (int, string) {
 
 // TestBytecodeGolden pins the bytecode of every proc the compiler emits
 // for the four paper programs under every configuration and for five
-// 200-class generated programs under gen-unique's configurations. The
+// 200-class generated programs under gen-unique's configurations, plus
+// the procs a Cust-MM run of each compiles (custMMRunDigests). The
 // digests were recorded before the effect analysis became one linear
 // pass per body and before version bodies compiled on demand; any
 // change to emitted code, operand pools or the proc set shows here.
@@ -109,6 +116,7 @@ func TestBytecodeGolden(t *testing.T) {
 			fmt.Fprintf(&out, "%s %s procs=%d sha256=%s\n", c.b.Name, cfg, n, sum)
 		}
 	}
+	custMMRunDigests(t, &out)
 	if *updateBytecode {
 		if err := os.WriteFile(bytecodeGolden, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -121,5 +129,40 @@ func TestBytecodeGolden(t *testing.T) {
 	}
 	if got := out.String(); got != string(want) {
 		t.Errorf("bytecode changed (regenerate with -update-bytecode only for an intended codegen change):\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// custMMRunDigests appends one line per program with the procs a VM run
+// under Cust-MM compiles: Cust-MM builds no body before its first call,
+// so CompileAll alone would pin none of them. Each of the four paper
+// programs runs on its test input, and each of five 200-class generated
+// programs on its test input too.
+func custMMRunDigests(t *testing.T, out *strings.Builder) {
+	t.Helper()
+	benches := programs.All()
+	for seed := uint64(1); seed <= 5; seed++ {
+		benches = append(benches, gen.New(gen.Config{Seed: seed, Classes: 200}).Benchmark())
+	}
+	for _, b := range benches {
+		p, err := driver.LoadNamed(b.Name, b.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := opt.Compile(p.Prog, opt.Options{Config: opt.CustMM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, v := range b.Test {
+			comp.GlobalInits[comp.Prog.GlobalIdx[g]] = &ir.Const{Kind: ir.KInt, Int: v}
+		}
+		m, err := vm.New(interp.New(comp))
+		if err == nil {
+			_, err = m.Run()
+		}
+		if err != nil {
+			t.Fatalf("%s/Cust-MM run: %v", b.Name, err)
+		}
+		n, sum := procsDigest(m)
+		fmt.Fprintf(out, "%s Cust-MM-run procs=%d sha256=%s\n", b.Name, n, sum)
 	}
 }
