@@ -85,11 +85,6 @@ method main() { callee(new P()); }
 	if !strings.Contains(v2.String(), "spec") || !strings.Contains(v.String(), "general") {
 		t.Errorf("Version.String: %s / %s", v, v2)
 	}
-	// Clone handles the optimized forms too.
-	c := Clone(&Seq{Nodes: []Node{sc, vs}})
-	if Size(c) != Size(&Seq{Nodes: []Node{sc, vs}}) {
-		t.Error("Clone of optimized forms changes size")
-	}
 }
 
 func TestProgramSiteAccessor(t *testing.T) {

@@ -370,49 +370,6 @@ func TestLowerMainDetection(t *testing.T) {
 	}
 }
 
-func TestCloneDeepCopies(t *testing.T) {
-	p := lower(t, `
-class C
-method g(x@C) { 1; }
-method f(a@C) { g(a); fn(z) { z; }; }
-`)
-	var f *MethodBody
-	for m, b := range p.Bodies {
-		if m.GF.Name == "f" {
-			f = b
-		}
-	}
-	c := Clone(f.Code)
-	if Size(c) != Size(f.Code) {
-		t.Fatalf("clone size %d != %d", Size(c), Size(f.Code))
-	}
-	// Site pointers shared; node pointers distinct.
-	origSends, cloneSends := SendSites(f.Code), SendSites(c)
-	if origSends[0] == cloneSends[0] {
-		t.Error("Send node aliased")
-	}
-	if origSends[0].Site != cloneSends[0].Site {
-		t.Error("CallSite must be shared between clones")
-	}
-	// Closure bodies must not alias.
-	var origClo, cloneClo *MakeClosure
-	Walk(f.Code, func(n Node) bool {
-		if mc, ok := n.(*MakeClosure); ok {
-			origClo = mc
-		}
-		return true
-	})
-	Walk(c, func(n Node) bool {
-		if mc, ok := n.(*MakeClosure); ok {
-			cloneClo = mc
-		}
-		return true
-	})
-	if origClo.Fn == cloneClo.Fn || origClo.Fn.Body == cloneClo.Fn.Body {
-		t.Error("ClosureCode aliased by Clone")
-	}
-}
-
 func TestSizeCountsClosures(t *testing.T) {
 	p := lower(t, `method f() { fn() { 1 + 2; }; }`)
 	body := p.Bodies[p.H.Methods()[0]]

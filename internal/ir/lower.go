@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"selspec/internal/hier"
 	"selspec/internal/lang"
@@ -26,11 +27,14 @@ type MethodBody struct {
 	AssignedFormals []bool
 
 	// Size is Size(Code) and HasReturn reports a Return node anywhere in
-	// Code, both recorded once at lowering: the optimizer clones source
-	// bodies but never changes them, and reads these per inlining
+	// Code, both recorded once at lowering: the optimizer reads source
+	// bodies without changing them, and reads these per inlining
 	// candidate.
 	Size      int
 	HasReturn bool
+	// ClosureWrites lists the method-frame slots that some closure in
+	// Code assigns (see ClosureCode.ClosureWrites).
+	ClosureWrites []int
 }
 
 // Program is the lowered program: the hierarchy plus IR for every
@@ -141,8 +145,9 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 // frame is one lexical frame (a method activation or a closure
 // activation) during lowering.
 type frame struct {
-	numParams int
-	numSlots  int
+	numParams     int
+	numSlots      int
+	closureWrites []int // slots that closures nested in the frame assign
 }
 
 // scope maps names to slots of a particular frame.
@@ -159,6 +164,7 @@ type lowerer struct {
 	scope  *scope
 
 	assignedFormals map[int]bool
+	hasReturn       bool // a return statement was lowered
 	sites           []*CallSite
 	// candidatePass maps each created site to the raw per-arg formal
 	// candidates, filtered against assignedFormals after lowering.
@@ -199,15 +205,8 @@ func lowerMethod(p *Program, m *hier.Method) (*MethodBody, error) {
 	for i := range assigned {
 		assigned[i] = lw.assignedFormals[i]
 	}
-	hasReturn := false
-	Walk(code, func(n Node) bool {
-		if _, ok := n.(*Return); ok {
-			hasReturn = true
-		}
-		return !hasReturn
-	})
 	return &MethodBody{Method: m, NumSlots: f.numSlots, Code: code, Sites: lw.sites,
-		AssignedFormals: assigned, Size: Size(code), HasReturn: hasReturn}, nil
+		AssignedFormals: assigned, Size: Size(code), HasReturn: lw.hasReturn, ClosureWrites: f.closureWrites}, nil
 }
 
 func (lw *lowerer) curFrame() *frame { return lw.frames[len(lw.frames)-1] }
@@ -290,6 +289,9 @@ func (lw *lowerer) stmt(s lang.Stmt) (Node, error) {
 				if frameIdx == 0 && slot < lw.frames[0].numParams && lw.method != nil {
 					lw.assignedFormals[slot] = true
 				}
+				if f := lw.frames[frameIdx]; depth > 0 && !slices.Contains(f.closureWrites, slot) {
+					f.closureWrites = append(f.closureWrites, slot)
+				}
 				return &SetLocal{Depth: depth, Slot: slot, Name: lhs.Name, X: rhs}, nil
 			}
 			if gi, ok := lw.prog.GlobalIdx[lhs.Name]; ok {
@@ -311,6 +313,7 @@ func (lw *lowerer) stmt(s lang.Stmt) (Node, error) {
 		if lw.method == nil {
 			return nil, fmt.Errorf("%s: 'return' outside a method", s.Pos)
 		}
+		lw.hasReturn = true
 		var x Node
 		if s.X != nil {
 			var err error
@@ -491,10 +494,11 @@ func (lw *lowerer) expr(e lang.Expr) (Node, error) {
 			return nil, err
 		}
 		return &MakeClosure{Fn: &ClosureCode{
-			NumParams: len(e.Params),
-			NumSlots:  f.numSlots,
-			Body:      body,
-			Owner:     lw.method,
+			NumParams:     len(e.Params),
+			NumSlots:      f.numSlots,
+			Body:          body,
+			Owner:         lw.method,
+			ClosureWrites: f.closureWrites,
 		}}, nil
 
 	case *lang.UnaryExpr:

@@ -125,6 +125,10 @@ type ClosureCode struct {
 	NumSlots  int // params + locals
 	Body      Node
 	Owner     *hier.Method // lexically enclosing method (nil in global init)
+	// ClosureWrites lists the slots of this closure's own frame that
+	// closures nested in Body assign: the optimizer's class analysis
+	// keeps them at Top, because such a closure may run at any point.
+	ClosureWrites []int
 }
 
 // CallClosure invokes a closure value. Pos is the call position, so

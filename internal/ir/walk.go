@@ -95,76 +95,6 @@ func Size(n Node) int {
 	return count
 }
 
-// Clone deep-copies an IR tree. CallSites are shared (site identity is
-// how profiles and arcs are keyed); ClosureCode is copied so each
-// compiled version can optimize its closure bodies independently.
-// Const and Global leaves are shared too: no pass modifies one after
-// lowering (Local leaves are copied: inlining renumbers their slots).
-func Clone(n Node) Node {
-	if n == nil {
-		return nil
-	}
-	switch n := n.(type) {
-	case *Const, *Global:
-		return n
-	case *Local:
-		c := *n
-		return &c
-	case *SetLocal:
-		return &SetLocal{Depth: n.Depth, Slot: n.Slot, Name: n.Name, X: Clone(n.X)}
-	case *SetGlobal:
-		return &SetGlobal{Slot: n.Slot, Name: n.Name, X: Clone(n.X)}
-	case *GetField:
-		return &GetField{Obj: Clone(n.Obj), Name: n.Name, Slot: n.Slot}
-	case *SetField:
-		return &SetField{Obj: Clone(n.Obj), Name: n.Name, Slot: n.Slot, X: Clone(n.X)}
-	case *Seq:
-		return &Seq{Nodes: cloneSlice(n.Nodes)}
-	case *If:
-		return &If{Cond: Clone(n.Cond), Then: Clone(n.Then), Else: Clone(n.Else)}
-	case *While:
-		return &While{Cond: Clone(n.Cond), Body: Clone(n.Body)}
-	case *Return:
-		return &Return{X: Clone(n.X)}
-	case *New:
-		return &New{Class: n.Class, Args: cloneSlice(n.Args)}
-	case *MakeClosure:
-		return &MakeClosure{Fn: &ClosureCode{
-			NumParams: n.Fn.NumParams,
-			NumSlots:  n.Fn.NumSlots,
-			Body:      Clone(n.Fn.Body),
-			Owner:     n.Fn.Owner,
-		}}
-	case *CallClosure:
-		return &CallClosure{Fn: Clone(n.Fn), Args: cloneSlice(n.Args), Pos: n.Pos}
-	case *Send:
-		return &Send{Site: n.Site, Args: cloneSlice(n.Args)}
-	case *StaticCall:
-		return &StaticCall{Target: n.Target, Site: n.Site, Args: cloneSlice(n.Args)}
-	case *VersionSelect:
-		return &VersionSelect{Method: n.Method, Site: n.Site, Args: cloneSlice(n.Args)}
-	case *Bin:
-		return &Bin{Op: n.Op, L: Clone(n.L), R: Clone(n.R)}
-	case *Un:
-		return &Un{Op: n.Op, X: Clone(n.X)}
-	case *PrimCall:
-		return &PrimCall{Prim: n.Prim, Args: cloneSlice(n.Args)}
-	case *And:
-		return &And{L: Clone(n.L), R: Clone(n.R)}
-	case *Or:
-		return &Or{L: Clone(n.L), R: Clone(n.R)}
-	}
-	panic(fmt.Sprintf("ir.Clone: unknown node %T", n))
-}
-
-func cloneSlice(ns []Node) []Node {
-	out := make([]Node, len(ns))
-	for i, n := range ns {
-		out[i] = Clone(n)
-	}
-	return out
-}
-
 // SendSites returns the Send nodes in the tree, in evaluation order.
 func SendSites(n Node) []*Send {
 	var out []*Send

@@ -21,36 +21,31 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-func (lx *Lexer) peek() rune {
+// decode returns the next rune and its width, or -1 and 0 at the end.
+// ASCII bytes are their own runes; only a byte from 0x80 up decodes.
+func (lx *Lexer) decode() (rune, int) {
 	if lx.off >= len(lx.src) {
-		return -1
+		return -1, 0
 	}
-	r, _ := utf8.DecodeRuneInString(lx.src[lx.off:])
-	return r
+	if b := lx.src[lx.off]; b < utf8.RuneSelf {
+		return rune(b), 1
+	}
+	return utf8.DecodeRuneInString(lx.src[lx.off:])
 }
 
-func (lx *Lexer) peek2() rune {
-	if lx.off >= len(lx.src) {
-		return -1
-	}
-	_, w := utf8.DecodeRuneInString(lx.src[lx.off:])
-	if lx.off+w >= len(lx.src) {
-		return -1
-	}
-	r, _ := utf8.DecodeRuneInString(lx.src[lx.off+w:])
+func (lx *Lexer) peek() rune {
+	r, _ := lx.decode()
 	return r
 }
 
 func (lx *Lexer) next() rune {
-	if lx.off >= len(lx.src) {
-		return -1
-	}
-	r, w := utf8.DecodeRuneInString(lx.src[lx.off:])
+	r, w := lx.decode()
 	lx.off += w
-	if r == '\n' {
+	switch {
+	case r == '\n':
 		lx.line++
 		lx.col = 1
-	} else {
+	case w > 0:
 		lx.col++
 	}
 	return r
@@ -61,17 +56,66 @@ func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
 func isIdentCont(r rune) bool  { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
 
-// skipSpace consumes whitespace and comments.
-func (lx *Lexer) skipSpace() {
-	for {
-		r := lx.peek()
+// asciiClass classifies the ASCII bytes for the lexer's byte scan.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for b := range t {
 		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
+		case b >= '0' && b <= '9':
+			t[b] = identByte | digitByte
+		case b == '_' || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z':
+			t[b] = identByte | startByte
+		}
+	}
+	for kw := range keywords {
+		t[kw[0]] |= keywordByte
+	}
+	return t
+}()
+
+const (
+	identByte   = 1 << iota // continues an identifier
+	digitByte               // a decimal digit
+	startByte               // starts an identifier
+	keywordByte             // starts a keyword
+)
+
+// scanWhile consumes the ASCII bytes of class, then, from the first
+// non-ASCII byte on, the runes that satisfy more.
+func (lx *Lexer) scanWhile(class uint8, more func(rune) bool) {
+	start := lx.off
+	for lx.off < len(lx.src) && lx.src[lx.off] < utf8.RuneSelf && asciiClass[lx.src[lx.off]]&class != 0 {
+		lx.off++
+	}
+	lx.col += lx.off - start
+	if lx.off < len(lx.src) && lx.src[lx.off] >= utf8.RuneSelf {
+		for more(lx.peek()) {
 			lx.next()
-		case r == '-' && lx.peek2() == '-', r == '/' && lx.peek2() == '/':
-			for lx.peek() != '\n' && lx.peek() != -1 {
-				lx.next()
+		}
+	}
+}
+
+// skipSpace consumes whitespace and comments. A comment's text is
+// skipped whole; columns past it count runes.
+func (lx *Lexer) skipSpace() {
+	for lx.off < len(lx.src) {
+		switch b := lx.src[lx.off]; b {
+		case ' ', '\t', '\r':
+			lx.off++
+			lx.col++
+		case '\n':
+			lx.off++
+			lx.line++
+			lx.col = 1
+		case '-', '/':
+			if lx.off+1 >= len(lx.src) || lx.src[lx.off+1] != b {
+				return
 			}
+			end := strings.IndexByte(lx.src[lx.off:], '\n')
+			if end < 0 {
+				end = len(lx.src) - lx.off
+			}
+			lx.col += utf8.RuneCountInString(lx.src[lx.off : lx.off+end])
+			lx.off += end
 		default:
 			return
 		}
@@ -80,34 +124,62 @@ func (lx *Lexer) skipSpace() {
 
 // Next returns the next token, or an error for malformed input.
 func (lx *Lexer) Next() (Token, error) {
+	var t Token
+	if err := lx.scan(&t); err != nil {
+		return Token{}, err
+	}
+	return t, nil
+}
+
+// punct maps each single-byte operator and punctuation token to its
+// kind, EOF for a byte that is no token on its own.
+var punct = [utf8.RuneSelf]Kind{
+	'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE, '[': LBRACKET, ']': RBRACKET,
+	',': COMMA, ';': SEMI, '.': DOT, '@': AT, '+': PLUS, '-': MINUS, '*': STAR,
+	'/': SLASH, '%': PERCENT, ':': COLON, '!': NOT, '<': LT, '>': GT,
+}
+
+// pairs maps the first byte of each two-byte operator to its second
+// byte and its kind.
+var pairs = [utf8.RuneSelf]struct {
+	second byte
+	kind   Kind
+}{
+	':': {'=', ASSIGN}, '!': {'=', NE}, '<': {'=', LE}, '>': {'=', GE},
+	'=': {'=', EQ}, '&': {'&', ANDAND}, '|': {'|', OROR},
+}
+
+// scan lexes the next token into t, the parser's token in place.
+func (lx *Lexer) scan(t *Token) error {
 	lx.skipSpace()
 	pos := lx.pos()
 	r := lx.peek()
+	*t = Token{Pos: pos}
 	if r == -1 {
-		return Token{Kind: EOF, Pos: pos}, nil
+		return nil
 	}
 
 	switch {
-	case isIdentStart(r):
+	case r < utf8.RuneSelf && asciiClass[r]&startByte != 0 || r >= utf8.RuneSelf && isIdentStart(r):
 		start := lx.off
-		for isIdentCont(lx.peek()) {
-			lx.next()
+		lx.scanWhile(identByte, isIdentCont)
+		t.Text = lx.src[start:lx.off]
+		t.Kind = IDENT
+		if r < utf8.RuneSelf && asciiClass[r]&keywordByte != 0 {
+			if kw, ok := keywords[t.Text]; ok {
+				t.Kind = kw
+			}
 		}
-		text := lx.src[start:lx.off]
-		if kw, ok := keywords[text]; ok {
-			return Token{Kind: kw, Text: text, Pos: pos}, nil
-		}
-		return Token{Kind: IDENT, Text: text, Pos: pos}, nil
+		return nil
 
-	case unicode.IsDigit(r):
+	case r < utf8.RuneSelf && asciiClass[r]&digitByte != 0 || r >= utf8.RuneSelf && unicode.IsDigit(r):
 		start := lx.off
-		for unicode.IsDigit(lx.peek()) {
-			lx.next()
-		}
+		lx.scanWhile(digitByte, unicode.IsDigit)
 		if isIdentStart(lx.peek()) {
-			return Token{}, errf(pos, "malformed number: letter follows digits")
+			return errf(pos, "malformed number: letter follows digits")
 		}
-		return Token{Kind: INT, Text: lx.src[start:lx.off], Pos: pos}, nil
+		t.Kind, t.Text = INT, lx.src[start:lx.off]
+		return nil
 
 	case r == '"':
 		lx.next()
@@ -116,9 +188,10 @@ func (lx *Lexer) Next() (Token, error) {
 			c := lx.next()
 			switch c {
 			case -1, '\n':
-				return Token{}, errf(pos, "unterminated string literal")
+				return errf(pos, "unterminated string literal")
 			case '"':
-				return Token{Kind: STRING, Text: b.String(), Pos: pos}, nil
+				t.Kind, t.Text = STRING, b.String()
+				return nil
 			case '\\':
 				e := lx.next()
 				switch e {
@@ -131,7 +204,7 @@ func (lx *Lexer) Next() (Token, error) {
 				case '"':
 					b.WriteByte('"')
 				default:
-					return Token{}, errf(pos, "unknown escape \\%c", e)
+					return errf(pos, "unknown escape \\%c", e)
 				}
 			default:
 				b.WriteRune(c)
@@ -140,78 +213,25 @@ func (lx *Lexer) Next() (Token, error) {
 	}
 
 	lx.next()
-	tok := func(k Kind) (Token, error) { return Token{Kind: k, Pos: pos}, nil }
-	two := func(second rune, k2, k1 Kind) (Token, error) {
-		if lx.peek() == second {
-			lx.next()
-			return tok(k2)
-		}
-		return tok(k1)
+	if r >= utf8.RuneSelf {
+		return errf(pos, "unexpected character %q", r)
 	}
-
-	switch r {
-	case '(':
-		return tok(LPAREN)
-	case ')':
-		return tok(RPAREN)
-	case '{':
-		return tok(LBRACE)
-	case '}':
-		return tok(RBRACE)
-	case '[':
-		return tok(LBRACKET)
-	case ']':
-		return tok(RBRACKET)
-	case ',':
-		return tok(COMMA)
-	case ';':
-		return tok(SEMI)
-	case '.':
-		return tok(DOT)
-	case '@':
-		return tok(AT)
-	case '+':
-		return tok(PLUS)
-	case '-':
-		return tok(MINUS)
-	case '*':
-		return tok(STAR)
-	case '/':
-		return tok(SLASH)
-	case '%':
-		return tok(PERCENT)
-	case ':':
-		if lx.peek() == '=' {
-			lx.next()
-			return tok(ASSIGN)
-		}
-		return tok(COLON)
-	case '=':
-		if lx.peek() == '=' {
-			lx.next()
-			return tok(EQ)
-		}
-		return Token{}, errf(pos, "unexpected '=' (use ':=' for assignment, '==' for equality)")
-	case '!':
-		return two('=', NE, NOT)
-	case '<':
-		return two('=', LE, LT)
-	case '>':
-		return two('=', GE, GT)
-	case '&':
-		if lx.peek() == '&' {
-			lx.next()
-			return tok(ANDAND)
-		}
-		return Token{}, errf(pos, "unexpected '&' (did you mean '&&'?)")
-	case '|':
-		if lx.peek() == '|' {
-			lx.next()
-			return tok(OROR)
-		}
-		return Token{}, errf(pos, "unexpected '|' (did you mean '||'?)")
+	if p := pairs[r]; p.kind != EOF && lx.peek() == rune(p.second) {
+		lx.next()
+		t.Kind = p.kind
+		return nil
 	}
-	return Token{}, errf(pos, "unexpected character %q", r)
+	switch t.Kind = punct[r]; {
+	case r == '=':
+		return errf(pos, "unexpected '=' (use ':=' for assignment, '==' for equality)")
+	case r == '&':
+		return errf(pos, "unexpected '&' (did you mean '&&'?)")
+	case r == '|':
+		return errf(pos, "unexpected '|' (did you mean '||'?)")
+	case t.Kind == EOF:
+		return errf(pos, "unexpected character %q", r)
+	}
+	return nil
 }
 
 // Tokenize lexes the whole input, returning all tokens up to and

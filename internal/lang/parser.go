@@ -6,18 +6,43 @@ import (
 )
 
 // Parser is a recursive-descent parser for Mini-Cecil. It never
-// backtracks and looks at most one token past the current one, so it
-// pulls tokens from the lexer through a two-token window instead of
-// lexing the whole source first.
+// backtracks and decides on the current token alone, so it pulls
+// tokens from the lexer one at a time instead of lexing the whole
+// source first.
 type Parser struct {
 	lx *Lexer
-	// win[0] is the current token and win[1], when n == 2, the one
-	// after it. A lexer error ends the stream: lexErr keeps it and the
-	// window ends in an EOF token at its position.
-	win    [2]Token
-	n      int
+	// tok is the current token, read in place. A lexer error ends the
+	// stream: lexErr keeps it and the stream ends in an EOF token at its
+	// position.
+	tok    Token
 	lexErr error
 	depth  int // expression/statement nesting depth (see maxNestingDepth)
+
+	// Stacks on which open lists collect their elements; a list closes
+	// with an exactly sized copy of its part (popList).
+	stmts  []Stmt
+	exprs  []Expr
+	params []Param
+	names  []string
+}
+
+// popList returns a copy of (*stack)[base:], nil when it is empty, and
+// truncates the stack to base.
+func popList[T any](stack *[]T, base int) []T {
+	var out []T
+	if n := len(*stack) - base; n > 0 {
+		out = make([]T, n)
+		copy(out, (*stack)[base:])
+	}
+	clear((*stack)[base:])
+	*stack = (*stack)[:base]
+	return out
+}
+
+func newParser(src string) *Parser {
+	p := &Parser{lx: NewLexer(src)}
+	p.lex(&p.tok)
+	return p
 }
 
 // maxNestingDepth bounds expression and statement nesting. The parser
@@ -41,7 +66,7 @@ func (p *Parser) pop() { p.depth-- }
 
 // Parse parses a whole program.
 func Parse(src string) (*Program, error) {
-	p := &Parser{lx: NewLexer(src)}
+	p := newParser(src)
 	prog, err := p.parseProgram()
 	if err = p.finish(err); err != nil {
 		return nil, err
@@ -51,7 +76,7 @@ func Parse(src string) (*Program, error) {
 
 // ParseExpr parses a single expression followed by EOF; handy in tests.
 func ParseExpr(src string) (Expr, error) {
-	p := &Parser{lx: NewLexer(src)}
+	p := newParser(src)
 	e, err := p.parseExpr()
 	if err == nil && p.cur().Kind != EOF {
 		err = errf(p.cur().Pos, "unexpected %s after expression", p.cur())
@@ -78,37 +103,21 @@ func (p *Parser) finish(err error) error {
 	return err
 }
 
-// fill lexes tokens into the window until it holds n of them (n <= 2).
-// Past EOF or a lexer error the window repeats its final EOF token.
-func (p *Parser) fill(n int) {
-	for p.n < n {
-		if p.n > 0 && p.win[p.n-1].Kind == EOF {
-			p.win[p.n] = p.win[p.n-1]
-		} else if t, err := p.lx.Next(); err != nil {
-			p.lexErr = err
-			p.win[p.n] = Token{Kind: EOF, Pos: p.lx.pos()}
-		} else {
-			p.win[p.n] = t
-		}
-		p.n++
+// lex reads the token after the last one lexed into t. Past EOF or a
+// lexer error the stream repeats its final EOF token.
+func (p *Parser) lex(t *Token) {
+	if err := p.lx.scan(t); err != nil {
+		p.lexErr = err
+		*t = Token{Kind: EOF, Pos: p.lx.pos()}
 	}
 }
 
-func (p *Parser) cur() Token {
-	p.fill(1)
-	return p.win[0]
-}
-
-func (p *Parser) peek() Token { // token after cur
-	p.fill(2)
-	return p.win[1]
-}
+func (p *Parser) cur() *Token { return &p.tok }
 
 func (p *Parser) advance() Token {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != EOF {
-		p.win[0] = p.win[1]
-		p.n--
+		p.lex(&p.tok)
 	}
 	return t
 }
@@ -126,10 +135,6 @@ func (p *Parser) expect(k Kind) (Token, error) {
 		return p.advance(), nil
 	}
 	return Token{}, errf(p.cur().Pos, "expected %s, found %s", k, p.cur())
-}
-
-func (p *Parser) expectIdent() (Token, error) {
-	return p.expect(IDENT)
 }
 
 func (p *Parser) parseProgram() (*Program, error) {
@@ -163,14 +168,14 @@ func (p *Parser) parseProgram() (*Program, error) {
 
 func (p *Parser) parseClass() (*ClassDecl, error) {
 	kw, _ := p.expect(KWCLASS)
-	name, err := p.expectIdent()
+	name, err := p.expect(IDENT)
 	if err != nil {
 		return nil, err
 	}
 	decl := &ClassDecl{Pos: kw.Pos, Name: name.Text}
 	if p.accept(KWISA) {
 		for {
-			parent, err := p.expectIdent()
+			parent, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
@@ -198,13 +203,13 @@ func (p *Parser) parseField() (*FieldDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := p.expectIdent()
+	name, err := p.expect(IDENT)
 	if err != nil {
 		return nil, err
 	}
 	f := &FieldDecl{Pos: kw.Pos, Name: name.Text}
 	if p.accept(COLON) {
-		ty, err := p.expectIdent()
+		ty, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +229,7 @@ func (p *Parser) parseField() (*FieldDecl, error) {
 
 func (p *Parser) parseMethod() (*MethodDecl, error) {
 	kw, _ := p.expect(KWMETHOD)
-	name, err := p.expectIdent()
+	name, err := p.expect(IDENT)
 	if err != nil {
 		return nil, err
 	}
@@ -232,9 +237,10 @@ func (p *Parser) parseMethod() (*MethodDecl, error) {
 		return nil, err
 	}
 	m := &MethodDecl{Pos: kw.Pos, Name: name.Text}
+	base := len(p.params)
 	seen := map[string]bool{}
 	for p.cur().Kind != RPAREN {
-		pn, err := p.expectIdent()
+		pn, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
 		}
@@ -244,13 +250,13 @@ func (p *Parser) parseMethod() (*MethodDecl, error) {
 		seen[pn.Text] = true
 		param := Param{Pos: pn.Pos, Name: pn.Text}
 		if p.accept(AT) {
-			spec, err := p.expectIdent()
+			spec, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
 			param.Spec = spec.Text
 		}
-		m.Params = append(m.Params, param)
+		p.params = append(p.params, param)
 		if !p.accept(COMMA) {
 			break
 		}
@@ -258,6 +264,7 @@ func (p *Parser) parseMethod() (*MethodDecl, error) {
 	if _, err := p.expect(RPAREN); err != nil {
 		return nil, err
 	}
+	m.Params = popList(&p.params, base)
 	m.Body, err = p.parseBlock()
 	if err != nil {
 		return nil, err
@@ -267,7 +274,7 @@ func (p *Parser) parseMethod() (*MethodDecl, error) {
 
 func (p *Parser) parseGlobal() (*GlobalDecl, error) {
 	kw, _ := p.expect(KWVAR)
-	name, err := p.expectIdent()
+	name, err := p.expect(IDENT)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +300,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{Pos: lb.Pos}
+	base := len(p.stmts)
 	for p.cur().Kind != RBRACE {
 		if p.cur().Kind == EOF {
 			return nil, errf(lb.Pos, "unterminated block")
@@ -302,17 +309,17 @@ func (p *Parser) parseBlock() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
 	p.advance() // }
-	return b, nil
+	return &Block{Pos: lb.Pos, Stmts: popList(&p.stmts, base)}, nil
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
 	switch p.cur().Kind {
 	case KWVAR:
 		kw := p.advance()
-		name, err := p.expectIdent()
+		name, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
 		}
@@ -421,88 +428,45 @@ func (p *Parser) parseExpr() (Expr, error) {
 		return nil, err
 	}
 	defer p.pop()
-	return p.parseOr()
+	return p.parseBinary(1)
 }
 
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == OROR {
-		op := p.advance()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos: op.Pos, Op: OROR, L: l, R: r}
-	}
-	return l, nil
+// binPrec is each binary operator's precedence, loosest first; 0 marks
+// a token that is no binary operator. Comparisons share cmpPrec and do
+// not associate.
+var binPrec = [KWNIL + 1]uint8{
+	OROR: 1, ANDAND: 2,
+	EQ: cmpPrec, NE: cmpPrec, LT: cmpPrec, LE: cmpPrec, GT: cmpPrec, GE: cmpPrec,
+	PLUS: 4, MINUS: 4, STAR: 5, SLASH: 5, PERCENT: 5,
 }
 
-func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == ANDAND {
-		op := p.advance()
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos: op.Pos, Op: ANDAND, L: l, R: r}
-	}
-	return l, nil
-}
+const cmpPrec = 3
 
-func (p *Parser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	switch p.cur().Kind {
-	case EQ, NE, LT, LE, GT, GE:
-		op := p.advance()
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Pos: op.Pos, Op: op.Kind, L: l, R: r}, nil
-	}
-	return l, nil
-}
-
-func (p *Parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == PLUS || p.cur().Kind == MINUS {
-		op := p.advance()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Pos: op.Pos, Op: op.Kind, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseMul() (Expr, error) {
+// parseBinary parses a chain of binary operators of precedence minPrec
+// and tighter, folding left. last is the precedence of the operator
+// folded last: a comparison after a comparison, or an operator tighter
+// than last (one the operand's own chain stopped at, which is only a
+// comparison after a comparison), ends the chain.
+func (p *Parser) parseBinary(minPrec uint8) (Expr, error) {
 	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().Kind == STAR || p.cur().Kind == SLASH || p.cur().Kind == PERCENT {
-		op := p.advance()
-		r, err := p.parseUnary()
+	for last := uint8(0xff); ; {
+		op := p.cur()
+		prec := binPrec[op.Kind]
+		if prec < minPrec || prec > last || prec == cmpPrec && last == cmpPrec {
+			return l, nil
+		}
+		pos, kind := op.Pos, op.Kind
+		p.advance()
+		r, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Pos: op.Pos, Op: op.Kind, L: l, R: r}
+		l = &BinaryExpr{Pos: pos, Op: kind, L: l, R: r}
+		last = prec
 	}
-	return l, nil
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
@@ -539,7 +503,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		switch p.cur().Kind {
 		case DOT:
 			p.advance()
-			sel, err := p.expectIdent()
+			sel, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
@@ -570,13 +534,13 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
-	var args []Expr
+	base := len(p.exprs)
 	for p.cur().Kind != RPAREN {
 		a, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		p.exprs = append(p.exprs, a)
 		if !p.accept(COMMA) {
 			break
 		}
@@ -584,6 +548,7 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 	if _, err := p.expect(RPAREN); err != nil {
 		return nil, err
 	}
+	args := popList(&p.exprs, base)
 	if args == nil {
 		args = []Expr{}
 	}
@@ -591,7 +556,7 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t := *p.cur()
 	switch t.Kind {
 	case INT:
 		p.advance()
@@ -613,19 +578,17 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		p.advance()
 		return &NilLit{Pos: t.Pos}, nil
 	case IDENT:
-		if p.peek().Kind == LPAREN {
-			p.advance()
+		if p.advance(); p.cur().Kind == LPAREN {
 			args, err := p.parseArgs()
 			if err != nil {
 				return nil, err
 			}
 			return &Call{Pos: t.Pos, Name: t.Text, Args: args}, nil
 		}
-		p.advance()
 		return &Ident{Pos: t.Pos, Name: t.Text}, nil
 	case KWNEW:
 		p.advance()
-		cls, err := p.expectIdent()
+		cls, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
 		}
@@ -639,10 +602,10 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(LPAREN); err != nil {
 			return nil, err
 		}
-		var params []string
+		base := len(p.names)
 		seen := map[string]bool{}
 		for p.cur().Kind != RPAREN {
-			pn, err := p.expectIdent()
+			pn, err := p.expect(IDENT)
 			if err != nil {
 				return nil, err
 			}
@@ -650,7 +613,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 				return nil, errf(pn.Pos, "duplicate parameter %q", pn.Text)
 			}
 			seen[pn.Text] = true
-			params = append(params, pn.Text)
+			p.names = append(p.names, pn.Text)
 			if !p.accept(COMMA) {
 				break
 			}
@@ -658,6 +621,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(RPAREN); err != nil {
 			return nil, err
 		}
+		params := popList(&p.names, base)
 		body, err := p.parseBlock()
 		if err != nil {
 			return nil, err

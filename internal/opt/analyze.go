@@ -2,6 +2,8 @@ package opt
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"selspec/internal/bits"
 	"selspec/internal/hier"
@@ -50,21 +52,24 @@ func join(a, b info) info {
 // aframe is the analysis state of one lexical frame.
 type aframe struct {
 	infos    []info
-	size     int          // current frame size (grows as slots are inlined in)
-	poisoned map[int]bool // slots writable by escaped closures: always Top
-	isMethod bool
+	size     int      // current frame size (grows as slots are inlined in)
+	poisoned bits.Set // slots writable by escaped closures: always Top
+	origin   *aframe  // f itself, or the frame a guarded copy stands for
 }
 
-func newAFrame(size int, isMethod bool) *aframe {
-	f := &aframe{infos: make([]info, size), size: size, poisoned: map[int]bool{}, isMethod: isMethod}
-	for i := range f.infos {
-		f.infos[i] = topInfo()
+// reset makes f a fresh frame of size slots, all Top, keeping its
+// buffers.
+func (f *aframe) reset(size int) *aframe {
+	*f = aframe{infos: f.infos[:0], poisoned: f.poisoned, size: size, origin: f}
+	f.poisoned.Clear()
+	for range size {
+		f.infos = append(f.infos, topInfo())
 	}
 	return f
 }
 
 func (f *aframe) get(slot int) info {
-	if f.poisoned[slot] || slot >= len(f.infos) {
+	if f.poisoned.Has(slot) || slot >= len(f.infos) {
 		return topInfo()
 	}
 	return f.infos[slot]
@@ -74,21 +79,54 @@ func (f *aframe) set(slot int, in info) {
 	for slot >= len(f.infos) {
 		f.infos = append(f.infos, topInfo())
 	}
-	if f.poisoned[slot] {
+	if f.poisoned.Has(slot) {
 		return
 	}
 	f.infos[slot] = in
 }
 
-func (f *aframe) snapshot() []info {
-	out := make([]info, len(f.infos))
-	copy(out, f.infos)
-	return out
-}
-
 func (f *aframe) restore(s []info) {
 	f.infos = f.infos[:0]
 	f.infos = append(f.infos, s...)
+}
+
+// snapshot copies f's infos into the next buffer of the analyzer's
+// snapshot stack. Snapshots nest: the caller pops its own (a.nsnap--)
+// once it has joined them back.
+func (a *analyzer) snapshot(f *aframe) []info {
+	if a.nsnap == len(a.snaps) {
+		a.snaps = append(a.snaps, nil)
+	}
+	s := append(a.snaps[a.nsnap][:0], f.infos...)
+	a.snaps[a.nsnap] = s
+	a.nsnap++
+	return s
+}
+
+// srcFrame maps one lexical frame of the code being read to the
+// analyzer frame (an index into analyzer.frames) that hosts its slots.
+// slots renumbers them (an inlined body's slots are fresh slots of the
+// host frame); nil keeps the numbering.
+type srcFrame struct {
+	frame int
+	slots []int
+}
+
+// frameSlot is a slot of an analysis frame that a nested closure assigns.
+type frameSlot struct {
+	f    *aframe
+	slot int
+}
+
+// mark is a point of the output being built; drop rolls the output's
+// node count and its read and write logs back to it when a subtree
+// already built is folded away.
+type mark struct{ nodes, reads, writes int }
+
+func (a *analyzer) mark() mark { return mark{a.nodes, len(a.reads), len(a.writes)} }
+
+func (a *analyzer) drop(m mark) {
+	a.nodes, a.reads, a.writes = m.nodes, a.reads[:m.reads], a.writes[:m.writes]
 }
 
 // analyzer performs the combined class-analysis / static-binding /
@@ -101,6 +139,23 @@ type analyzer struct {
 	inlineStack []*hier.Method
 	depth       int
 
+	// src maps the frames of the code being read, innermost last, to
+	// analyzer frames. optimize reads source code, which it never
+	// changes, and builds its output with slots renumbered through src.
+	src []srcFrame
+
+	// nodes counts the output's nodes, reads logs the method-frame
+	// slots it reads (version bodies only) and writes the frame slots
+	// it assigns from nested closures. mark and drop roll them back.
+	nodes  int
+	reads  []int
+	writes []frameSlot
+
+	snaps [][]info // snapshot buffers, reused
+	nsnap int
+
+	method aframe // frames[0] of a version body
+
 	// retJoin accumulates the class info of every Return in the
 	// version's own body (ReturnTypeAnalysis); the body's final value
 	// info joins in at the end.
@@ -110,6 +165,34 @@ type analyzer struct {
 	// The counts of this body's optimizations, added to the Compiled's
 	// statistics when the body is installed.
 	staticBound, inlinedCalls, versionSelects int
+}
+
+// analyzers recycles analyzers, so a body reuses the buffers (frame
+// and source stacks, logs, snapshots, method frame) of earlier ones.
+var analyzers = sync.Pool{New: func() any { return new(analyzer) }}
+
+// newAnalyzer takes an analyzer from the pool for a body of version v
+// (nil for top-level code).
+func newAnalyzer(c *Compiled, v *ir.Version) *analyzer {
+	a := analyzers.Get().(*analyzer)
+	a.c, a.h, a.version = c, c.Prog.H, v
+	return a
+}
+
+// free returns a to the pool empty: it keeps its buffers but no
+// pointer into the program it analyzed, which would keep that program
+// alive.
+func (a *analyzer) free() {
+	clear(a.frames[:cap(a.frames)])
+	clear(a.inlineStack[:cap(a.inlineStack)])
+	clear(a.writes[:cap(a.writes)])
+	for _, s := range a.snaps {
+		clear(s[:cap(s)])
+	}
+	clear(a.method.infos[:cap(a.method.infos)])
+	*a = analyzer{frames: a.frames[:0], inlineStack: a.inlineStack[:0], src: a.src[:0],
+		reads: a.reads[:0], writes: a.writes[:0], snaps: a.snaps, method: a.method}
+	analyzers.Put(a)
 }
 
 // count adds the analyzer's optimization counts to c's statistics.
@@ -142,28 +225,30 @@ func (c *Compiled) EnsureBody(v *ir.Version) error {
 		c.mu.Unlock()
 	}
 
-	a := &analyzer{c: c, h: c.Prog.H, version: v}
+	a := newAnalyzer(c, v)
+	defer a.free()
 	a.retJoin = info{set: c.empty} // bottom
-	f := newAFrame(src.NumSlots, true)
+	f := a.method.reset(src.NumSlots)
 	for i, in := range c.formalInfos(v) {
 		f.infos[i] = in
 	}
-	a.frames = []*aframe{f}
+	for _, slot := range src.ClosureWrites {
+		f.poisoned.Add(slot)
+	}
+	a.frames = append(a.frames, f)
+	a.src = append(a.src, srcFrame{})
 
-	body := ir.Clone(src.Code)
-	a.poisonClosureWrites(body)
 	a.retTracked = true
-	body, bodyInfo := a.optimize(body)
+	body, bodyInfo := a.optimize(src.Code)
 	body = a.eliminateDead(body)
 	ret := join(a.retJoin, bodyInfo)
 	ret.closure = nil
-	size := ir.Size(body)
 	c.mu.Lock()
 	if v.Body == nil { // another goroutine may have raced us; first wins
 		v.NumSlots = f.size
 		v.Body = body
 		c.compiledBodies++
-		c.irNodes += size
+		c.irNodes += a.nodes
 		a.count()
 		if c.onBody != nil {
 			c.onBody(a.staticBound, a.inlinedCalls)
@@ -216,9 +301,9 @@ func (c *Compiled) Body(v *ir.Version) (ir.Node, error) {
 
 // optimizeTopLevel compiles a global or field initializer.
 func (c *Compiled) optimizeTopLevel(n ir.Node) (ir.Node, error) {
-	a := &analyzer{c: c, h: c.Prog.H}
-	body := ir.Clone(n)
-	out, _ := a.optimize(body)
+	a := newAnalyzer(c, nil)
+	defer a.free()
+	out, _ := a.optimize(n)
 	a.count()
 	return out, nil
 }
@@ -310,16 +395,7 @@ func (c *Compiled) initInfo(nd ir.Node, before int) info {
 	h := c.Prog.H
 	switch nd := nd.(type) {
 	case *ir.Const:
-		switch nd.Kind {
-		case ir.KInt:
-			return exactInfo(h.B.Int)
-		case ir.KStr:
-			return exactInfo(h.B.String)
-		case ir.KBool:
-			return exactInfo(h.B.Bool)
-		default:
-			return exactInfo(h.B.Nil)
-		}
+		return constInfo(h, nd)
 	case *ir.New:
 		return exactInfo(nd.Class)
 	case *ir.MakeClosure:
@@ -365,12 +441,19 @@ func (a *analyzer) curFrame() *aframe {
 	return a.frames[len(a.frames)-1]
 }
 
-func (a *analyzer) frameAt(depth int) *aframe {
-	idx := len(a.frames) - 1 - depth
-	if idx < 0 || idx >= len(a.frames) {
-		return nil
+// local maps a frame reference of the code being read to the output's
+// depth and slot and the analysis frame that holds the slot (nil
+// outside every frame).
+func (a *analyzer) local(depth, slot int) (int, int, *aframe) {
+	i := len(a.src) - 1 - depth
+	if i < 0 {
+		return depth, slot, nil
 	}
-	return a.frames[idx]
+	sf := a.src[i]
+	if sf.slots != nil {
+		slot = sf.slots[slot]
+	}
+	return len(a.frames) - 1 - sf.frame, slot, a.frames[sf.frame]
 }
 
 // newSlot allocates a fresh slot in the current frame (for inlining).
@@ -380,35 +463,6 @@ func (a *analyzer) newSlot() int {
 	f.size++
 	f.set(slot, topInfo())
 	return slot
-}
-
-// poisonClosureWrites marks, in every frame, the slots that closures in
-// the tree can write: such slots must be treated as Top everywhere,
-// because a closure may run at any later point.
-func (a *analyzer) poisonClosureWrites(n ir.Node) {
-	if len(a.frames) == 0 {
-		return
-	}
-	var walk func(n ir.Node, nesting int)
-	walk = func(n ir.Node, nesting int) {
-		ir.Walk(n, func(ch ir.Node) bool {
-			switch ch := ch.(type) {
-			case *ir.MakeClosure:
-				walk(ch.Fn.Body, nesting+1)
-				return false
-			case *ir.SetLocal:
-				if nesting > 0 && ch.Depth >= nesting {
-					// Writes a frame at or outside the creation context.
-					hops := ch.Depth - nesting // 0 = innermost analyzer frame
-					if f := a.frameAt(hops); f != nil {
-						f.poisoned[ch.Slot] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	walk(n, 0)
 }
 
 // degradeAssigned widens every current-frame slot assigned inside the
@@ -429,10 +483,11 @@ func (a *analyzer) degradeAssigned(n ir.Node) {
 				return false
 			case *ir.SetLocal:
 				if ch.Depth == nesting {
+					_, slot, _ := a.local(0, ch.Slot)
 					if nesting == 0 {
-						f.set(ch.Slot, join(f.get(ch.Slot), a.quickInfo(ch.X)))
+						f.set(slot, join(f.get(slot), a.quickInfo(ch.X)))
 					} else {
-						f.set(ch.Slot, topInfo())
+						f.set(slot, topInfo())
 					}
 				}
 			}
@@ -448,16 +503,7 @@ func (a *analyzer) quickInfo(n ir.Node) info {
 	h := a.h
 	switch n := n.(type) {
 	case *ir.Const:
-		switch n.Kind {
-		case ir.KInt:
-			return exactInfo(h.B.Int)
-		case ir.KStr:
-			return exactInfo(h.B.String)
-		case ir.KBool:
-			return exactInfo(h.B.Bool)
-		default:
-			return exactInfo(h.B.Nil)
-		}
+		return constInfo(h, n)
 	case *ir.New:
 		return exactInfo(n.Class)
 	case *ir.MakeClosure:
@@ -513,88 +559,103 @@ func (a *analyzer) quickInfo(n ir.Node) info {
 	}
 }
 
-// optimize rewrites a node in place (or replaces it) and returns the
-// class information of its value.
+// optimize builds the optimized form of n and returns it with the
+// class information of its value. n is source code, or a closure body
+// built earlier, and stays unchanged. The output shares every subtree
+// that comes out unchanged, except the nodes eliminateDead edits (Seq,
+// If, While) and MakeClosure, whose ClosureCode each built body owns.
 func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 	h := a.h
+	a.nodes++ // n's own output node; folds and splices take it back
 	switch n := n.(type) {
 	case *ir.Const:
-		switch n.Kind {
-		case ir.KInt:
-			return n, exactInfo(h.B.Int)
-		case ir.KStr:
-			return n, exactInfo(h.B.String)
-		case ir.KBool:
-			return n, exactInfo(h.B.Bool)
-		default:
-			return n, exactInfo(h.B.Nil)
-		}
+		return n, constInfo(h, n)
 
 	case *ir.Local:
-		if f := a.frameAt(n.Depth); f != nil {
-			in := f.get(n.Slot)
-			if n.Depth > 0 {
-				// Cross-frame closure propagation is unsound (the outer
-				// slot may change between creation and call).
-				in.closure = nil
-			}
-			return n, in
+		depth, slot, f := a.local(n.Depth, n.Slot)
+		if depth != n.Depth || slot != n.Slot {
+			n = &ir.Local{Depth: depth, Slot: slot, Name: n.Name}
 		}
-		return n, topInfo()
+		if f == nil {
+			return n, topInfo()
+		}
+		if a.version != nil && depth == len(a.frames)-1 {
+			a.reads = append(a.reads, slot)
+		}
+		in := f.get(slot)
+		if depth > 0 {
+			// Cross-frame closure propagation is unsound (the outer
+			// slot may change between creation and call).
+			in.closure = nil
+		}
+		return n, in
 
 	case *ir.SetLocal:
 		x, xi := a.optimize(n.X)
-		n.X = x
-		if f := a.frameAt(n.Depth); f != nil {
-			if n.Depth == 0 {
-				f.set(n.Slot, xi)
+		depth, slot, f := a.local(n.Depth, n.Slot)
+		if f != nil {
+			if depth == 0 {
+				f.set(slot, xi)
 			} else {
 				// Writing an outer slot: its analysis there is already
 				// degraded (poisoned) if reachable via a closure.
-				f.set(n.Slot, topInfo())
+				f.set(slot, topInfo())
+				a.writes = append(a.writes, frameSlot{f.origin, slot})
 			}
 		}
-		return n, xi
+		if depth == n.Depth && slot == n.Slot && x == n.X {
+			return n, xi
+		}
+		return &ir.SetLocal{Depth: depth, Slot: slot, Name: n.Name, X: x}, xi
 
 	case *ir.Global:
 		return n, a.c.globalInfos[n.Slot]
 
 	case *ir.SetGlobal:
 		x, xi := a.optimize(n.X)
-		n.X = x
-		return n, xi
+		if x == n.X {
+			return n, xi
+		}
+		return &ir.SetGlobal{Slot: n.Slot, Name: n.Name, X: x}, xi
 
 	case *ir.GetField:
 		obj, oi := a.optimize(n.Obj)
-		n.Obj = obj
-		a.resolveFieldSlot(&n.Slot, n.Name, oi)
+		slot := n.Slot
+		a.resolveFieldSlot(&slot, n.Name, oi)
+		if obj != n.Obj || slot != n.Slot {
+			n = &ir.GetField{Obj: obj, Name: n.Name, Slot: slot}
+		}
 		return n, a.fieldInfo(n.Name, oi)
 
 	case *ir.SetField:
 		obj, oi := a.optimize(n.Obj)
-		n.Obj = obj
 		x, xi := a.optimize(n.X)
-		n.X = x
-		a.resolveFieldSlot(&n.Slot, n.Name, oi)
+		slot := n.Slot
+		a.resolveFieldSlot(&slot, n.Name, oi)
+		if obj != n.Obj || slot != n.Slot || x != n.X {
+			n = &ir.SetField{Obj: obj, Name: n.Name, Slot: slot, X: x}
+		}
 		xi.closure = nil
 		return n, xi
 
 	case *ir.Seq:
+		switch len(n.Nodes) {
+		case 0:
+			return &ir.Seq{}, exactInfo(h.B.Nil)
+		case 1:
+			a.nodes--
+			return a.optimize(n.Nodes[0])
+		}
+		nodes := make([]ir.Node, len(n.Nodes))
 		var last info
 		for i, ch := range n.Nodes {
-			n.Nodes[i], last = a.optimize(ch)
+			nodes[i], last = a.optimize(ch)
 		}
-		if len(n.Nodes) == 0 {
-			return n, exactInfo(h.B.Nil)
-		}
-		if len(n.Nodes) == 1 {
-			return n.Nodes[0], last
-		}
-		return n, last
+		return &ir.Seq{Nodes: nodes}, last
 
 	case *ir.If:
+		m := a.mark()
 		cond, _ := a.optimize(n.Cond)
-		n.Cond = cond
 		// Constant-fold a known condition (dead-code elimination; this
 		// is also what removes never-taken branches after inlining).
 		if cb, ok := cond.(*ir.Const); ok && cb.Kind == ir.KBool {
@@ -602,27 +663,27 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 			if !cb.Bool {
 				branch = n.Else
 			}
+			a.drop(m)
 			if branch == nil {
 				return &ir.Const{Kind: ir.KNil}, exactInfo(h.B.Nil)
 			}
+			a.nodes--
 			return a.optimize(branch)
 		}
 		f := a.curFrame()
 		var pre, post []info
 		if f != nil {
-			pre = f.snapshot()
+			pre = a.snapshot(f)
 		}
 		then, ti := a.optimize(n.Then)
-		n.Then = then
 		if f != nil {
-			post = f.snapshot()
+			post = a.snapshot(f)
 			f.restore(pre)
 		}
-		var ei info = exactInfo(h.B.Nil)
+		var els ir.Node
+		ei := exactInfo(h.B.Nil)
 		if n.Else != nil {
-			var els ir.Node
 			els, ei = a.optimize(n.Else)
-			n.Else = els
 		}
 		if f != nil {
 			// Join the branch states.
@@ -633,25 +694,23 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 				}
 				f.infos[i] = join(f.infos[i], other)
 			}
+			a.nsnap -= 2
 		}
-		return n, join(ti, ei)
+		return &ir.If{Cond: cond, Then: then, Else: els}, join(ti, ei)
 
 	case *ir.While:
 		a.degradeAssigned(n)
 		cond, _ := a.optimize(n.Cond)
-		n.Cond = cond
 		body, _ := a.optimize(n.Body)
-		n.Body = body
-		return n, exactInfo(h.B.Nil)
+		return &ir.While{Cond: cond, Body: body}, exactInfo(h.B.Nil)
 
 	case *ir.Return:
-		var xi info
+		xi := exactInfo(a.h.B.Nil)
 		if n.X != nil {
 			var x ir.Node
-			x, xi = a.optimize(n.X)
-			n.X = x
-		} else {
-			xi = exactInfo(a.h.B.Nil)
+			if x, xi = a.optimize(n.X); x != n.X {
+				n = &ir.Return{X: x}
+			}
 		}
 		if a.retTracked {
 			a.retJoin = join(a.retJoin, xi)
@@ -661,16 +720,16 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		return n, info{set: a.c.empty}
 
 	case *ir.New:
-		for i, arg := range n.Args {
-			n.Args[i], _ = a.optimize(arg)
+		if args, same := a.optimizeArgs(n.Args); !same {
+			n = &ir.New{Class: n.Class, Args: args}
 		}
 		return n, exactInfo(n.Class)
 
 	case *ir.MakeClosure:
-		a.optimizeClosureBody(n.Fn)
+		mc := &ir.MakeClosure{Fn: a.optimizeClosureBody(n.Fn)}
 		in := exactInfo(h.B.Closure)
-		in.closure = n
-		return n, in
+		in.closure = mc
+		return mc, in
 
 	case *ir.CallClosure:
 		return a.optimizeCallClosure(n)
@@ -679,14 +738,14 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		return a.optimizeSend(n)
 
 	case *ir.StaticCall:
-		for i, arg := range n.Args {
-			n.Args[i], _ = a.optimize(arg)
+		if args, same := a.optimizeArgs(n.Args); !same {
+			n = &ir.StaticCall{Target: n.Target, Site: n.Site, Args: args}
 		}
 		return n, topInfo()
 
 	case *ir.VersionSelect:
-		for i, arg := range n.Args {
-			n.Args[i], _ = a.optimize(arg)
+		if args, same := a.optimizeArgs(n.Args); !same {
+			n = &ir.VersionSelect{Method: n.Method, Site: n.Site, Args: args}
 		}
 		return n, topInfo()
 
@@ -694,15 +753,20 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		return a.optimizeBin(n)
 
 	case *ir.Un:
+		m := a.mark()
 		x, _ := a.optimize(n.X)
-		n.X = x
 		if c, ok := x.(*ir.Const); ok {
 			switch {
 			case n.Op == ir.OpNot && c.Kind == ir.KBool:
+				a.drop(m)
 				return &ir.Const{Kind: ir.KBool, Bool: !c.Bool}, exactInfo(h.B.Bool)
 			case n.Op == ir.OpNeg && c.Kind == ir.KInt:
+				a.drop(m)
 				return &ir.Const{Kind: ir.KInt, Int: -c.Int}, exactInfo(h.B.Int)
 			}
+		}
+		if x != n.X {
+			n = &ir.Un{Op: n.Op, X: x}
 		}
 		if n.Op == ir.OpNot {
 			return n, exactInfo(h.B.Bool)
@@ -710,65 +774,81 @@ func (a *analyzer) optimize(n ir.Node) (ir.Node, info) {
 		return n, exactInfo(h.B.Int)
 
 	case *ir.PrimCall:
-		for i, arg := range n.Args {
-			n.Args[i], _ = a.optimize(arg)
+		if args, same := a.optimizeArgs(n.Args); !same {
+			n = &ir.PrimCall{Prim: n.Prim, Args: args}
 		}
 		return n, a.primInfo(n.Prim)
 
 	case *ir.And:
-		l, _ := a.optimize(n.L)
-		n.L = l
-		f := a.curFrame()
-		var pre []info
-		if f != nil {
-			pre = f.snapshot()
-		}
-		r, _ := a.optimize(n.R)
-		n.R = r
-		if f != nil {
-			// R may not execute; join with the pre-state. Slots that R's
-			// inlining allocated (beyond len(pre)) are R-local temps and
-			// keep their info.
-			for i := range f.infos {
-				if i < len(pre) {
-					f.infos[i] = join(f.infos[i], pre[i])
-				}
-			}
-		}
-		if lc, ok := l.(*ir.Const); ok && lc.Kind == ir.KBool {
-			if !lc.Bool {
-				return &ir.Const{Kind: ir.KBool, Bool: false}, exactInfo(h.B.Bool)
-			}
-			return r, exactInfo(h.B.Bool)
-		}
-		return n, exactInfo(h.B.Bool)
+		return a.optimizeShortCircuit(n, n.L, n.R, false), exactInfo(h.B.Bool)
 
 	case *ir.Or:
-		l, _ := a.optimize(n.L)
-		n.L = l
-		f := a.curFrame()
-		var pre []info
-		if f != nil {
-			pre = f.snapshot()
-		}
-		r, _ := a.optimize(n.R)
-		n.R = r
-		if f != nil {
-			for i := range f.infos {
-				if i < len(pre) {
-					f.infos[i] = join(f.infos[i], pre[i])
-				}
-			}
-		}
-		if lc, ok := l.(*ir.Const); ok && lc.Kind == ir.KBool {
-			if lc.Bool {
-				return &ir.Const{Kind: ir.KBool, Bool: true}, exactInfo(h.B.Bool)
-			}
-			return r, exactInfo(h.B.Bool)
-		}
-		return n, exactInfo(h.B.Bool)
+		return a.optimizeShortCircuit(n, n.L, n.R, true), exactInfo(h.B.Bool)
 	}
 	panic(fmt.Sprintf("opt: unknown node %T", n))
+}
+
+// optimizeArgs builds the optimized form of each argument; same
+// reports that every one came out unchanged, and out is args then.
+func (a *analyzer) optimizeArgs(args []ir.Node) (out []ir.Node, same bool) {
+	for i, arg := range args {
+		x, _ := a.optimize(arg)
+		out = keepArg(out, args, i, x)
+	}
+	if out == nil {
+		return args, true
+	}
+	return out, false
+}
+
+// keepArg stores x, the optimized form of args[i], in out. out stays
+// nil while every form so far equals its source argument.
+func keepArg(out, args []ir.Node, i int, x ir.Node) []ir.Node {
+	if out == nil && x != args[i] {
+		out = make([]ir.Node, len(args))
+		copy(out, args[:i])
+	}
+	if out != nil {
+		out[i] = x
+	}
+	return out
+}
+
+// optimizeShortCircuit builds n, which is L && R (or, with or set,
+// L || R). R may not execute, so the frame state after it joins the
+// state before it. A constant L folds the operator away.
+func (a *analyzer) optimizeShortCircuit(n, L, R ir.Node, or bool) ir.Node {
+	m := a.mark()
+	l, _ := a.optimize(L)
+	f := a.curFrame()
+	var pre []info
+	if f != nil {
+		pre = a.snapshot(f)
+	}
+	r, _ := a.optimize(R)
+	if f != nil {
+		// Slots that R's inlining allocated (beyond len(pre)) are
+		// R-local temps and keep their info.
+		for i := range f.infos {
+			if i < len(pre) {
+				f.infos[i] = join(f.infos[i], pre[i])
+			}
+		}
+		a.nsnap--
+	}
+	switch lc, ok := l.(*ir.Const); {
+	case ok && lc.Kind == ir.KBool && lc.Bool == or:
+		a.drop(m)
+		return &ir.Const{Kind: ir.KBool, Bool: or}
+	case ok && lc.Kind == ir.KBool:
+		a.nodes -= 2 // the operator and l
+		return r
+	case l == L && r == R:
+		return n
+	case or:
+		return &ir.Or{L: l, R: r}
+	}
+	return &ir.And{L: l, R: r}
 }
 
 func (a *analyzer) primInfo(p ir.Prim) info {
@@ -791,18 +871,21 @@ func (a *analyzer) primInfo(p ir.Prim) info {
 
 func (a *analyzer) optimizeBin(n *ir.Bin) (ir.Node, info) {
 	h := a.h
+	m := a.mark()
 	l, li := a.optimize(n.L)
-	n.L = l
 	r, ri := a.optimize(n.R)
-	n.R = r
 
 	// Constant folding for integer operands.
 	if lc, lok := l.(*ir.Const); lok {
 		if rc, rok := r.(*ir.Const); rok && lc.Kind == ir.KInt && rc.Kind == ir.KInt {
 			if folded, ok := foldIntBin(n.Op, lc.Int, rc.Int); ok {
-				return folded, a.constInfo(folded)
+				a.drop(m)
+				return folded, constInfo(h, folded.(*ir.Const))
 			}
 		}
+	}
+	if l != n.L || r != n.R {
+		n = &ir.Bin{Op: n.Op, L: l, R: r}
 	}
 
 	switch n.Op {
@@ -826,17 +909,17 @@ func (a *analyzer) optimizeBin(n *ir.Bin) (ir.Node, info) {
 	}
 }
 
-func (a *analyzer) constInfo(n ir.Node) info {
-	c := n.(*ir.Const)
+// constInfo is the class info of a constant.
+func constInfo(h *hier.Hierarchy, c *ir.Const) info {
 	switch c.Kind {
 	case ir.KInt:
-		return exactInfo(a.h.B.Int)
+		return exactInfo(h.B.Int)
 	case ir.KBool:
-		return exactInfo(a.h.B.Bool)
+		return exactInfo(h.B.Bool)
 	case ir.KStr:
-		return exactInfo(a.h.B.String)
+		return exactInfo(h.B.String)
 	default:
-		return exactInfo(a.h.B.Nil)
+		return exactInfo(h.B.Nil)
 	}
 }
 
@@ -939,33 +1022,45 @@ func (a *analyzer) resolveFieldSlot(slot *int, name string, oi info) {
 	}
 }
 
-// optimizeClosureBody analyzes a (non-inlined) closure body. Outer
+// optimizeClosureBody builds a (non-inlined) closure body. Outer
 // frames are visible only in a guarded form: every slot is Top except
 // the enclosing method's never-assigned formals, whose class sets are
 // stable for the whole activation.
-func (a *analyzer) optimizeClosureBody(code *ir.ClosureCode) {
-	saved := a.frames
-	guarded := make([]*aframe, len(saved))
+func (a *analyzer) optimizeClosureBody(code *ir.ClosureCode) *ir.ClosureCode {
+	saved, savedSrc := a.frames, a.src
+	guarded := make([]*aframe, len(saved), len(saved)+1)
 	for i, f := range saved {
-		g := newAFrame(f.size, f.isMethod)
-		if i == 0 && f.isMethod && a.version != nil {
+		// Slots past infos read as Top: a guarded frame holds infos
+		// only for the formals it keeps.
+		g := &aframe{size: f.size, origin: f.origin}
+		if i == 0 && a.version != nil {
 			src := a.c.Prog.Bodies[a.version.Method]
 			for slot := 0; slot < len(src.AssignedFormals) && slot < len(f.infos); slot++ {
-				if !src.AssignedFormals[slot] && !f.poisoned[slot] {
-					g.infos[slot] = f.infos[slot]
-					g.infos[slot].closure = nil
+				if !src.AssignedFormals[slot] && !f.poisoned.Has(slot) {
+					in := f.infos[slot]
+					in.closure = nil
+					g.set(slot, in)
 				}
 			}
 		}
 		guarded[i] = g
 	}
-	cf := newAFrame(code.NumSlots, false)
+	cf := new(aframe).reset(code.NumSlots)
+	for _, slot := range code.ClosureWrites {
+		cf.poisoned.Add(slot)
+	}
 	a.frames = append(guarded, cf)
-	a.poisonClosureWrites(code.Body)
+	a.src = append(a.src, srcFrame{frame: len(saved)})
+	w := len(a.writes)
 	body, _ := a.optimize(code.Body)
-	code.Body = body
-	code.NumSlots = cf.size
-	a.frames = saved
+	a.frames, a.src = saved, savedSrc
+	out := &ir.ClosureCode{NumParams: code.NumParams, NumSlots: cf.size, Body: body, Owner: code.Owner}
+	for _, fs := range a.writes[w:] {
+		if fs.f == cf && !slices.Contains(out.ClosureWrites, fs.slot) {
+			out.ClosureWrites = append(out.ClosureWrites, fs.slot)
+		}
+	}
+	return out
 }
 
 // optimizeCallClosure inlines closure calls whose callee is a known
@@ -975,8 +1070,8 @@ func (a *analyzer) optimizeClosureBody(code *ir.ClosureCode) {
 // and invoked as a separate procedure for each iteration" unless
 // inlining removes it.
 func (a *analyzer) optimizeCallClosure(n *ir.CallClosure) (ir.Node, info) {
+	m := a.mark()
 	fn, fi := a.optimize(n.Fn)
-	n.Fn = fn
 	mc := fi.closure
 	if mc != nil &&
 		len(a.frames) > 0 && // top-level code has no frame to host the slots
@@ -984,10 +1079,12 @@ func (a *analyzer) optimizeCallClosure(n *ir.CallClosure) (ir.Node, info) {
 		a.depth < a.c.Opts.maxInlineDepth() &&
 		!a.c.Opts.DisableInlining &&
 		ir.Size(mc.Fn.Body) <= 8*a.c.Opts.inlineThreshold() {
+		a.drop(m)
+		a.nodes--
 		return a.inlineClosure(mc.Fn, n.Args)
 	}
-	for i, arg := range n.Args {
-		n.Args[i], _ = a.optimize(arg)
+	if args, same := a.optimizeArgs(n.Args); !same || fn != n.Fn {
+		n = &ir.CallClosure{Fn: fn, Args: args, Pos: n.Pos}
 	}
 	return n, topInfo()
 }
@@ -995,9 +1092,16 @@ func (a *analyzer) optimizeCallClosure(n *ir.CallClosure) (ir.Node, info) {
 // optimizeSend performs static binding, compile-time version selection,
 // and inlining for one message send.
 func (a *analyzer) optimizeSend(n *ir.Send) (ir.Node, info) {
+	var args []ir.Node
 	infos := make([]info, len(n.Args))
 	for i, arg := range n.Args {
-		n.Args[i], infos[i] = a.optimize(arg)
+		var x ir.Node
+		x, infos[i] = a.optimize(arg)
+		args = keepArg(args, n.Args, i, x)
+	}
+	same := args == nil
+	if same {
+		args = n.Args
 	}
 	g := n.Site.GF
 	if a.c.sendArgs != nil {
@@ -1014,6 +1118,9 @@ func (a *analyzer) optimizeSend(n *ir.Send) (ir.Node, info) {
 
 	target, ok := a.uniqueTarget(g, infos)
 	if !ok {
+		if !same {
+			n = &ir.Send{Site: n.Site, Args: args}
+		}
 		return n, topInfo()
 	}
 	a.staticBound++
@@ -1021,14 +1128,15 @@ func (a *analyzer) optimizeSend(n *ir.Send) (ir.Node, info) {
 	v, exact := a.c.selectVersionStatic(target, infos)
 	if !exact {
 		a.versionSelects++
-		return &ir.VersionSelect{Method: target, Site: n.Site, Args: n.Args}, topInfo()
+		return &ir.VersionSelect{Method: target, Site: n.Site, Args: args}, topInfo()
 	}
 
 	if a.canInline(target) {
 		a.inlinedCalls++
-		return a.inlineMethod(target, n.Args, infos)
+		a.nodes--
+		return a.inlineMethod(target, args, infos)
 	}
-	return &ir.StaticCall{Target: v, Site: n.Site, Args: n.Args}, a.c.returnInfoOf(v)
+	return &ir.StaticCall{Target: v, Site: n.Site, Args: args}, a.c.returnInfoOf(v)
 }
 
 // bindProductLimit bounds the product enumeration used to prove a
@@ -1201,149 +1309,109 @@ func (a *analyzer) canInline(m *hier.Method) bool {
 }
 
 // inlineMethod splices the source body of m into the current frame,
-// binding the (already optimized) arguments to fresh slots, and then
-// optimizes the spliced copy with the precise argument information.
+// binding the (already optimized) arguments to fresh slots, and builds
+// the spliced copy with the precise argument information.
 func (a *analyzer) inlineMethod(m *hier.Method, args []ir.Node, infos []info) (ir.Node, info) {
 	src := a.c.Prog.Bodies[m]
-	slotMap := make([]int, src.NumSlots)
-	for i := range slotMap {
-		slotMap[i] = a.newSlot()
-	}
-	body := remapInlined(ir.Clone(src.Code), slotMap, false)
-
-	f := a.curFrame()
+	f, slotMap := a.inlineSlots(src.NumSlots)
 	nodes := make([]ir.Node, 0, len(args)+1)
+	name := "inl$" + m.GF.Name
 	for i, arg := range args {
-		nodes = append(nodes, &ir.SetLocal{Depth: 0, Slot: slotMap[i], Name: "inl$" + m.GF.Name, X: arg})
-		in := infos[i]
-		in.closure = infos[i].closure // propagate closure literals into the inlined body
-		f.set(slotMap[i], in)
+		nodes = append(nodes, &ir.SetLocal{Depth: 0, Slot: slotMap[i], Name: name, X: arg})
+		f.set(slotMap[i], infos[i]) // closure literals propagate into the inlined body
 	}
-
-	a.poisonClosureWrites(body)
+	for _, slot := range src.ClosureWrites {
+		f.poisoned.Add(slotMap[slot])
+	}
 	a.inlineStack = append(a.inlineStack, m)
+	a.src = append(a.src, srcFrame{frame: len(a.frames) - 1, slots: slotMap})
 	a.depth++
-	body, bi := a.optimize(body)
+	body, bi := a.optimize(src.Code)
 	a.depth--
+	a.src = a.src[:len(a.src)-1]
 	a.inlineStack = a.inlineStack[:len(a.inlineStack)-1]
-
-	nodes = append(nodes, body)
-	if len(nodes) == 1 {
-		return nodes[0], bi
-	}
-	return &ir.Seq{Nodes: nodes}, bi
+	return a.splice(nodes, body), bi
 }
 
-// inlineClosure splices a closure body into the current frame. Returns
-// inside the body are legal: they belong to the lexically enclosing
-// method, which is exactly the method being compiled.
+// inlineClosure splices a closure body into the current frame, the
+// frame that created the closure. Returns inside the body are legal:
+// they belong to the lexically enclosing method, which is exactly the
+// method being compiled.
 func (a *analyzer) inlineClosure(code *ir.ClosureCode, args []ir.Node) (ir.Node, info) {
-	slotMap := make([]int, code.NumSlots)
-	for i := range slotMap {
-		slotMap[i] = a.newSlot()
-	}
-	body := remapInlined(ir.Clone(code.Body), slotMap, true)
-
-	f := a.curFrame()
+	f, slotMap := a.inlineSlots(code.NumSlots)
 	nodes := make([]ir.Node, 0, len(args)+1)
 	for i, arg := range args {
 		optArg, ai := a.optimize(arg)
 		nodes = append(nodes, &ir.SetLocal{Depth: 0, Slot: slotMap[i], Name: "clo$arg", X: optArg})
 		f.set(slotMap[i], ai)
 	}
-
-	a.poisonClosureWrites(body)
-	a.depth++
-	body, bi := a.optimize(body)
-	a.depth--
-
-	nodes = append(nodes, body)
-	if len(nodes) == 1 {
-		return nodes[0], bi
+	for _, slot := range code.ClosureWrites {
+		f.poisoned.Add(slotMap[slot])
 	}
-	return &ir.Seq{Nodes: nodes}, bi
+	// The closure's own frame maps into the current one; a reference
+	// out of it loses the hop the closure frame took.
+	saved := a.src
+	cur := len(a.frames) - 1
+	a.src = make([]srcFrame, cur+2)
+	for i := 0; i <= cur; i++ {
+		a.src[i].frame = i
+	}
+	a.src[cur+1] = srcFrame{frame: cur, slots: slotMap}
+	a.depth++
+	body, bi := a.optimize(code.Body)
+	a.depth--
+	a.src = saved
+	return a.splice(nodes, body), bi
 }
 
-// remapInlined rewrites frame references of an inlined body: slots of
-// the inlinee's own frame map through slotMap into the host frame;
-// for closures (dropOneFrame) references to frames outside the closure
-// lose one hop because the closure frame disappears.
-func remapInlined(n ir.Node, slotMap []int, dropOneFrame bool) ir.Node {
-	var rewrite func(n ir.Node, nesting int)
-	rewrite = func(n ir.Node, nesting int) {
-		ir.Walk(n, func(ch ir.Node) bool {
-			switch ch := ch.(type) {
-			case *ir.MakeClosure:
-				rewrite(ch.Fn.Body, nesting+1)
-				return false
-			case *ir.Local:
-				if ch.Depth == nesting {
-					ch.Slot = slotMap[ch.Slot]
-				} else if ch.Depth > nesting {
-					if !dropOneFrame {
-						panic("opt: method body references an outer frame")
-					}
-					ch.Depth--
-				}
-			case *ir.SetLocal:
-				if ch.Depth == nesting {
-					ch.Slot = slotMap[ch.Slot]
-				} else if ch.Depth > nesting {
-					if !dropOneFrame {
-						panic("opt: method body references an outer frame")
-					}
-					ch.Depth--
-				}
-			}
-			return true
-		})
+// inlineSlots allocates fresh slots of the current frame for the n
+// slots of an inlined frame and returns the frame and the slot map.
+func (a *analyzer) inlineSlots(n int) (*aframe, []int) {
+	slotMap := make([]int, n)
+	for i := range slotMap {
+		slotMap[i] = a.newSlot()
 	}
-	rewrite(n, 0)
-	return n
+	return a.curFrame(), slotMap
+}
+
+// splice appends an inlined body to the argument bindings before it.
+func (a *analyzer) splice(nodes []ir.Node, body ir.Node) ir.Node {
+	a.nodes += len(nodes)
+	if len(nodes) == 0 {
+		return body
+	}
+	a.nodes++
+	return &ir.Seq{Nodes: append(nodes, body)}
 }
 
 // eliminateDead removes side-effect-free statements from non-final Seq
 // positions — in particular closure literals whose every call was
 // inlined ("dead code elimination to optimize away unneeded closure
-// creations", Table 1).
+// creations", Table 1). A method-frame slot counts as read if the
+// built body reads it anywhere (a.reads), in a removed statement too.
 func (a *analyzer) eliminateDead(body ir.Node) ir.Node {
-	readSlots := map[int]bool{}
-	var collect func(n ir.Node, nesting int)
-	collect = func(n ir.Node, nesting int) {
-		ir.Walk(n, func(ch ir.Node) bool {
-			switch ch := ch.(type) {
-			case *ir.MakeClosure:
-				collect(ch.Fn.Body, nesting+1)
-				return false
-			case *ir.Local:
-				if ch.Depth == nesting {
-					readSlots[ch.Slot] = true
-				}
-			}
-			return true
-		})
+	readSlots := make([]bool, a.frames[0].size)
+	for _, slot := range a.reads {
+		readSlots[slot] = true
 	}
-	collect(body, 0)
-
 	var sweep func(n ir.Node, nesting int) ir.Node
 	sweep = func(n ir.Node, nesting int) ir.Node {
 		switch n := n.(type) {
 		case *ir.Seq:
-			var out []ir.Node
+			out := n.Nodes[:0]
 			for i, ch := range n.Nodes {
 				ch = sweep(ch, nesting)
-				last := i == len(n.Nodes)-1
-				if !last {
-					if sl, ok := ch.(*ir.SetLocal); ok && sl.Depth == nesting && nesting == 0 && !readSlots[sl.Slot] && pure(sl.X) {
-						continue
-					}
-					if pure(ch) {
+				if i < len(n.Nodes)-1 {
+					sl, ok := ch.(*ir.SetLocal)
+					if ok && sl.Depth == nesting && nesting == 0 && !readSlots[sl.Slot] && pure(sl.X) || pure(ch) {
+						a.nodes -= ir.Size(ch)
 						continue
 					}
 				}
 				out = append(out, ch)
 			}
 			if len(out) == 1 {
+				a.nodes--
 				return out[0]
 			}
 			n.Nodes = out

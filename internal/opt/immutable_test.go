@@ -85,3 +85,51 @@ func TestSourceBodiesImmutable(t *testing.T) {
 		}
 	}
 }
+
+// closureCodes collects the ClosureCode of every closure literal in n.
+func closureCodes(n ir.Node, into map[*ir.ClosureCode]int) {
+	ir.Walk(n, func(n ir.Node) bool {
+		if mc, ok := n.(*ir.MakeClosure); ok {
+			into[mc.Fn]++
+		}
+		return true
+	})
+}
+
+// TestBuiltClosuresOwnTheirCode: every closure literal of a built body
+// has a ClosureCode of its own, shared with no source body and no other
+// literal, because the VM keys each closure's proc by that pointer.
+func TestBuiltClosuresOwnTheirCode(t *testing.T) {
+	b := programs.Sets()
+	p, err := driver.LoadNamed(b.Name, b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	source := map[*ir.ClosureCode]int{}
+	for _, body := range p.Prog.Bodies {
+		closureCodes(body.Code, source)
+	}
+	for _, cfg := range []opt.Config{opt.Base, opt.Cust, opt.CHA} {
+		comp, err := opt.Compile(p.Prog, opt.Options{Config: cfg})
+		if err == nil {
+			err = comp.CompileAll()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := map[*ir.ClosureCode]int{}
+		for _, m := range p.Prog.H.Methods() {
+			for _, v := range comp.VersionsOf(m) {
+				closureCodes(v.Body, built)
+			}
+		}
+		if len(built) == 0 {
+			t.Fatalf("%v: no closure literal left in any built body", cfg)
+		}
+		for code, n := range built {
+			if source[code] > 0 || n > 1 {
+				t.Errorf("%v: a ClosureCode is shared (%d source uses, %d built)", cfg, source[code], n)
+			}
+		}
+	}
+}

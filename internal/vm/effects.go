@@ -24,7 +24,9 @@ import "selspec/internal/ir"
 // so the queries of one body walk each node at most once however they
 // nest. The memo and the closure scan are reset per body (reset) and
 // the map is reused across bodies, so the analysis allocates nothing
-// once the module's first bodies have sized it.
+// once the module's first bodies have sized it. A reset deletes only
+// the entries the previous body stored: clearing the whole map would
+// cost every small proc the capacity of the module's largest body.
 type effects struct {
 	body ir.Node
 	// closures caches whether body contains an ir.MakeClosure (its frame
@@ -32,8 +34,9 @@ type effects struct {
 	// slot): 0 not yet scanned, 1 no, 2 yes.
 	closures int8
 	// facts memoizes the facts of the inner nodes visited so far; leaf
-	// nodes, which have none, are never stored.
-	facts map[ir.Node]nodeFacts
+	// nodes, which have none, are never stored. stored lists its keys.
+	facts  map[ir.Node]nodeFacts
+	stored []ir.Node
 }
 
 // nodeFacts summarizes one subtree's frame effects.
@@ -53,7 +56,11 @@ func (e *effects) reset(body ir.Node) {
 	if e.facts == nil {
 		e.facts = map[ir.Node]nodeFacts{}
 	}
-	clear(e.facts)
+	for _, n := range e.stored {
+		delete(e.facts, n)
+	}
+	clear(e.stored)
+	e.stored = e.stored[:0]
 }
 
 // hasClosures reports whether the body creates a closure.
@@ -110,6 +117,7 @@ func (e *effects) visit(n ir.Node) nodeFacts {
 		f.calls = f.calls || cf.calls
 	})
 	e.facts[n] = f
+	e.stored = append(e.stored, n)
 	return f
 }
 
