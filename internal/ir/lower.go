@@ -150,18 +150,20 @@ type frame struct {
 	closureWrites []int // slots that closures nested in the frame assign
 }
 
-// scope maps names to slots of a particular frame.
-type scope struct {
-	parent   *scope
-	frameIdx int // index into lowerer.frames
-	names    map[string]int
+// binding is one name in scope: a slot of frame frameIdx (an index
+// into lowerer.frames).
+type binding struct {
+	name           string
+	frameIdx, slot int
 }
 
 type lowerer struct {
 	prog   *Program
 	method *hier.Method // nil in global/field-init context
 	frames []*frame     // frames[0] is the method frame
-	scope  *scope
+	// scope lists the names in scope, innermost last; a block drops its
+	// own when it ends.
+	scope []binding
 
 	assignedFormals map[int]bool
 	hasReturn       bool // a return statement was lowered
@@ -180,10 +182,8 @@ func lowerMethod(p *Program, m *hier.Method) (*MethodBody, error) {
 	}
 	f := &frame{numParams: len(m.Decl.Params)}
 	lw.frames = append(lw.frames, f)
-	lw.scope = &scope{frameIdx: 0, names: map[string]int{}}
 	for _, prm := range m.Decl.Params {
-		lw.scope.names[prm.Name] = f.numSlots
-		f.numSlots++
+		lw.declare(prm.Name)
 	}
 
 	code, err := lw.block(m.Decl.Body)
@@ -211,26 +211,21 @@ func lowerMethod(p *Program, m *hier.Method) (*MethodBody, error) {
 
 func (lw *lowerer) curFrame() *frame { return lw.frames[len(lw.frames)-1] }
 
-func (lw *lowerer) pushScope() {
-	lw.scope = &scope{parent: lw.scope, frameIdx: len(lw.frames) - 1, names: map[string]int{}}
-}
-func (lw *lowerer) popScope() { lw.scope = lw.scope.parent }
-
 // declare allocates a new slot in the current frame for name.
 func (lw *lowerer) declare(name string) int {
 	f := lw.curFrame()
 	slot := f.numSlots
 	f.numSlots++
-	lw.scope.names[name] = slot
+	lw.scope = append(lw.scope, binding{name, len(lw.frames) - 1, slot})
 	return slot
 }
 
 // resolve finds name in the lexical scope chain, returning (depth from
 // current frame, slot, frameIdx, found).
 func (lw *lowerer) resolve(name string) (depth, slot, frameIdx int, ok bool) {
-	for s := lw.scope; s != nil; s = s.parent {
-		if sl, found := s.names[name]; found {
-			return len(lw.frames) - 1 - s.frameIdx, sl, s.frameIdx, true
+	for i := len(lw.scope) - 1; i >= 0; i-- {
+		if b := lw.scope[i]; b.name == name {
+			return len(lw.frames) - 1 - b.frameIdx, b.slot, b.frameIdx, true
 		}
 	}
 	return 0, 0, 0, false
@@ -244,16 +239,19 @@ func (lw *lowerer) newSite(g *hier.GF, pos lang.Pos) *CallSite {
 }
 
 func (lw *lowerer) block(b *lang.Block) (Node, error) {
-	lw.pushScope()
-	defer lw.popScope()
+	outer := len(lw.scope)
 	seq := &Seq{}
-	for _, s := range b.Stmts {
+	if len(b.Stmts) > 0 {
+		seq.Nodes = make([]Node, len(b.Stmts))
+	}
+	for i, s := range b.Stmts {
 		n, err := lw.stmt(s)
 		if err != nil {
 			return nil, err
 		}
-		seq.Nodes = append(seq.Nodes, n)
+		seq.Nodes[i] = n
 	}
+	lw.scope = lw.scope[:outer]
 	if len(seq.Nodes) == 1 {
 		return seq.Nodes[0], nil
 	}
@@ -387,9 +385,21 @@ func (lw *lowerer) send(g *hier.GF, pos lang.Pos, args []Node) Node {
 	return &Send{Site: site, Args: args}
 }
 
+// smallInts holds one Const per integer 0..1023, which every literal
+// of that value shares: no pass changes a Const after lowering.
+var smallInts = func() (t [1024]Const) {
+	for i := range t {
+		t[i] = Const{Kind: KInt, Int: int64(i)}
+	}
+	return t
+}()
+
 func (lw *lowerer) expr(e lang.Expr) (Node, error) {
 	switch e := e.(type) {
 	case *lang.IntLit:
+		if 0 <= e.Val && e.Val < int64(len(smallInts)) {
+			return &smallInts[e.Val], nil
+		}
 		return &Const{Kind: KInt, Int: e.Val}, nil
 	case *lang.StrLit:
 		return &Const{Kind: KStr, Str: e.Val}, nil
@@ -482,13 +492,12 @@ func (lw *lowerer) expr(e lang.Expr) (Node, error) {
 	case *lang.FnExpr:
 		f := &frame{numParams: len(e.Params)}
 		lw.frames = append(lw.frames, f)
-		lw.pushScope()
+		outer := len(lw.scope)
 		for _, pn := range e.Params {
-			lw.scope.names[pn] = f.numSlots
-			f.numSlots++
+			lw.declare(pn)
 		}
 		body, err := lw.block(e.Body)
-		lw.popScope()
+		lw.scope = lw.scope[:outer]
 		lw.frames = lw.frames[:len(lw.frames)-1]
 		if err != nil {
 			return nil, err

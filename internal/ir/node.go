@@ -12,8 +12,10 @@ import (
 	"selspec/internal/lang"
 )
 
-// Node is one IR tree node. Nodes are mutable only during optimization;
-// the interpreter treats them as read-only.
+// Node is one IR tree node. Lowered nodes are never changed: the
+// optimizer builds new nodes, edits only those while it builds a body,
+// and may share unchanged subtrees of the lowered code. Both tiers treat
+// nodes as read-only.
 type Node interface{ node() }
 
 // ConstKind discriminates constant values.

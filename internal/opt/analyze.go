@@ -92,12 +92,15 @@ func (f *aframe) restore(s []info) {
 
 // snapshot copies f's infos into the next buffer of the analyzer's
 // snapshot stack. Snapshots nest: the caller pops its own (a.nsnap--)
-// once it has joined them back.
+// once it has joined them back. A buffer holds nothing past its
+// length, so free clears only that.
 func (a *analyzer) snapshot(f *aframe) []info {
 	if a.nsnap == len(a.snaps) {
 		a.snaps = append(a.snaps, nil)
 	}
-	s := append(a.snaps[a.nsnap][:0], f.infos...)
+	s := a.snaps[a.nsnap]
+	clear(s[min(len(s), len(f.infos)):])
+	s = append(s[:0], f.infos...)
 	a.snaps[a.nsnap] = s
 	a.nsnap++
 	return s
@@ -171,8 +174,7 @@ type analyzer struct {
 // and source stacks, logs, snapshots, method frame) of earlier ones.
 var analyzers = sync.Pool{New: func() any { return new(analyzer) }}
 
-// newAnalyzer takes an analyzer from the pool for a body of version v
-// (nil for top-level code).
+// newAnalyzer takes an analyzer from the pool for a body of version v.
 func newAnalyzer(c *Compiled, v *ir.Version) *analyzer {
 	a := analyzers.Get().(*analyzer)
 	a.c, a.h, a.version = c, c.Prog.H, v
@@ -187,7 +189,7 @@ func (a *analyzer) free() {
 	clear(a.inlineStack[:cap(a.inlineStack)])
 	clear(a.writes[:cap(a.writes)])
 	for _, s := range a.snaps {
-		clear(s[:cap(s)])
+		clear(s)
 	}
 	clear(a.method.infos[:cap(a.method.infos)])
 	*a = analyzer{frames: a.frames[:0], inlineStack: a.inlineStack[:0], src: a.src[:0],
@@ -301,8 +303,7 @@ func (c *Compiled) Body(v *ir.Version) (ir.Node, error) {
 
 // optimizeTopLevel compiles a global or field initializer.
 func (c *Compiled) optimizeTopLevel(n ir.Node) (ir.Node, error) {
-	a := newAnalyzer(c, nil)
-	defer a.free()
+	a := &analyzer{c: c, h: c.Prog.H}
 	out, _ := a.optimize(n)
 	a.count()
 	return out, nil
@@ -1244,14 +1245,12 @@ func (c *Compiled) selectVersionStatic(m *hier.Method, infos []info) (*ir.Versio
 
 	case Selective:
 		// U[i] = possible classes at position i, bounded by the cone of
-		// the specializer (every dispatching tuple lies inside it).
-		gen := c.Prog.H.GeneralTuple(m)
+		// the specializer (every dispatching tuple lies inside it). u is
+		// only read, so it holds the cones themselves.
 		u := make(hier.Tuple, len(infos))
-		for i := range infos {
-			if infos[i].top {
-				u[i] = gen[i]
-			} else {
-				u[i] = bits.Intersect(infos[i].set, gen[i])
+		for i, s := range m.Specs {
+			if u[i] = s.Cone(); !infos[i].top {
+				u[i] = bits.Intersect(infos[i].set, u[i])
 			}
 		}
 		var candidates []*ir.Version
