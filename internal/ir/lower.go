@@ -240,10 +240,7 @@ func (lw *lowerer) newSite(g *hier.GF, pos lang.Pos) *CallSite {
 
 func (lw *lowerer) block(b *lang.Block) (Node, error) {
 	outer := len(lw.scope)
-	seq := &Seq{}
-	if len(b.Stmts) > 0 {
-		seq.Nodes = make([]Node, len(b.Stmts))
-	}
+	seq := &Seq{Nodes: make([]Node, len(b.Stmts))}
 	for i, s := range b.Stmts {
 		n, err := lw.stmt(s)
 		if err != nil {

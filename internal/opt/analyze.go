@@ -174,13 +174,6 @@ type analyzer struct {
 // and source stacks, logs, snapshots, method frame) of earlier ones.
 var analyzers = sync.Pool{New: func() any { return new(analyzer) }}
 
-// newAnalyzer takes an analyzer from the pool for a body of version v.
-func newAnalyzer(c *Compiled, v *ir.Version) *analyzer {
-	a := analyzers.Get().(*analyzer)
-	a.c, a.h, a.version = c, c.Prog.H, v
-	return a
-}
-
 // free returns a to the pool empty: it keeps its buffers but no
 // pointer into the program it analyzed, which would keep that program
 // alive.
@@ -227,7 +220,8 @@ func (c *Compiled) EnsureBody(v *ir.Version) error {
 		c.mu.Unlock()
 	}
 
-	a := newAnalyzer(c, v)
+	a := analyzers.Get().(*analyzer)
+	a.c, a.h, a.version = c, c.Prog.H, v
 	defer a.free()
 	a.retJoin = info{set: c.empty} // bottom
 	f := a.method.reset(src.NumSlots)
