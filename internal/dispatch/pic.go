@@ -26,6 +26,9 @@ type Target struct {
 // no longer added.
 const DefaultPICSize = 8
 
+// MaxPICSize is the largest entry bound a PIC takes (see NewPIC).
+const MaxPICSize = 16
+
 // Entry is one PIC entry: an argument class tuple and the target it
 // dispatches to. One- and two-argument tuples are held inline so an
 // engine can compare them without building a tuple slice: they are
@@ -33,9 +36,9 @@ const DefaultPICSize = 8
 // Cust-MM and CHA, and 71.5% of those of 200-class generated programs
 // under CHA, Cust-MM and Selective (six seeds), whose remaining 28.5%
 // have three or more arguments. Those wider tuples keep a slice
-// behind a pointer, which holds an entry at 64 bytes, a size the
-// move-to-front shifts with inline moves rather than a runtime copy
-// loop; an engine compares them with Find.
+// behind a pointer, which holds an entry at 64 bytes; an engine
+// compares them with Find. Entries never move once added: the cache
+// keeps its move-to-front order in a separate index.
 type Entry struct {
 	Target
 
@@ -80,7 +83,11 @@ func NewPICMetrics(r *obs.Registry) PICMetrics {
 // The zero PIC is an empty cache of DefaultPICSize entries.
 type PIC struct {
 	entries []Entry
-	max     int
+	// order lists the indices in entries front first. A promotion
+	// rotates these bytes, not the entries, which hold pointers: moving
+	// an entry is a typed copy with write barriers.
+	order [MaxPICSize]uint8
+	max   int
 
 	Hits   uint64
 	Misses uint64
@@ -91,12 +98,13 @@ type PIC struct {
 	M PICMetrics
 }
 
-// NewPIC returns a PIC bounded to max entries (0 = DefaultPICSize).
+// NewPIC returns a PIC bounded to max entries (0 = DefaultPICSize; a
+// bound above MaxPICSize is MaxPICSize).
 func NewPIC(max int) *PIC {
 	if max <= 0 {
 		max = DefaultPICSize
 	}
-	return &PIC{max: max}
+	return &PIC{max: min(max, MaxPICSize)}
 }
 
 // Is reports whether e caches the tuple of arity n <= 2 whose classes
@@ -143,14 +151,14 @@ func (p *PIC) Lookup(classes []*hier.Class) (Target, bool) {
 // the front and counted as a promotion) and returned. A miss returns
 // nil and counts nothing; the caller's full dispatch counts it.
 func (p *PIC) Find(classes []*hier.Class) *Entry {
-	for i := range p.entries {
-		if p.entries[i].match(classes) {
-			if i == 0 {
+	for k := range p.entries {
+		if e := &p.entries[p.order[k]]; e.match(classes) {
+			if k == 0 {
 				p.HitFront()
 			} else {
-				p.promote(i)
+				p.promote(k)
 			}
-			return &p.entries[0]
+			return e
 		}
 	}
 	return nil
@@ -163,7 +171,7 @@ func (p *PIC) Front() *Entry {
 	if len(p.entries) == 0 {
 		return nil
 	}
-	return &p.entries[0]
+	return &p.entries[p.order[0]]
 }
 
 // HitFront counts a hit on the front entry.
@@ -178,26 +186,22 @@ func (p *PIC) HitFront() {
 // and a promotion, and is returned. A miss returns nil and counts
 // nothing; the caller's full dispatch counts it.
 func (p *PIC) Promote(c0, c1 *hier.Class, n int32) *Entry {
-	for i := 1; i < len(p.entries); i++ {
-		if p.entries[i].Is(c0, c1, n) {
-			p.promote(i)
-			return &p.entries[0]
+	for k := 1; k < len(p.entries); k++ {
+		if e := &p.entries[p.order[k]]; e.Is(c0, c1, n) {
+			p.promote(k)
+			return e
 		}
 	}
 	return nil
 }
 
-// promote moves entry i (i >= 1) to the front, preserving the relative
-// order of the entries it displaces, and counts the hit and promotion.
-func (p *PIC) promote(i int) {
-	// Element moves, not copy: a promotion shifts at most a few entries,
-	// and copy would be a runtime.typedslicecopy call on every hit
-	// behind the front.
-	e := p.entries[i]
-	for k := i; k > 0; k-- {
-		p.entries[k] = p.entries[k-1]
-	}
-	p.entries[0] = e
+// promote moves the entry at position k (k >= 1) of the order to the
+// front, preserving the relative order of the entries it displaces,
+// and counts the hit and promotion.
+func (p *PIC) promote(k int) {
+	i := p.order[k]
+	copy(p.order[1:k+1], p.order[:k])
+	p.order[0] = i
 	p.HitFront()
 	p.M.Promotions.Inc()
 }
@@ -226,6 +230,7 @@ func (p *PIC) Add(classes []*hier.Class, t Target) {
 	case e.n == 1:
 		e.c0 = classes[0]
 	}
+	p.order[len(p.entries)] = uint8(len(p.entries))
 	p.entries = append(p.entries, e)
 }
 
@@ -238,4 +243,10 @@ func (p *PIC) Megamorphic() bool { return len(p.entries) >= cmp.Or(p.max, Defaul
 // Entries returns a copy of the cached entries, front first (for
 // profile-style inspection: the paper gathers its call graph from PIC
 // counters, §3.7.2).
-func (p *PIC) Entries() []Entry { return slices.Clone(p.entries) }
+func (p *PIC) Entries() []Entry {
+	out := make([]Entry, len(p.entries))
+	for k := range out {
+		out[k] = p.entries[p.order[k]]
+	}
+	return out
+}

@@ -11,7 +11,7 @@ import (
 // observable event — dispatch, version selection, profiling, counter
 // and cycle accounting, primitive evaluation — through the Interp it
 // wraps, via the exported entry points below. Send sites have one
-// inline cache, the Interp's per-site dispatch.PIC (SitePICs): the VM
+// inline cache, the Interp's per-site dispatch.PIC (SitePIC): the VM
 // probes it in place and charges its hits through ChargePICHit, so
 // entry order and PIC counters are the same structure on both tiers.
 // Version selects have no cache on either tier: both select through
@@ -60,11 +60,11 @@ func (in *Interp) ChargePICHit(site *ir.CallSite, t dispatch.Target) {
 	in.picHit(site, t)
 }
 
-// SitePICs returns the per-site polymorphic inline caches, indexed by
-// call-site ID. Both tiers read and write the same caches: the tree
+// SitePIC returns the polymorphic inline cache of the call site with
+// the given ID. Both tiers read and write the same caches: the tree
 // tier through DispatchSendClasses, the VM by probing them in place.
 // A site's cache stays empty until its first dispatch under MechPIC.
-func (in *Interp) SitePICs() []dispatch.PIC { return in.pics }
+func (in *Interp) SitePIC(id int) *dispatch.PIC { return &in.sites[id].pic }
 
 // NoteStaticCall charges a statically-bound call: the counter, the
 // cycle cost, and the profile arc, exactly as the tree tier's
@@ -84,7 +84,7 @@ func (in *Interp) NoteStaticCall(site *ir.CallSite, target *ir.Version) {
 // later entry through that proc.
 func (in *Interp) NoteInvokeKnown(v *ir.Version, args []Value) {
 	if in.Profile != nil && len(args) > 0 {
-		in.Profile.RecordEntry(v.Method, in.ClassesOf(args, make([]*hier.Class, 0, len(args))))
+		in.recordEntry(v, args)
 	}
 	in.Counters.MethodEntries++
 	in.charge(CostMethodEntry)
@@ -117,16 +117,18 @@ func (in *Interp) CallPrim(p ir.Prim, args []Value) Value {
 // responsibility (both tiers charge PrimOps/CostBin before evaluating).
 func EvalBin(op ir.BinOp, l, r Value) Value { return evalBin(op, l, r) }
 
+// FieldTypeOK reports whether field idx of cls may hold v: the field
+// has no declared type, or v's class conforms to it.
+func (in *Interp) FieldTypeOK(cls *hier.Class, idx int, v Value) bool {
+	dt := cls.Fields[idx].DeclType
+	return dt == nil || v.Class(in.H).IsSubclassOf(dt)
+}
+
 // CheckFieldType enforces a declared field type on a store, raising the
 // tree tier's exact RuntimeError on violation.
 func (in *Interp) CheckFieldType(cls *hier.Class, idx int, v Value) {
 	in.checkFieldType(cls, idx, v)
 }
-
-// FlushObs flushes the run-scoped observability totals (send/static/
-// step counters) into the attached Metrics, as the tree tier does when
-// Run returns. Safe on a nil Obs.
-func (in *Interp) FlushObs() { in.Obs.flushRun(in) }
 
 // NewActivation returns a live method activation, the target of
 // (possibly non-local) returns.

@@ -152,8 +152,8 @@ type Interp struct {
 	g            Guard // step/depth/cancellation limits, shared with the VM tier
 	returning    bool  // a returnSignal unwind is in flight (see runBody)
 
-	pics     []dispatch.PIC // per call-site ID, probed in place by the VM
-	memos    []sendMemo     // per call-site ID; nil until the site's PIC is full
+	sites    []siteRec  // per call-site ID, probed in place by both tiers
+	arcs     []arcCount // the current run's arc counts (profiling only)
 	mmTables map[*hier.GF]*dispatch.MMTable
 
 	invoked map[*ir.Version]bool
@@ -165,8 +165,7 @@ func New(c *opt.Compiled) *Interp {
 		C:        c,
 		H:        c.Prog.H,
 		Mech:     MechPIC,
-		pics:     make([]dispatch.PIC, len(c.Prog.Sites)),
-		memos:    make([]sendMemo, len(c.Prog.Sites)),
+		sites:    make([]siteRec, len(c.Prog.Sites)),
 		mmTables: map[*hier.GF]*dispatch.MMTable{},
 		invoked:  map[*ir.Version]bool{},
 	}
@@ -207,7 +206,7 @@ func (in *Interp) Steps() uint64 { return in.g.Steps() }
 
 // Run initializes globals and invokes main(); it returns main's value.
 func (in *Interp) Run() (v Value, err error) {
-	defer in.Obs.flushRun(in)
+	defer in.EndRun()
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(*RuntimeError); ok {
@@ -253,7 +252,7 @@ func (in *Interp) invoke(v *ir.Version, args []Value, pos lang.Pos) Value {
 		fail("compile: %v", err)
 	}
 	if in.Profile != nil && len(args) > 0 {
-		in.Profile.RecordEntry(v.Method, in.ClassesOf(args, make([]*hier.Class, 0, len(args))))
+		in.recordEntry(v, args)
 	}
 	if !in.invoked[v] {
 		in.invoked[v] = true
@@ -322,13 +321,13 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 
 	switch in.Mech {
 	case MechPIC:
-		pic := &in.pics[site.ID]
+		s := &in.sites[site.ID]
+		pic := &s.pic
 		if pic.Len() == 0 && in.Obs != nil {
 			pic.M = in.Obs.PIC // the site's first dispatch
 		}
-		memo := in.memos[site.ID]
-		if memo != nil {
-			if t, ok := memo[memoKey(classes)]; ok {
+		if s.memo != nil {
+			if t := s.memo.slot(memoKey(classes)).t; t.Method != nil {
 				// A full lookup, as far as anything can observe.
 				pic.NoteMiss()
 				in.Counters.PICMisses++
@@ -356,12 +355,13 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 		if !pic.Megamorphic() {
 			pic.Add(classes, t)
 		} else if len(classes) == 1 || len(classes) == 2 {
-			if memo == nil {
-				memo = sendMemo{}
-				in.memos[site.ID] = memo
+			if s.memo == nil {
+				s.memo = new(memoTable)
 			}
-			if len(memo) < sendMemoCap {
-				memo[memoKey(classes)] = t
+			if s.memo.n < sendMemoCap {
+				key := memoKey(classes)
+				*s.memo.slot(key) = memoSlot{key: key, t: t}
+				s.memo.n++
 			}
 		}
 		in.record(site, m)
@@ -399,17 +399,56 @@ func (in *Interp) picHit(site *ir.CallSite, t dispatch.Target) {
 	}
 }
 
-// sendMemo holds the targets of tuples that missed one send site's full
-// PIC, keyed by memoKey. A full PIC never changes its tuples, so a
+// siteRec is one call site's run state, indexed by CallSite.ID: its
+// inline cache, the memo of tuples its full cache misses, and, while
+// profiling, the head of its chain of arc counts.
+type siteRec struct {
+	arcs int32 // 1 + the index in Interp.arcs of the newest arc; 0 = none
+	pic  dispatch.PIC
+	memo *memoTable // nil until the site's PIC is full
+}
+
+// arcCount counts the current run's calls from one site to one callee,
+// and links to the same site's next older arc (1 + its index; 0 =
+// none). The counts fold into Profile when the run ends (EndRun).
+type arcCount struct {
+	site   *ir.CallSite
+	callee *hier.Method
+	n      int64
+	next   int32
+}
+
+// memoTable holds the targets of tuples that missed one send site's
+// full PIC, keyed by memoKey, in an open-addressed table of twice its
+// sendMemoCap capacity. A full PIC never changes its tuples, so a
 // memoized tuple misses it every time: replaying the miss's counters,
 // cycle charge, GF-cache hit, profile record and trace line from the
 // memo is indistinguishable from redoing the lookup and version
 // selection, which the §3.5 cost model still charges in full.
-type sendMemo map[uint64]dispatch.Target
+type memoTable struct {
+	n     int
+	slots [2 * sendMemoCap]memoSlot
+}
+
+// memoSlot is one memoTable slot; a nil target method marks it empty.
+type memoSlot struct {
+	key uint64
+	t   dispatch.Target
+}
 
 // sendMemoCap bounds one site's memo; tuples beyond it take the full
 // path every time.
 const sendMemoCap = 64
+
+// slot returns key's slot, or the empty slot where it belongs. The
+// table is never more than half full, so a probe ends.
+func (m *memoTable) slot(key uint64) *memoSlot {
+	for i := key * 0x9E3779B97F4A7C15 >> 57; ; i = (i + 1) % uint64(len(m.slots)) {
+		if s := &m.slots[i]; s.t.Method == nil || s.key == key {
+			return s
+		}
+	}
+}
 
 // memoKey packs the full 32-bit class IDs of a one- or two-argument
 // tuple. A site's arity is fixed, so arity needs no encoding.
@@ -456,21 +495,63 @@ func (in *Interp) tableLookup(site *ir.CallSite, classes []*hier.Class) *hier.Me
 
 // checkFieldType enforces a declared field type on a store.
 func (in *Interp) checkFieldType(cls *hier.Class, idx int, v Value) {
-	dt := cls.Fields[idx].DeclType
-	if dt == nil {
-		return
-	}
-	if !v.Class(in.H).IsSubclassOf(dt) {
+	if !in.FieldTypeOK(cls, idx, v) {
 		fail("field %s.%s declared %s cannot hold %s",
-			cls.Name, cls.Fields[idx].Name, dt.Name, v)
+			cls.Name, cls.Fields[idx].Name, cls.Fields[idx].DeclType.Name, v)
 	}
 }
 
-// record adds one invocation to the profile call graph, if enabled.
+// record counts one invocation of the arc (site → callee) when
+// profiling.
 func (in *Interp) record(site *ir.CallSite, callee *hier.Method) {
 	if in.Profile != nil {
-		in.Profile.Record(site, callee, 1)
+		in.countArc(site, callee)
 	}
+}
+
+func (in *Interp) countArc(site *ir.CallSite, callee *hier.Method) {
+	s := &in.sites[site.ID]
+	for k := s.arcs; k != 0; {
+		a := &in.arcs[k-1]
+		if a.callee == callee {
+			a.n++
+			return
+		}
+		k = a.next
+	}
+	in.arcs = append(in.arcs, arcCount{site: site, callee: callee, n: 1, next: s.arcs})
+	s.arcs = int32(len(in.arcs))
+}
+
+// recordEntry records a profiled method entry's argument classes. Up
+// to eight are stored straight into a stack array (RecordEntry keeps
+// no reference to them), which costs no allocation and no write
+// barrier.
+func (in *Interp) recordEntry(v *ir.Version, args []Value) {
+	var buf [8]*hier.Class
+	if len(args) > len(buf) {
+		in.Profile.RecordEntry(v.Method, in.ClassesOf(args, nil))
+		return
+	}
+	for i, a := range args {
+		buf[i] = a.Class(in.H)
+	}
+	in.Profile.RecordEntry(v.Method, buf[:len(args)])
+}
+
+// EndRun ends a run of either tier, on every exit path: the run's arc
+// counts fold into Profile, one Record per arc, and reset for the next
+// run, and the observability totals flush. Safe on a nil Obs.
+func (in *Interp) EndRun() {
+	for i := range in.arcs {
+		a := &in.arcs[i]
+		if in.Profile != nil {
+			in.Profile.Record(a.site, a.callee, a.n)
+		}
+		in.sites[a.site.ID].arcs = 0
+	}
+	in.arcs = in.arcs[:0]
+	in.Obs.flushRun(in)
 }
 
 // trace logs one dispatch decision when tracing is on.

@@ -9,9 +9,9 @@
 package profile
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"selspec/internal/hier"
@@ -61,72 +61,139 @@ type TupleSample struct {
 // CallGraph is a weighted dynamic call graph, optionally augmented with
 // per-method argument-tuple samples.
 type CallGraph struct {
-	prog    *ir.Program
-	arcs    map[arcKey]*Arc
-	entries map[*hier.Method]*tupleSet
+	prog *ir.Program
+	arcs map[arcKey]*Arc
+
+	// The tuple samples: entries is indexed by method ID, tuples chains
+	// each method's recorded tuples from the newest, and ids holds their
+	// class IDs.
+	entries []tupleSet
+	tuples  []tupleRec
+	ids     []int32
 }
 
+// tupleSet is one method's argument-tuple sample.
 type tupleSet struct {
-	seen     map[string][]int
+	head     int32 // 1 + the index in tuples of the newest tuple; 0 = none
+	n        int32 // tuples in the chain
+	c0, c1   int32 // the class IDs of the tuple seen last, if lastOK
+	lastOK   bool  // the tuple seen last has at most two classes
 	overflow bool
+}
+
+// tupleRec is one recorded tuple: its class IDs, ids[off:off+n], and
+// 1 + the index in tuples of the same method's next older tuple (0 =
+// none).
+type tupleRec struct {
+	off, n, next int32
 }
 
 // NewCallGraph returns an empty call graph for the program.
 func NewCallGraph(p *ir.Program) *CallGraph {
-	return &CallGraph{prog: p, arcs: map[arcKey]*Arc{}, entries: map[*hier.Method]*tupleSet{}}
+	return &CallGraph{prog: p, arcs: map[arcKey]*Arc{}}
 }
 
-// RecordEntry records one method invocation's argument classes.
-func (g *CallGraph) RecordEntry(m *hier.Method, classes []*hier.Class) {
-	ts := g.entries[m]
-	if ts == nil {
-		ts = &tupleSet{seen: map[string][]int{}}
-		g.entries[m] = ts
+// entryOf returns method id's tuple sample, growing entries to cover
+// every method of the program on first use.
+func (g *CallGraph) entryOf(id int) *tupleSet {
+	if id >= len(g.entries) {
+		n := id + 1
+		if g.prog != nil && g.prog.H != nil {
+			n = max(n, len(g.prog.H.Methods()))
+		}
+		g.entries = append(g.entries, make([]tupleSet, n-len(g.entries))...)
 	}
+	return &g.entries[id]
+}
+
+// is reports whether tuple i (1 + its index) has the classes' IDs.
+func (g *CallGraph) is(i int32, classes []*hier.Class) bool {
+	t := g.tuples[i-1]
+	if int(t.n) != len(classes) {
+		return false
+	}
+	for j, c := range classes {
+		if g.ids[int(t.off)+j] != int32(c.ID) {
+			return false
+		}
+	}
+	return true
+}
+
+// RecordEntry records one method invocation's argument classes. It
+// keeps no reference to classes, so a caller may reuse the slice. A
+// tuple of at most two classes (a method's arity is fixed) is first
+// compared with the method's last one, held inline; then the tuple is
+// compared with the method's recorded tuples, newest first. Only a new
+// tuple allocates.
+func (g *CallGraph) RecordEntry(m *hier.Method, classes []*hier.Class) {
+	ts := g.entryOf(m.ID)
 	if ts.overflow {
 		return
 	}
-	// Four little-endian bytes per class ID, so full-width IDs never
-	// collide; Entries sorts by this key, low byte first, which keeps
-	// profile JSON stable. The key lives on the stack: a tuple already
-	// seen costs no allocation.
-	var buf [32]byte
-	key := buf[:0]
+	var c0, c1 int32
+	if len(classes) > 0 {
+		c0 = int32(classes[0].ID)
+	}
+	if len(classes) > 1 {
+		c1 = int32(classes[1].ID)
+	}
+	short := len(classes) <= 2
+	if short && ts.lastOK && ts.c0 == c0 && ts.c1 == c1 {
+		return
+	}
+	ts.c0, ts.c1, ts.lastOK = c0, c1, short
+	for i := ts.head; i != 0; i = g.tuples[i-1].next {
+		if g.is(i, classes) {
+			return
+		}
+	}
+	if ts.n >= MaxTupleSample {
+		*ts = tupleSet{overflow: true}
+		return
+	}
+	g.tuples = append(g.tuples, tupleRec{off: int32(len(g.ids)), n: int32(len(classes)), next: ts.head})
 	for _, c := range classes {
-		key = binary.LittleEndian.AppendUint32(key, uint32(c.ID))
+		g.ids = append(g.ids, int32(c.ID))
 	}
-	if _, ok := ts.seen[string(key)]; ok {
-		return
-	}
-	if len(ts.seen) >= MaxTupleSample {
-		ts.overflow = true
-		ts.seen = nil
-		return
-	}
-	ids := make([]int, len(classes))
-	for i, c := range classes {
-		ids[i] = c.ID
-	}
-	ts.seen[string(key)] = ids
+	ts.head = int32(len(g.tuples))
+	ts.n++
 }
 
 // Entries returns the argument-tuple sample for a method, or nil when
-// none was recorded.
+// none was recorded. Tuples are ordered by their class IDs' four
+// little-endian bytes each, low byte first, which keeps profile JSON
+// stable.
 func (g *CallGraph) Entries(m *hier.Method) *TupleSample {
-	ts := g.entries[m]
-	if ts == nil {
+	if m.ID >= len(g.entries) {
+		return nil
+	}
+	ts := &g.entries[m.ID]
+	if ts.head == 0 && !ts.overflow {
 		return nil
 	}
 	out := &TupleSample{Overflow: ts.overflow}
-	keys := make([]string, 0, len(ts.seen))
-	for k := range ts.seen {
-		keys = append(keys, k)
+	for i := ts.head; i != 0; i = g.tuples[i-1].next {
+		t := g.tuples[i-1]
+		ids := make([]int, t.n)
+		for j := range ids {
+			ids[j] = int(g.ids[int(t.off)+j])
+		}
+		out.Tuples = append(out.Tuples, ids)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out.Tuples = append(out.Tuples, ts.seen[k])
-	}
+	sort.Slice(out.Tuples, func(i, j int) bool { return lessBytes(out.Tuples[i], out.Tuples[j]) })
 	return out
+}
+
+// lessBytes orders two tuples as the strings of their IDs' four
+// little-endian bytes each.
+func lessBytes(a, b []int) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return bits.ReverseBytes32(uint32(a[i])) < bits.ReverseBytes32(uint32(b[i]))
+		}
+	}
+	return len(a) < len(b)
 }
 
 // Program returns the program the graph was built against.

@@ -213,7 +213,7 @@ func TestLoadWireRoundTrip(t *testing.T) {
 	cg.Record(p.Bodies[f].Sites[0], mA, 1234)
 	cg.Record(p.Bodies[f].Sites[1], mB, 999)
 	cg.RecordEntry(mA, []*hier.Class{p.H.Classes()[0]})
-	cg.entries[mB] = &tupleSet{overflow: true}
+	cg.entryOf(mB.ID).overflow = true
 	want, err := cg.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestEntriesRoundTrip(t *testing.T) {
 	cg := NewCallGraph(p)
 	cg.Record(p.Bodies[f].Sites[0], mA, 10)
 	cg.RecordEntry(mA, []*hier.Class{clsA})
-	cg.entries[mB] = &tupleSet{overflow: true}
+	cg.entryOf(mB.ID).overflow = true
 
 	data, err := cg.MarshalJSON()
 	if err != nil {

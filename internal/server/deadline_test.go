@@ -116,6 +116,18 @@ func TestProgramKeyIdentity(t *testing.T) {
 	if ProgramKey(testProg, "Richards") != ProgramKey("", "Richards") {
 		t.Error("bench should take precedence in key derivation")
 	}
+	// The fleet router hashes by these strings, so they must not change.
+	for _, c := range []struct{ source, bench, want string }{
+		{"", "Richards", "4bad4c7944b5406b"},
+		{"", "Compiler", "eb0826c8dc4e236f"},
+		{"method main() { 0; }", "", "d9ff0166e5e8b978"},
+		{"", "", "e3b0c44298fc1c14"},
+		{"Richards", "", "6bb48cc5c7864234"},
+	} {
+		if got := ProgramKey(c.source, c.bench); got != c.want {
+			t.Errorf("ProgramKey(%q, %q) = %s, want %s", c.source, c.bench, got, c.want)
+		}
+	}
 }
 
 func TestHealthReportsPID(t *testing.T) {

@@ -32,7 +32,9 @@ type profileKey struct {
 	train  string
 }
 
-func newProfileKey(src string, train map[string]int64) profileKey {
+// newProfileKey builds the key of a training run of the source whose
+// sha256 is sum (sourceDigest).
+func newProfileKey(sum [sha256.Size]byte, train map[string]int64) profileKey {
 	names := make([]string, 0, len(train))
 	for n := range train {
 		names = append(names, n)
@@ -45,7 +47,7 @@ func newProfileKey(src string, train map[string]int64) profileKey {
 		b.WriteString(strconv.FormatInt(train[n], 10))
 		b.WriteByte(';')
 	}
-	return profileKey{source: sha256.Sum256([]byte(src)), train: b.String()}
+	return profileKey{source: sum, train: b.String()}
 }
 
 // profileCache is a fixed-size LRU of successful training profiles in

@@ -171,10 +171,10 @@ func TestProfileMemoKeyIsWholeSource(t *testing.T) {
 		t.Errorf("cached %d profiles, want 2", n)
 	}
 	// The training input is part of the key as well.
-	if newProfileKey(testProg, map[string]int64{"n": 1}) == newProfileKey(testProg, map[string]int64{"n": 2}) {
+	if newProfileKey(sourceDigest(testProg), map[string]int64{"n": 1}) == newProfileKey(sourceDigest(testProg), map[string]int64{"n": 2}) {
 		t.Error("training overrides are not part of the key")
 	}
-	if newProfileKey(testProg, map[string]int64{"a": 1, "b": 2}) != newProfileKey(testProg, map[string]int64{"b": 2, "a": 1}) {
+	if newProfileKey(sourceDigest(testProg), map[string]int64{"a": 1, "b": 2}) != newProfileKey(sourceDigest(testProg), map[string]int64{"b": 2, "a": 1}) {
 		t.Error("key depends on map order")
 	}
 }
@@ -183,7 +183,7 @@ func TestProfileMemoKeyIsWholeSource(t *testing.T) {
 // recently used one.
 func TestProfileCacheEvictsLRU(t *testing.T) {
 	c := newProfileCache(profileCacheSize)
-	key := func(i int) profileKey { return newProfileKey(fmt.Sprint(i), nil) }
+	key := func(i int) profileKey { return newProfileKey(sourceDigest(fmt.Sprint(i)), nil) }
 	for i := 0; i < profileCacheSize; i++ {
 		c.put(key(i), &profile.Wire{})
 	}

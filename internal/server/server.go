@@ -37,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"selspec/internal/driver"
 	"selspec/internal/interp"
@@ -402,7 +403,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 type resolved struct {
 	label       string
 	src         string
-	key         string // breaker key: hash of the program identity
+	key         string            // breaker key: hash of the program identity
+	sum         [sha256.Size]byte // sha256 of src, hashed once (sourceDigest)
 	cfg         opt.Config
 	mech        interp.Mechanism
 	engine      driver.Engine
@@ -431,7 +433,8 @@ func (s *Server) resolve(req *RunRequest) (*resolved, error) {
 		rr.key = ProgramKey("", b.Name)
 	case req.Source != "":
 		rr.src, rr.label = req.Source, "request"
-		rr.key = ProgramKey(req.Source, "")
+		rr.sum = sourceDigest(req.Source)
+		rr.key = programKey(rr.sum)
 	default:
 		return nil, fmt.Errorf("one of source or bench is required")
 	}
@@ -448,6 +451,11 @@ func (s *Server) resolve(req *RunRequest) (*resolved, error) {
 		return nil, err
 	}
 	rr.cfg = cfg
+	if req.Bench != "" && cfg == opt.Selective {
+		// A benchmark's key hashes its name; its profile memo key needs
+		// the source's digest.
+		rr.sum = sourceDigest(rr.src)
+	}
 
 	mechName := req.Dispatch
 	if mechName == "" {
@@ -480,9 +488,13 @@ func (s *Server) resolve(req *RunRequest) (*resolved, error) {
 
 // The breaker keys on a content hash, so the same crashing program is
 // recognized no matter which connection or label resubmits it.
-func hashKey(sum string) string {
-	h := sha256.Sum256([]byte(sum))
-	return hex.EncodeToString(h[:8])
+func programKey(sum [sha256.Size]byte) string { return hex.EncodeToString(sum[:8]) }
+
+// sourceDigest is the sha256 of s, read in place: a posted source is
+// hundreds of kilobytes for a generated program, and []byte(s) would
+// copy it.
+func sourceDigest(s string) [sha256.Size]byte {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(s), len(s)))
 }
 
 // ProgramKey is the canonical identity of a run request: the truncated
@@ -493,9 +505,9 @@ func hashKey(sum string) string {
 // both are set, matching resolve's validation order.
 func ProgramKey(source, bench string) string {
 	if bench != "" {
-		return hashKey("bench:" + bench)
+		return programKey(sourceDigest("bench:" + bench))
 	}
-	return hashKey(source)
+	return programKey(sourceDigest(source))
 }
 
 // execute runs the full pipeline for one request inside its own
@@ -524,7 +536,7 @@ func (s *Server) execute(ctx context.Context, rr *resolved) (*driver.Result, err
 		}
 		var key profileKey
 		if rr.cfg == opt.Selective {
-			key = newProfileKey(rr.src, rr.train)
+			key = newProfileKey(rr.sum, rr.train)
 			if w := s.profiles.get(key); w != nil {
 				s.mProfileHit.Inc()
 				bo.Profile, err = pipeline.Guard(pipeline.StageProfile, rr.label, rr.cfg.String(), func() (*profile.CallGraph, error) {

@@ -323,13 +323,19 @@ type StaticRef struct {
 	proc   *Proc
 }
 
-// NewRef is the class operand of one OpNew, with the field-initializer
-// thunk procs (aligned with Class.Fields; nil entries for fields without
-// initializers). inits stays nil until the first construction resolves
-// it through Module.fieldInitsOf, which never returns a nil slice.
+// NewRef is the class operand of one OpNew, with the plan its first
+// construction builds (Machine.planNew) for the fields past the
+// constructor arguments. proto holds every field's starting value: the
+// value of a constant initializer that satisfies the field's declared
+// type, NilV elsewhere. inits holds the thunk procs the other
+// initializers run (aligned with Class.Fields; nil where none runs),
+// and checks the declared-type fields each construction checks. proto
+// stays nil until the plan is built.
 type NewRef struct {
-	Class *hier.Class
-	inits []*Proc
+	Class  *hier.Class
+	proto  []interp.Value
+	inits  []*Proc
+	checks []int32
 }
 
 // FieldOpRef is the operand pool entry of one fused field

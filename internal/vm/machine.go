@@ -136,7 +136,8 @@ func vmFailAt(pos lang.Pos, format string, args ...any) {
 // The boundary mirrors interp.Run exactly: Mini-Cecil runtime errors
 // (including guard trips) come back as *interp.RuntimeError, a stray
 // non-local return becomes the same "already exited" error, and the
-// observability totals flush on every exit path.
+// run ends (EndRun: profile fold, observability flush) on every exit
+// path.
 func (m *Machine) Run() (v interp.Value, err error) {
 	in := m.in
 	m.stack = takeArena()
@@ -144,7 +145,7 @@ func (m *Machine) Run() (v interp.Value, err error) {
 		releaseArena(m.stack)
 		m.stack = nil
 	}()
-	defer in.FlushObs()
+	defer in.EndRun()
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(*interp.RuntimeError); ok {
@@ -621,7 +622,7 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			case OpSend:
 				args := st.regs[i.C : i.C+i.D]
 				site := st.p.Sites[i.B]
-				pic := &m.in.SitePICs()[site.ID]
+				pic := m.in.SitePIC(site.ID)
 				var e *dispatch.Entry
 				if i.D <= 2 {
 					c0, c1 := argClasses(args, m.in.H)
@@ -998,33 +999,58 @@ func (m *Machine) sendMiss(site *ir.CallSite, args []interp.Value) (*ir.Version,
 }
 
 // newObject is OpNew: regs[A] = a new Classes[B] whose leading fields
-// come from the C..C+D-1 window; the remaining fields run their
-// initializer thunks, and every field is declared-type checked.
+// come from the C..C+D-1 window; the remaining fields start from their
+// initializers, and every field is declared-type checked, as the tree
+// tier does: thunks first, in field order, then the checks in field
+// order. A constant initializer is neither run nor checked here: its
+// value and check were settled once, when the plan was built.
 func (m *Machine) newObject(st *execState, i *Instr) {
 	ref := &st.p.News[i.B]
+	if ref.proto == nil {
+		m.planNew(ref, int(i.D))
+	}
 	cls := ref.Class
 	obj := &interp.Object{Class: cls, Fields: make([]interp.Value, len(cls.Fields))}
-	for f := range obj.Fields {
-		obj.Fields[f] = interp.NilV
-	}
+	copy(obj.Fields, ref.proto)
 	copy(obj.Fields, st.regs[i.C:i.C+i.D])
-	if ref.inits == nil {
-		ps, err := m.mod.fieldInitsOf(cls)
-		if err != nil {
-			m.compileFailed(err)
-		}
-		ref.inits = ps
-	}
-	inits := ref.inits
-	for f := int(i.D); f < len(cls.Fields); f++ {
-		if f < len(inits) && inits[f] != nil {
-			obj.Fields[f] = m.runThunk(inits[f])
+	for f := int(i.D); f < len(ref.inits); f++ {
+		if p := ref.inits[f]; p != nil {
+			obj.Fields[f] = m.runThunk(p)
 		}
 	}
-	for f := range cls.Fields {
-		m.in.CheckFieldType(cls, f, obj.Fields[f])
+	for _, f := range ref.checks {
+		m.in.CheckFieldType(cls, int(f), obj.Fields[f])
 	}
 	st.regs[i.A] = interp.ObjV(obj)
+}
+
+// planNew builds ref's construction plan (see NewRef) for an OpNew
+// with args constructor arguments. Every initializer thunk compiles,
+// constant ones included; a constant that fails its field's declared
+// type keeps its thunk and its check, so it fails as the tree tier's
+// does.
+func (m *Machine) planNew(ref *NewRef, args int) {
+	cls := ref.Class
+	thunks, err := m.mod.fieldInitsOf(cls)
+	if err != nil {
+		m.compileFailed(err)
+	}
+	inits := m.mod.c.FieldInits[cls]
+	ref.proto = make([]interp.Value, len(cls.Fields))
+	ref.inits = make([]*Proc, len(cls.Fields))
+	for f := range cls.Fields {
+		ref.proto[f] = interp.NilV
+		if f >= args && f < len(thunks) && thunks[f] != nil {
+			if k, ok := inits[f].(*ir.Const); ok && m.in.FieldTypeOK(cls, f, constValue(k)) {
+				ref.proto[f] = constValue(k)
+				continue
+			}
+			ref.inits[f] = thunks[f]
+		}
+		if cls.Fields[f].DeclType != nil {
+			ref.checks = append(ref.checks, int32(f))
+		}
+	}
 }
 
 // makeClosure is OpMakeClosure: a closure over Closures[B] capturing

@@ -45,7 +45,7 @@ method main() {
 func picStates(in *interp.Interp, sites int) []string {
 	var out []string
 	for id := 0; id < sites; id++ {
-		pic := &in.SitePICs()[id]
+		pic := in.SitePIC(id)
 		if pic.Len() == 0 && pic.Hits == 0 && pic.Misses == 0 {
 			continue
 		}
@@ -160,7 +160,7 @@ func TestWideSendHitsThroughEntry(t *testing.T) {
 		}
 		wide := 0
 		for id := range c.Prog.Sites {
-			pic := &in.SitePICs()[id]
+			pic := in.SitePIC(id)
 			for _, e := range pic.Entries() {
 				if len(e.Classes()) < 3 {
 					continue
