@@ -23,11 +23,8 @@ type Target struct {
 
 // DefaultPICSize is the default entry bound of a polymorphic inline
 // cache; beyond it the site is treated as megamorphic and entries are
-// no longer added.
-const DefaultPICSize = 8
-
-// MaxPICSize is the largest entry bound a PIC takes (see NewPIC).
-const MaxPICSize = 16
+// no longer added. MaxPICSize is the largest bound a PIC takes.
+const DefaultPICSize, MaxPICSize = 8, 16
 
 // Entry is one PIC entry: an argument class tuple and the target it
 // dispatches to. One- and two-argument tuples are held inline so an
@@ -83,9 +80,8 @@ func NewPICMetrics(r *obs.Registry) PICMetrics {
 // The zero PIC is an empty cache of DefaultPICSize entries.
 type PIC struct {
 	entries []Entry
-	// order lists the indices in entries front first. A promotion
-	// rotates these bytes, not the entries, which hold pointers: moving
-	// an entry is a typed copy with write barriers.
+	// order indexes entries, front first: a promotion rotates these
+	// bytes, not the entries, whose pointers make a move a typed copy.
 	order [MaxPICSize]uint8
 	max   int
 
@@ -98,8 +94,7 @@ type PIC struct {
 	M PICMetrics
 }
 
-// NewPIC returns a PIC bounded to max entries (0 = DefaultPICSize; a
-// bound above MaxPICSize is MaxPICSize).
+// NewPIC returns a PIC of max entries (0 = DefaultPICSize), MaxPICSize at most.
 func NewPIC(max int) *PIC {
 	if max <= 0 {
 		max = DefaultPICSize
@@ -195,9 +190,8 @@ func (p *PIC) Promote(c0, c1 *hier.Class, n int32) *Entry {
 	return nil
 }
 
-// promote moves the entry at position k (k >= 1) of the order to the
-// front, preserving the relative order of the entries it displaces,
-// and counts the hit and promotion.
+// promote moves the entry at order position k >= 1 to the front, keeping
+// the others' relative order, and counts the hit and promotion.
 func (p *PIC) promote(k int) {
 	i := p.order[k]
 	copy(p.order[1:k+1], p.order[:k])
@@ -243,10 +237,9 @@ func (p *PIC) Megamorphic() bool { return len(p.entries) >= cmp.Or(p.max, Defaul
 // Entries returns a copy of the cached entries, front first (for
 // profile-style inspection: the paper gathers its call graph from PIC
 // counters, §3.7.2).
-func (p *PIC) Entries() []Entry {
-	out := make([]Entry, len(p.entries))
-	for k := range out {
-		out[k] = p.entries[p.order[k]]
+func (p *PIC) Entries() (out []Entry) {
+	for _, i := range p.order[:len(p.entries)] {
+		out = append(out, p.entries[i])
 	}
 	return out
 }

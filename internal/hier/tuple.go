@@ -162,3 +162,17 @@ func (t Tuple) String(h *Hierarchy) string {
 	b.WriteByte('>')
 	return b.String()
 }
+
+// ShortKey packs a class tuple of at most two classes into a nonzero
+// key, their full 32-bit IDs; a wider tuple gets 0. Tuples of one arity
+// never share a key.
+func ShortKey(classes []*Class) uint64 {
+	if len(classes) > 2 {
+		return 0
+	}
+	k := uint64(1) << 63
+	for i, c := range classes {
+		k |= uint64(uint32(c.ID)) << (32 * i)
+	}
+	return k
+}

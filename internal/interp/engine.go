@@ -76,15 +76,23 @@ func (in *Interp) NoteStaticCall(site *ir.CallSite, target *ir.Version) {
 }
 
 // NoteInvokeKnown charges a method-version entry — the profile entry
-// record, the entry counter, the cycle cost and one step — the exact
-// sequence the tree tier runs after a version's body has been resolved,
-// in the same order relative to any guard trip. It leaves out the
+// record, the entry counter, the cycle cost and one step — for both
+// tiers, after a version's body has been resolved. It leaves out the
 // invoked-set insertion: the VM keeps a noted bit on each compiled proc
 // and calls MarkInvoked exactly once, removing a map access from every
-// later entry through that proc.
+// later entry through that proc. Up to eight argument classes reach
+// RecordEntry in a stack array: no allocation, no write barrier.
 func (in *Interp) NoteInvokeKnown(v *ir.Version, args []Value) {
 	if in.Profile != nil && len(args) > 0 {
-		in.recordEntry(v, args)
+		var buf [8]*hier.Class
+		if len(args) > len(buf) {
+			in.Profile.RecordEntry(v.Method, in.ClassesOf(args, nil))
+		} else {
+			for i, a := range args {
+				buf[i] = a.Class(in.H)
+			}
+			in.Profile.RecordEntry(v.Method, buf[:len(args)])
+		}
 	}
 	in.Counters.MethodEntries++
 	in.charge(CostMethodEntry)
@@ -117,8 +125,7 @@ func (in *Interp) CallPrim(p ir.Prim, args []Value) Value {
 // responsibility (both tiers charge PrimOps/CostBin before evaluating).
 func EvalBin(op ir.BinOp, l, r Value) Value { return evalBin(op, l, r) }
 
-// FieldTypeOK reports whether field idx of cls may hold v: the field
-// has no declared type, or v's class conforms to it.
+// FieldTypeOK reports whether v fits field idx of cls's declared type.
 func (in *Interp) FieldTypeOK(cls *hier.Class, idx int, v Value) bool {
 	dt := cls.Fields[idx].DeclType
 	return dt == nil || v.Class(in.H).IsSubclassOf(dt)

@@ -152,8 +152,7 @@ type Interp struct {
 	g            Guard // step/depth/cancellation limits, shared with the VM tier
 	returning    bool  // a returnSignal unwind is in flight (see runBody)
 
-	sites    []siteRec  // per call-site ID, probed in place by both tiers
-	arcs     []arcCount // the current run's arc counts (profiling only)
+	sites    []siteRec // per call-site ID, probed in place by both tiers
 	mmTables map[*hier.GF]*dispatch.MMTable
 
 	invoked map[*ir.Version]bool
@@ -251,15 +250,10 @@ func (in *Interp) invoke(v *ir.Version, args []Value, pos lang.Pos) Value {
 	if err != nil {
 		fail("compile: %v", err)
 	}
-	if in.Profile != nil && len(args) > 0 {
-		in.recordEntry(v, args)
-	}
 	if !in.invoked[v] {
 		in.invoked[v] = true
 	}
-	in.Counters.MethodEntries++
-	in.charge(CostMethodEntry)
-	in.step()
+	in.NoteInvokeKnown(v, args)
 
 	fr := &Frame{Slots: make([]Value, v.NumSlots)}
 	copy(fr.Slots, args)
@@ -301,13 +295,6 @@ func (in *Interp) runBody(body ir.Node, fr *Frame, act *Activation) (result Valu
 	return in.eval(body, fr, act)
 }
 
-// dispatchSend performs dynamic dispatch for a send: lookup (via the
-// configured mechanism) plus specialized version selection.
-func (in *Interp) dispatchSend(site *ir.CallSite, args []Value) *ir.Version {
-	classes := in.ClassesOf(args, make([]*hier.Class, 0, len(args)))
-	return in.DispatchSendClasses(site, classes)
-}
-
 // DispatchSendClasses is the engine-shared core of dynamic dispatch:
 // given the already-computed argument classes for a send, it runs the
 // configured lookup mechanism, selects the specialized version, and
@@ -327,7 +314,7 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 			pic.M = in.Obs.PIC // the site's first dispatch
 		}
 		if s.memo != nil {
-			if t := s.memo.slot(memoKey(classes)).t; t.Method != nil {
+			if t := s.memo.slot(hier.ShortKey(classes)).t; t.Method != nil {
 				// A full lookup, as far as anything can observe.
 				pic.NoteMiss()
 				in.Counters.PICMisses++
@@ -359,7 +346,7 @@ func (in *Interp) DispatchSendClasses(site *ir.CallSite, classes []*hier.Class) 
 				s.memo = new(memoTable)
 			}
 			if s.memo.n < sendMemoCap {
-				key := memoKey(classes)
+				key := hier.ShortKey(classes)
 				*s.memo.slot(key) = memoSlot{key: key, t: t}
 				s.memo.n++
 			}
@@ -400,64 +387,41 @@ func (in *Interp) picHit(site *ir.CallSite, t dispatch.Target) {
 }
 
 // siteRec is one call site's run state, indexed by CallSite.ID: its
-// inline cache, the memo of tuples its full cache misses, and, while
-// profiling, the head of its chain of arc counts.
+// inline cache, the memo of tuples its full cache misses and, while
+// profiling, the run's call count per callee (EndRun folds them).
 type siteRec struct {
-	arcs int32 // 1 + the index in Interp.arcs of the newest arc; 0 = none
 	pic  dispatch.PIC
 	memo *memoTable // nil until the site's PIC is full
+	arcs []profile.Arc
 }
 
-// arcCount counts the current run's calls from one site to one callee,
-// and links to the same site's next older arc (1 + its index; 0 =
-// none). The counts fold into Profile when the run ends (EndRun).
-type arcCount struct {
-	site   *ir.CallSite
-	callee *hier.Method
-	n      int64
-	next   int32
-}
-
-// memoTable holds the targets of tuples that missed one send site's
-// full PIC, keyed by memoKey, in an open-addressed table of twice its
-// sendMemoCap capacity. A full PIC never changes its tuples, so a
-// memoized tuple misses it every time: replaying the miss's counters,
-// cycle charge, GF-cache hit, profile record and trace line from the
-// memo is indistinguishable from redoing the lookup and version
-// selection, which the §3.5 cost model still charges in full.
+// memoTable holds the targets of up to sendMemoCap tuples that missed
+// one send site's full PIC, open-addressed by hier.ShortKey in twice as
+// many slots (a nil target method marks a slot empty). A full PIC never
+// changes its tuples, so a memoized tuple misses it every time:
+// replaying the miss's counters, cycle charge, GF-cache hit, profile
+// record and trace line from the memo is indistinguishable from redoing
+// the lookup and version selection, which the §3.5 cost model still
+// charges in full.
 type memoTable struct {
 	n     int
 	slots [2 * sendMemoCap]memoSlot
 }
 
-// memoSlot is one memoTable slot; a nil target method marks it empty.
 type memoSlot struct {
 	key uint64
 	t   dispatch.Target
 }
 
-// sendMemoCap bounds one site's memo; tuples beyond it take the full
-// path every time.
 const sendMemoCap = 64
 
-// slot returns key's slot, or the empty slot where it belongs. The
-// table is never more than half full, so a probe ends.
+// slot returns key's slot, or the empty slot where it belongs.
 func (m *memoTable) slot(key uint64) *memoSlot {
 	for i := key * 0x9E3779B97F4A7C15 >> 57; ; i = (i + 1) % uint64(len(m.slots)) {
 		if s := &m.slots[i]; s.t.Method == nil || s.key == key {
 			return s
 		}
 	}
-}
-
-// memoKey packs the full 32-bit class IDs of a one- or two-argument
-// tuple. A site's arity is fixed, so arity needs no encoding.
-func memoKey(classes []*hier.Class) uint64 {
-	k := uint64(uint32(classes[0].ID))
-	if len(classes) == 2 {
-		k |= uint64(uint32(classes[1].ID)) << 32
-	}
-	return k
 }
 
 func (in *Interp) tableLookup(site *ir.CallSite, classes []*hier.Class) *hier.Method {
@@ -501,56 +465,36 @@ func (in *Interp) checkFieldType(cls *hier.Class, idx int, v Value) {
 	}
 }
 
-// record counts one invocation of the arc (site → callee) when
-// profiling.
+// record counts one call of the arc (site → callee) when profiling.
 func (in *Interp) record(site *ir.CallSite, callee *hier.Method) {
 	if in.Profile != nil {
-		in.countArc(site, callee)
+		in.countArc(&in.sites[site.ID], site, callee)
 	}
 }
 
-func (in *Interp) countArc(site *ir.CallSite, callee *hier.Method) {
-	s := &in.sites[site.ID]
-	for k := s.arcs; k != 0; {
-		a := &in.arcs[k-1]
-		if a.callee == callee {
-			a.n++
+func (in *Interp) countArc(s *siteRec, site *ir.CallSite, callee *hier.Method) {
+	for i := range s.arcs {
+		if s.arcs[i].Callee == callee {
+			s.arcs[i].Weight++
 			return
 		}
-		k = a.next
 	}
-	in.arcs = append(in.arcs, arcCount{site: site, callee: callee, n: 1, next: s.arcs})
-	s.arcs = int32(len(in.arcs))
-}
-
-// recordEntry records a profiled method entry's argument classes. Up
-// to eight are stored straight into a stack array (RecordEntry keeps
-// no reference to them), which costs no allocation and no write
-// barrier.
-func (in *Interp) recordEntry(v *ir.Version, args []Value) {
-	var buf [8]*hier.Class
-	if len(args) > len(buf) {
-		in.Profile.RecordEntry(v.Method, in.ClassesOf(args, nil))
-		return
+	if s.arcs == nil {
+		s.arcs = make([]profile.Arc, 0, 4) // room for most sites' callees
 	}
-	for i, a := range args {
-		buf[i] = a.Class(in.H)
-	}
-	in.Profile.RecordEntry(v.Method, buf[:len(args)])
+	s.arcs = append(s.arcs, profile.Arc{Site: site, Callee: callee, Weight: 1})
 }
 
 // EndRun ends a run of either tier, on every exit path: the run's arc
 // counts fold into Profile, one Record per arc, and reset for the next
-// run, and the observability totals flush. Safe on a nil Obs.
+// run, and the observability totals flush.
 func (in *Interp) EndRun() {
-	for i := range in.arcs {
-		a := &in.arcs[i]
-		if in.Profile != nil {
-			in.Profile.Record(a.site, a.callee, a.n)
+	for i := range in.sites {
+		for _, a := range in.sites[i].arcs {
+			in.Profile.Record(a.Site, a.Callee, a.Weight)
 		}
-		in.sites[a.site.ID].arcs = 0
+		in.sites[i].arcs = in.sites[i].arcs[:0]
 	}
-	in.arcs = in.arcs[:0]
 	in.Obs.flushRun(in)
 }
 
@@ -690,9 +634,6 @@ func (in *Interp) eval(n ir.Node, fr *Frame, act *Activation) Value {
 		cls := n.Class
 		in.charge(CostNewBase + uint64(len(cls.Fields)))
 		obj := &Object{Class: cls, Fields: make([]Value, len(cls.Fields))}
-		for i := range obj.Fields {
-			obj.Fields[i] = NilV
-		}
 		for i, arg := range n.Args {
 			obj.Fields[i] = in.eval(arg, fr, act)
 		}
@@ -736,7 +677,7 @@ func (in *Interp) eval(n ir.Node, fr *Frame, act *Activation) Value {
 		for i, arg := range n.Args {
 			args[i] = in.eval(arg, fr, act)
 		}
-		v := in.dispatchSend(n.Site, args)
+		v := in.DispatchSendClasses(n.Site, in.ClassesOf(args, make([]*hier.Class, 0, len(args))))
 		return in.invoke(v, args, n.Site.Pos)
 
 	case *ir.StaticCall:

@@ -10,7 +10,6 @@ package profile
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 
@@ -61,139 +60,89 @@ type TupleSample struct {
 // CallGraph is a weighted dynamic call graph, optionally augmented with
 // per-method argument-tuple samples.
 type CallGraph struct {
-	prog *ir.Program
-	arcs map[arcKey]*Arc
-
-	// The tuple samples: entries is indexed by method ID, tuples chains
-	// each method's recorded tuples from the newest, and ids holds their
-	// class IDs.
-	entries []tupleSet
-	tuples  []tupleRec
-	ids     []int32
+	prog    *ir.Program
+	arcs    map[arcKey]*Arc
+	entries []tupleSet // indexed by method ID
 }
 
-// tupleSet is one method's argument-tuple sample.
+// tupleSet is one method's argument-tuple sample: each tuple as its
+// length and then its class IDs, and the hier.ShortKey of the last one
+// seen.
 type tupleSet struct {
-	head     int32 // 1 + the index in tuples of the newest tuple; 0 = none
-	n        int32 // tuples in the chain
-	c0, c1   int32 // the class IDs of the tuple seen last, if lastOK
-	lastOK   bool  // the tuple seen last has at most two classes
+	ids      []int32
+	last     uint64
+	n        int32
 	overflow bool
-}
-
-// tupleRec is one recorded tuple: its class IDs, ids[off:off+n], and
-// 1 + the index in tuples of the same method's next older tuple (0 =
-// none).
-type tupleRec struct {
-	off, n, next int32
 }
 
 // NewCallGraph returns an empty call graph for the program.
 func NewCallGraph(p *ir.Program) *CallGraph {
-	return &CallGraph{prog: p, arcs: map[arcKey]*Arc{}}
+	return &CallGraph{prog: p, arcs: map[arcKey]*Arc{}, entries: make([]tupleSet, len(p.H.Methods()))}
 }
 
-// entryOf returns method id's tuple sample, growing entries to cover
-// every method of the program on first use.
-func (g *CallGraph) entryOf(id int) *tupleSet {
-	if id >= len(g.entries) {
-		n := id + 1
-		if g.prog != nil && g.prog.H != nil {
-			n = max(n, len(g.prog.H.Methods()))
-		}
-		g.entries = append(g.entries, make([]tupleSet, n-len(g.entries))...)
-	}
-	return &g.entries[id]
-}
-
-// is reports whether tuple i (1 + its index) has the classes' IDs.
-func (g *CallGraph) is(i int32, classes []*hier.Class) bool {
-	t := g.tuples[i-1]
-	if int(t.n) != len(classes) {
-		return false
-	}
-	for j, c := range classes {
-		if g.ids[int(t.off)+j] != int32(c.ID) {
-			return false
-		}
-	}
-	return true
-}
-
-// RecordEntry records one method invocation's argument classes. It
-// keeps no reference to classes, so a caller may reuse the slice. A
-// tuple of at most two classes (a method's arity is fixed) is first
-// compared with the method's last one, held inline; then the tuple is
-// compared with the method's recorded tuples, newest first. Only a new
-// tuple allocates.
+// RecordEntry records one method invocation's argument classes,
+// keeping no reference to classes. A short tuple equal to the method's
+// last one returns at once; only a new tuple allocates.
 func (g *CallGraph) RecordEntry(m *hier.Method, classes []*hier.Class) {
-	ts := g.entryOf(m.ID)
+	if ts, k := &g.entries[m.ID], hier.ShortKey(classes); k == 0 || ts.last != k {
+		ts.record(classes, k)
+	}
+}
+
+func (ts *tupleSet) record(classes []*hier.Class, k uint64) {
 	if ts.overflow {
 		return
 	}
-	var c0, c1 int32
-	if len(classes) > 0 {
-		c0 = int32(classes[0].ID)
-	}
-	if len(classes) > 1 {
-		c1 = int32(classes[1].ID)
-	}
-	short := len(classes) <= 2
-	if short && ts.lastOK && ts.c0 == c0 && ts.c1 == c1 {
-		return
-	}
-	ts.c0, ts.c1, ts.lastOK = c0, c1, short
-	for i := ts.head; i != 0; i = g.tuples[i-1].next {
-		if g.is(i, classes) {
-			return
+	ts.last = k
+scan:
+	for i := 0; i < len(ts.ids); i += 1 + int(ts.ids[i]) {
+		if int(ts.ids[i]) != len(classes) {
+			continue
 		}
+		for j, c := range classes {
+			if ts.ids[i+1+j] != int32(c.ID) {
+				continue scan
+			}
+		}
+		return
 	}
 	if ts.n >= MaxTupleSample {
 		*ts = tupleSet{overflow: true}
 		return
 	}
-	g.tuples = append(g.tuples, tupleRec{off: int32(len(g.ids)), n: int32(len(classes)), next: ts.head})
+	ts.ids = append(ts.ids, int32(len(classes)))
 	for _, c := range classes {
-		g.ids = append(g.ids, int32(c.ID))
+		ts.ids = append(ts.ids, int32(c.ID))
 	}
-	ts.head = int32(len(g.tuples))
 	ts.n++
 }
 
 // Entries returns the argument-tuple sample for a method, or nil when
-// none was recorded. Tuples are ordered by their class IDs' four
-// little-endian bytes each, low byte first, which keeps profile JSON
-// stable.
+// none was recorded. Tuples are ordered as strings of their class IDs'
+// four little-endian bytes each, which keeps profile JSON stable.
 func (g *CallGraph) Entries(m *hier.Method) *TupleSample {
-	if m.ID >= len(g.entries) {
-		return nil
-	}
 	ts := &g.entries[m.ID]
-	if ts.head == 0 && !ts.overflow {
+	if len(ts.ids) == 0 && !ts.overflow {
 		return nil
 	}
 	out := &TupleSample{Overflow: ts.overflow}
-	for i := ts.head; i != 0; i = g.tuples[i-1].next {
-		t := g.tuples[i-1]
-		ids := make([]int, t.n)
+	for i := 0; i < len(ts.ids); i += 1 + int(ts.ids[i]) {
+		ids := make([]int, ts.ids[i])
 		for j := range ids {
-			ids[j] = int(g.ids[int(t.off)+j])
+			ids[j] = int(ts.ids[i+1+j])
 		}
 		out.Tuples = append(out.Tuples, ids)
 	}
-	sort.Slice(out.Tuples, func(i, j int) bool { return lessBytes(out.Tuples[i], out.Tuples[j]) })
-	return out
-}
-
-// lessBytes orders two tuples as the strings of their IDs' four
-// little-endian bytes each.
-func lessBytes(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return bits.ReverseBytes32(uint32(a[i])) < bits.ReverseBytes32(uint32(b[i]))
+	sort.Slice(out.Tuples, func(i, j int) bool {
+		a, b := out.Tuples[i], out.Tuples[j]
+		for k := 0; k < len(a) && k < len(b); k++ {
+			if a[k] != b[k] {
+				return bits.ReverseBytes32(uint32(a[k])) < bits.ReverseBytes32(uint32(b[k]))
+			}
 		}
-	}
-	return len(a) < len(b)
+		return len(a) < len(b)
+	})
+	return out
 }
 
 // Program returns the program the graph was built against.
@@ -235,27 +184,4 @@ func (g *CallGraph) Arcs() []*Arc {
 		return out[i].Callee.ID < out[j].Callee.ID
 	})
 	return out
-}
-
-// Merge adds every arc of other into g (same program required). Arc
-// weights are summed with the same int64 overflow guard LoadWire
-// applies to duplicate arcs: a merge that would wrap errors before
-// touching g, so a poisoned aggregate can never come out of repeated
-// merging — the failure mode a long-lived profile database would
-// otherwise hit first.
-func (g *CallGraph) Merge(other *CallGraph) error {
-	if other.prog != g.prog {
-		return fmt.Errorf("profile: cannot merge call graphs from different programs")
-	}
-	// Validate the whole merge before applying any of it, so an
-	// overflow leaves g untouched rather than partially merged.
-	for k, a := range other.arcs {
-		if ex, ok := g.arcs[k]; ok && ex.Weight > math.MaxInt64-a.Weight {
-			return fmt.Errorf("profile: weight overflow merging arc %d->%d", k.siteID, k.calleeID)
-		}
-	}
-	for _, a := range other.arcs {
-		g.Record(a.Site, a.Callee, a.Weight)
-	}
-	return nil
 }

@@ -162,7 +162,7 @@ func (g *CallGraph) UnmarshalInto(data []byte) error {
 // graphs concurrently.
 func (g *CallGraph) LoadWire(w *Wire) error {
 	g.arcs = map[arcKey]*Arc{}
-	g.entries, g.tuples, g.ids = nil, nil, nil
+	clear(g.entries)
 	methods := g.prog.H.Methods()
 	for _, fa := range w.Arcs {
 		if fa.Site < 0 || fa.Site >= len(g.prog.Sites) {
@@ -185,8 +185,8 @@ func (g *CallGraph) LoadWire(w *Wire) error {
 			return fmt.Errorf("profile: entry method %d out of range", fe.Method)
 		}
 		m := methods[fe.Method]
-		ts := g.entryOf(m.ID)
-		if ts.head != 0 || ts.overflow {
+		ts := &g.entries[m.ID]
+		if len(ts.ids) > 0 || ts.overflow {
 			return fmt.Errorf("profile: duplicate entry for method %d", fe.Method)
 		}
 		if fe.Overflow {

@@ -2,57 +2,9 @@ package profile
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
-
-// Satellite of the profdb work: Merge is the operation the profile
-// database applies on every upload, so an overflowing merge must error
-// and leave the target untouched — never wrap into a negative weight.
-func TestMergeOverflowErrors(t *testing.T) {
-	p := load(t)
-	mA, _, f := methods(t, p)
-	s0, s1 := p.Bodies[f].Sites[0], p.Bodies[f].Sites[1]
-
-	a := NewCallGraph(p)
-	a.Record(s0, mA, math.MaxInt64-1)
-	a.Record(s1, mA, 10)
-	b := NewCallGraph(p)
-	b.Record(s1, mA, 5) // fine on its own...
-	b.Record(s0, mA, 2) // ...but this one would wrap
-
-	err := a.Merge(b)
-	if err == nil || !strings.Contains(err.Error(), "weight overflow") {
-		t.Fatalf("Merge err = %v, want weight overflow", err)
-	}
-	// The failed merge applied nothing: not even b's safe arc.
-	arcs := a.Arcs()
-	if arcs[0].Weight != math.MaxInt64-1 || arcs[1].Weight != 10 {
-		t.Fatalf("failed merge mutated target: %v", arcs)
-	}
-	for _, arc := range arcs {
-		if arc.Weight < 0 {
-			t.Fatalf("weight wrapped negative: %v", arc)
-		}
-	}
-}
-
-func TestMergeAtExactBoundary(t *testing.T) {
-	p := load(t)
-	mA, _, f := methods(t, p)
-	s0 := p.Bodies[f].Sites[0]
-	a := NewCallGraph(p)
-	a.Record(s0, mA, math.MaxInt64-5)
-	b := NewCallGraph(p)
-	b.Record(s0, mA, 5) // lands exactly on MaxInt64: allowed
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("boundary merge rejected: %v", err)
-	}
-	if a.Arcs()[0].Weight != math.MaxInt64 {
-		t.Fatalf("weight = %d", a.Arcs()[0].Weight)
-	}
-}
 
 func TestParseWireStructural(t *testing.T) {
 	good := `{"version": 1, "arcs": [{"site": 3, "callee": 9999, "weight": 7}]}`

@@ -78,29 +78,6 @@ func TestRecordAndQuery(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	p := load(t)
-	mA, _, f := methods(t, p)
-	s0 := p.Bodies[f].Sites[0]
-
-	a := NewCallGraph(p)
-	b := NewCallGraph(p)
-	a.Record(s0, mA, 5)
-	b.Record(s0, mA, 7)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalWeight() != 12 {
-		t.Fatalf("merged weight = %d", a.TotalWeight())
-	}
-
-	other := load(t)
-	c := NewCallGraph(other)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging call graphs across programs should fail")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	p := load(t)
 	mA, mB, f := methods(t, p)
@@ -213,7 +190,7 @@ func TestLoadWireRoundTrip(t *testing.T) {
 	cg.Record(p.Bodies[f].Sites[0], mA, 1234)
 	cg.Record(p.Bodies[f].Sites[1], mB, 999)
 	cg.RecordEntry(mA, []*hier.Class{p.H.Classes()[0]})
-	cg.entryOf(mB.ID).overflow = true
+	cg.entries[mB.ID].overflow = true
 	want, err := cg.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +246,7 @@ func TestEntriesRoundTrip(t *testing.T) {
 	cg := NewCallGraph(p)
 	cg.Record(p.Bodies[f].Sites[0], mA, 10)
 	cg.RecordEntry(mA, []*hier.Class{clsA})
-	cg.entryOf(mB.ID).overflow = true
+	cg.entries[mB.ID].overflow = true
 
 	data, err := cg.MarshalJSON()
 	if err != nil {

@@ -32,8 +32,6 @@ type profileKey struct {
 	train  string
 }
 
-// newProfileKey builds the key of a training run of the source whose
-// sha256 is sum (sourceDigest).
 func newProfileKey(sum [sha256.Size]byte, train map[string]int64) profileKey {
 	names := make([]string, 0, len(train))
 	for n := range train {

@@ -452,9 +452,7 @@ func (s *Server) resolve(req *RunRequest) (*resolved, error) {
 	}
 	rr.cfg = cfg
 	if req.Bench != "" && cfg == opt.Selective {
-		// A benchmark's key hashes its name; its profile memo key needs
-		// the source's digest.
-		rr.sum = sourceDigest(rr.src)
+		rr.sum = sourceDigest(rr.src) // the profile memo's key
 	}
 
 	mechName := req.Dispatch
@@ -490,9 +488,8 @@ func (s *Server) resolve(req *RunRequest) (*resolved, error) {
 // recognized no matter which connection or label resubmits it.
 func programKey(sum [sha256.Size]byte) string { return hex.EncodeToString(sum[:8]) }
 
-// sourceDigest is the sha256 of s, read in place: a posted source is
-// hundreds of kilobytes for a generated program, and []byte(s) would
-// copy it.
+// sourceDigest is the sha256 of s, read in place: []byte(s) would copy
+// a posted source, hundreds of kilobytes for a generated program.
 func sourceDigest(s string) [sha256.Size]byte {
 	return sha256.Sum256(unsafe.Slice(unsafe.StringData(s), len(s)))
 }
@@ -505,7 +502,7 @@ func sourceDigest(s string) [sha256.Size]byte {
 // both are set, matching resolve's validation order.
 func ProgramKey(source, bench string) string {
 	if bench != "" {
-		return programKey(sourceDigest("bench:" + bench))
+		source = "bench:" + bench
 	}
 	return programKey(sourceDigest(source))
 }

@@ -324,18 +324,13 @@ type StaticRef struct {
 }
 
 // NewRef is the class operand of one OpNew, with the plan its first
-// construction builds (Machine.planNew) for the fields past the
-// constructor arguments. proto holds every field's starting value: the
-// value of a constant initializer that satisfies the field's declared
-// type, NilV elsewhere. inits holds the thunk procs the other
-// initializers run (aligned with Class.Fields; nil where none runs),
-// and checks the declared-type fields each construction checks. proto
-// stays nil until the plan is built.
+// construction builds: each field's starting value (a constant
+// initializer's that fits the declared type, or nil) and the thunks of
+// the other initializers past the constructor arguments.
 type NewRef struct {
-	Class  *hier.Class
-	proto  []interp.Value
-	inits  []*Proc
-	checks []int32
+	Class *hier.Class
+	proto []interp.Value
+	inits []*Proc
 }
 
 // FieldOpRef is the operand pool entry of one fused field

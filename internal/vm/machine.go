@@ -136,8 +136,7 @@ func vmFailAt(pos lang.Pos, format string, args ...any) {
 // The boundary mirrors interp.Run exactly: Mini-Cecil runtime errors
 // (including guard trips) come back as *interp.RuntimeError, a stray
 // non-local return becomes the same "already exited" error, and the
-// run ends (EndRun: profile fold, observability flush) on every exit
-// path.
+// run ends (EndRun) on every exit path.
 func (m *Machine) Run() (v interp.Value, err error) {
 	in := m.in
 	m.stack = takeArena()
@@ -999,58 +998,40 @@ func (m *Machine) sendMiss(site *ir.CallSite, args []interp.Value) (*ir.Version,
 }
 
 // newObject is OpNew: regs[A] = a new Classes[B] whose leading fields
-// come from the C..C+D-1 window; the remaining fields start from their
-// initializers, and every field is declared-type checked, as the tree
-// tier does: thunks first, in field order, then the checks in field
-// order. A constant initializer is neither run nor checked here: its
-// value and check were settled once, when the plan was built.
+// come from the C..C+D-1 window; the rest start from ref's plan (see
+// NewRef), built on the first construction, and every field is
+// declared-type checked. Every thunk compiles; a constant that fails
+// its declared type keeps its thunk, so it fails as in the tree tier.
 func (m *Machine) newObject(st *execState, i *Instr) {
 	ref := &st.p.News[i.B]
-	if ref.proto == nil {
-		m.planNew(ref, int(i.D))
-	}
 	cls := ref.Class
+	if ref.proto == nil {
+		thunks, err := m.mod.fieldInitsOf(cls)
+		if err != nil {
+			m.compileFailed(err)
+		}
+		ref.proto = make([]interp.Value, len(cls.Fields))
+		ref.inits = make([]*Proc, len(cls.Fields))
+		for f := int(i.D); f < len(thunks); f++ {
+			if k, ok := m.mod.c.FieldInits[cls][f].(*ir.Const); ok && m.in.FieldTypeOK(cls, f, constValue(k)) {
+				ref.proto[f] = constValue(k)
+			} else {
+				ref.inits[f] = thunks[f]
+			}
+		}
+	}
 	obj := &interp.Object{Class: cls, Fields: make([]interp.Value, len(cls.Fields))}
 	copy(obj.Fields, ref.proto)
 	copy(obj.Fields, st.regs[i.C:i.C+i.D])
-	for f := int(i.D); f < len(ref.inits); f++ {
-		if p := ref.inits[f]; p != nil {
+	for f, p := range ref.inits {
+		if p != nil {
 			obj.Fields[f] = m.runThunk(p)
 		}
 	}
-	for _, f := range ref.checks {
-		m.in.CheckFieldType(cls, int(f), obj.Fields[f])
+	for f := range cls.Fields {
+		m.in.CheckFieldType(cls, f, obj.Fields[f])
 	}
 	st.regs[i.A] = interp.ObjV(obj)
-}
-
-// planNew builds ref's construction plan (see NewRef) for an OpNew
-// with args constructor arguments. Every initializer thunk compiles,
-// constant ones included; a constant that fails its field's declared
-// type keeps its thunk and its check, so it fails as the tree tier's
-// does.
-func (m *Machine) planNew(ref *NewRef, args int) {
-	cls := ref.Class
-	thunks, err := m.mod.fieldInitsOf(cls)
-	if err != nil {
-		m.compileFailed(err)
-	}
-	inits := m.mod.c.FieldInits[cls]
-	ref.proto = make([]interp.Value, len(cls.Fields))
-	ref.inits = make([]*Proc, len(cls.Fields))
-	for f := range cls.Fields {
-		ref.proto[f] = interp.NilV
-		if f >= args && f < len(thunks) && thunks[f] != nil {
-			if k, ok := inits[f].(*ir.Const); ok && m.in.FieldTypeOK(cls, f, constValue(k)) {
-				ref.proto[f] = constValue(k)
-				continue
-			}
-			ref.inits[f] = thunks[f]
-		}
-		if cls.Fields[f].DeclType != nil {
-			ref.checks = append(ref.checks, int32(f))
-		}
-	}
 }
 
 // makeClosure is OpMakeClosure: a closure over Closures[B] capturing
