@@ -163,16 +163,16 @@ func (t Tuple) String(h *Hierarchy) string {
 	return b.String()
 }
 
-// ShortKey packs a class tuple of at most two classes into a nonzero
-// key, their full 32-bit IDs; a wider tuple gets 0. Tuples of one arity
-// never share a key.
+// ShortKey packs the full 32-bit IDs of at most two classes into a
+// nonzero key, unique within an arity; a wider tuple gets 0.
 func ShortKey(classes []*Class) uint64 {
-	if len(classes) > 2 {
-		return 0
+	switch len(classes) {
+	case 0:
+		return 1 << 63
+	case 1:
+		return 1<<63 | uint64(uint32(classes[0].ID))
+	case 2:
+		return 1<<63 | uint64(uint32(classes[0].ID)) | uint64(uint32(classes[1].ID))<<32
 	}
-	k := uint64(1) << 63
-	for i, c := range classes {
-		k |= uint64(uint32(c.ID)) << (32 * i)
-	}
-	return k
+	return 0
 }

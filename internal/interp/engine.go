@@ -75,13 +75,12 @@ func (in *Interp) NoteStaticCall(site *ir.CallSite, target *ir.Version) {
 	in.record(site, target.Method)
 }
 
-// NoteInvokeKnown charges a method-version entry — the profile entry
-// record, the entry counter, the cycle cost and one step — for both
-// tiers, after a version's body has been resolved. It leaves out the
-// invoked-set insertion: the VM keeps a noted bit on each compiled proc
-// and calls MarkInvoked exactly once, removing a map access from every
-// later entry through that proc. Up to eight argument classes reach
-// RecordEntry in a stack array: no allocation, no write barrier.
+// NoteInvokeKnown charges a method-version entry for both tiers once
+// its body is resolved: the profile entry record (classes in a stack
+// array: no allocation, no write barrier), the entry counter, the cycle
+// cost and one step. It leaves out the invoked-set insertion: the VM
+// keeps a noted bit on each compiled proc and calls MarkInvoked once,
+// removing a map access from every later entry through that proc.
 func (in *Interp) NoteInvokeKnown(v *ir.Version, args []Value) {
 	if in.Profile != nil && len(args) > 0 {
 		var buf [8]*hier.Class
