@@ -1,8 +1,10 @@
 package driver_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -148,5 +150,35 @@ func TestProfilesMatchGolden(t *testing.T) {
 	}
 	if b.String() != string(want) {
 		t.Errorf("profiles diverged from testdata/profiles.golden:\n%s", b.String())
+	}
+}
+
+// TestWireTupleOrderCanonical: a call graph's Wire is already in the
+// order (*Wire).Sort gives it, also once class IDs reach 256, so a
+// profile serializes the same before and after an export sorts it.
+func TestWireTupleOrderCanonical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains three 600-class generated programs")
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		b := gen.New(gen.Config{Seed: seed, Classes: 600}).Benchmark()
+		p, err := driver.LoadNamed(b.Name, b.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg, err := p.Profile(driver.RunOptions{Overrides: b.Train})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := cg.Wire()
+		built, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Sort()
+		sorted, _ := json.Marshal(w)
+		if !bytes.Equal(built, sorted) {
+			t.Errorf("%s: Wire JSON changes under Sort (%d vs %d bytes)", b.Name, len(built), len(sorted))
+		}
 	}
 }

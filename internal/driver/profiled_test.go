@@ -2,6 +2,7 @@ package driver_test
 
 import (
 	"testing"
+	"time"
 
 	"selspec/internal/driver"
 	"selspec/internal/opt"
@@ -29,9 +30,11 @@ func baseRun(tb testing.TB, p *driver.Pipeline, train map[string]int64, profiled
 
 // BenchmarkProfiledRun measures what profiling adds to a training run:
 // a Base build and VM run of Typechecker and Compiler on their training
-// inputs, with and without a call graph recording it. One untimed run
-// of each first grows the heap and fills the hierarchy's lookup caches,
-// so the sub-benchmark that runs first does not pay for them alone.
+// inputs, with and without a call graph recording it. Each iteration
+// times one run of each, alternating which goes first, so neither side
+// pays alone for running first; one untimed run of each beforehand
+// grows the heap and fills the hierarchy's lookup caches. It reports
+// both times and their ratio.
 func BenchmarkProfiledRun(b *testing.B) {
 	for _, name := range []string{"Typechecker", "Compiler"} {
 		bench, _ := programs.ByName(name)
@@ -41,18 +44,24 @@ func BenchmarkProfiledRun(b *testing.B) {
 		}
 		baseRun(b, p, bench.Train, true)
 		baseRun(b, p, bench.Train, false)
-		for _, profiled := range []bool{true, false} {
-			sub := "unprofiled"
-			if profiled {
-				sub = "profiled"
-			}
-			b.Run(name+"/"+sub, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ns [2]time.Duration // unprofiled, profiled
+			for i := 0; i < b.N; i++ {
+				for _, profiled := range [2]bool{i%2 == 0, i%2 != 0} {
+					start := time.Now()
 					baseRun(b, p, bench.Train, profiled)
+					if profiled {
+						ns[1] += time.Since(start)
+					} else {
+						ns[0] += time.Since(start)
+					}
 				}
-			})
-		}
+			}
+			b.ReportMetric(float64(ns[1].Nanoseconds())/float64(b.N), "profiled-ns/op")
+			b.ReportMetric(float64(ns[0].Nanoseconds())/float64(b.N), "unprofiled-ns/op")
+			b.ReportMetric(float64(ns[1])/float64(ns[0]), "profiled/unprofiled")
+		})
 	}
 }
 

@@ -26,31 +26,27 @@ func (in *Interp) evalPrim(p ir.Prim, args []Value) Value {
 		if args[0].K != KInt || args[0].I < 0 {
 			fail("newarray size must be a non-negative integer, got %s", args[0])
 		}
-		elems := make([]Value, args[0].I)
-		for i := range elems {
-			elems[i] = NilV
-		}
-		return ArrV(&Array{Elems: elems})
+		return ArrV(NewArray(int(args[0].I)))
 
 	case ir.PrimAGet:
 		a, i := args[0].Arr(), args[1]
 		if a == nil || i.K != KInt {
 			fail("aget(%s, %s)", args[0], i)
 		}
-		if i.I < 0 || i.I >= int64(len(a.Elems)) {
-			fail("array index %d out of range [0, %d)", i.I, len(a.Elems))
+		v, ok := a.Load(i.I)
+		if !ok {
+			fail("array index %d out of range [0, %d)", i.I, a.Len())
 		}
-		return a.Elems[i.I]
+		return v
 
 	case ir.PrimAPut:
 		a, i, v := args[0].Arr(), args[1], args[2]
 		if a == nil || i.K != KInt {
 			fail("aput(%s, %s, _)", args[0], i)
 		}
-		if i.I < 0 || i.I >= int64(len(a.Elems)) {
-			fail("array index %d out of range [0, %d)", i.I, len(a.Elems))
+		if !a.Store(i.I, v) {
+			fail("array index %d out of range [0, %d)", i.I, a.Len())
 		}
-		a.Elems[i.I] = v
 		return v
 
 	case ir.PrimALen:
@@ -58,7 +54,7 @@ func (in *Interp) evalPrim(p ir.Prim, args []Value) Value {
 		if a == nil {
 			fail("alen on non-array %s", args[0])
 		}
-		return IntV(int64(len(a.Elems)))
+		return IntV(int64(a.Len()))
 
 	case ir.PrimStrLen:
 		if args[0].K != KStr {

@@ -9,6 +9,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unsafe"
 
@@ -37,9 +38,87 @@ type Object struct {
 	Fields []Value
 }
 
-// Array is a mutable fixed-length vector.
+// Array is a mutable fixed-length vector. Its storage is allocated on
+// the first store. While every stored element is an integer it is
+// kept unboxed in ints, where the reserved nilInt marks an element
+// never stored; a store of any other value, or of nilInt itself, moves
+// the array to vals for good.
 type Array struct {
-	Elems []Value
+	n    int
+	ints []int64
+	vals []Value
+}
+
+// nilInt encodes a never-stored element of an integer array.
+const nilInt = math.MinInt64
+
+// NewArray makes an array of n nil elements.
+func NewArray(n int) *Array { return &Array{n: n} }
+
+// Len returns the array's length.
+func (a *Array) Len() int { return a.n }
+
+// Load returns element i, and false when i is out of range.
+func (a *Array) Load(i int64) (Value, bool) {
+	if uint64(i) < uint64(len(a.ints)) {
+		if e := a.ints[i]; e != nilInt {
+			return IntV(e), true
+		}
+		return NilV, true
+	}
+	if uint64(i) < uint64(len(a.vals)) {
+		return a.vals[i], true
+	}
+	return NilV, uint64(i) < uint64(a.n)
+}
+
+// TryStore sets element i to v when i is in range and the array's
+// storage already holds values like v, and reports whether it did.
+// It changes nothing otherwise; Store does the rest.
+func (a *Array) TryStore(i int64, v Value) bool {
+	if uint64(i) < uint64(len(a.ints)) {
+		if v.K != KInt || v.I == nilInt {
+			return false
+		}
+		a.ints[i] = v.I
+		return true
+	}
+	if uint64(i) < uint64(len(a.vals)) {
+		a.vals[i] = v
+		return true
+	}
+	return false
+}
+
+// Store sets element i to v, and reports false when i is out of range.
+// The first store allocates the storage; a store that does not fit an
+// integer array moves it to vals.
+func (a *Array) Store(i int64, v Value) bool {
+	if a.TryStore(i, v) {
+		return true
+	}
+	if uint64(i) >= uint64(a.n) {
+		return false
+	}
+	if a.vals == nil {
+		if v.K == KInt && v.I != nilInt {
+			a.ints = make([]int64, a.n)
+			for j := range a.ints {
+				a.ints[j] = nilInt
+			}
+			a.ints[i] = v.I
+			return true
+		}
+		a.vals = make([]Value, a.n)
+		for j, e := range a.ints {
+			if e != nilInt {
+				a.vals[j] = IntV(e)
+			}
+		}
+		a.ints = nil
+	}
+	a.vals[i] = v
+	return true
 }
 
 // Frame is one activation record; closures capture their defining
@@ -242,7 +321,9 @@ func (v Value) String() string {
 	case KArray:
 		var b strings.Builder
 		b.WriteByte('[')
-		for i, e := range v.Arr().Elems {
+		a := v.Arr()
+		for i := 0; i < a.n; i++ {
+			e, _ := a.Load(int64(i))
 			if i > 0 {
 				b.WriteString(", ")
 			}

@@ -74,3 +74,51 @@ func TestStringValues(t *testing.T) {
 		t.Errorf("string program: value %q output %q", val, out)
 	}
 }
+
+// TestArrayRepresentation: an array allocates nothing until its first
+// store, keeps integers unboxed, and moves to boxed values for good on
+// a store of a non-integer or of the integer reserved for nil.
+func TestArrayRepresentation(t *testing.T) {
+	a := NewArray(3)
+	if v, ok := a.Load(2); !ok || v != NilV || a.ints != nil || a.vals != nil {
+		t.Fatalf("fresh array: Load(2) = %v, %v; ints %v, vals %v", v, ok, a.ints, a.vals)
+	}
+	if a.TryStore(0, IntV(1)) {
+		t.Error("TryStore succeeded before any storage exists")
+	}
+	a.Store(0, IntV(1))
+	a.Store(2, IntV(-3))
+	if a.ints == nil || a.vals != nil {
+		t.Fatalf("integer stores boxed the array: ints %v, vals %v", a.ints, a.vals)
+	}
+	if v, _ := a.Load(1); v != NilV {
+		t.Errorf("never-stored element of an integer array = %v, want nil", v)
+	}
+	if a.TryStore(1, IntV(nilInt)) || a.TryStore(1, NilV) {
+		t.Error("TryStore accepted a value an integer array cannot hold")
+	}
+	a.Store(1, IntV(nilInt))
+	if a.ints != nil || a.vals == nil {
+		t.Fatalf("storing the reserved integer kept the array unboxed")
+	}
+	want := []Value{IntV(1), IntV(nilInt), IntV(-3)}
+	for i, w := range want {
+		if v, _ := a.Load(int64(i)); v != w {
+			t.Errorf("after boxing, element %d = %v, want %v", i, v, w)
+		}
+	}
+	a.Store(1, IntV(4))
+	if a.vals == nil || a.ints != nil {
+		t.Error("an integer store moved a boxed array back")
+	}
+	for _, i := range []int64{-1, 3} {
+		if _, ok := a.Load(i); ok || a.Store(i, IntV(0)) {
+			t.Errorf("index %d reads or stores in range", i)
+		}
+	}
+	b := NewArray(2)
+	b.Store(1, StrV("s"))
+	if v, _ := b.Load(0); b.ints != nil || v != NilV {
+		t.Errorf("first store of a string: ints %v, element 0 = %v", b.ints, v)
+	}
+}

@@ -98,8 +98,11 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 		p.Globals = append(p.Globals, &GlobalVar{Name: g.Name})
 	}
 	p.GlobalAssigned = make([]bool, len(p.Globals))
+	// One lowerer serves every initializer and method; reset keeps the
+	// capacity its scope, frame stack and maps grew to.
+	lw := &lowerer{prog: p, assignedFormals: map[int]bool{}, candidates: map[*CallSite][]PassPair{}}
 	for i, g := range src.Globals {
-		lw := &lowerer{prog: p}
+		lw.reset(nil)
 		n, err := lw.expr(g.Init)
 		if err != nil {
 			return nil, err
@@ -117,7 +120,7 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 			if f.Init == nil {
 				continue
 			}
-			lw := &lowerer{prog: p}
+			lw.reset(nil)
 			n, err := lw.expr(f.Init)
 			if err != nil {
 				return nil, err
@@ -129,7 +132,7 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 
 	// Method bodies.
 	for _, m := range h.Methods() {
-		body, err := lowerMethod(p, m)
+		body, err := lw.lowerMethod(m)
 		if err != nil {
 			return nil, err
 		}
@@ -173,13 +176,17 @@ type lowerer struct {
 	candidates map[*CallSite][]PassPair
 }
 
-func lowerMethod(p *Program, m *hier.Method) (*MethodBody, error) {
-	lw := &lowerer{
-		prog:            p,
-		method:          m,
-		assignedFormals: map[int]bool{},
-		candidates:      map[*CallSite][]PassPair{},
-	}
+// reset readies lw for the method m, or for an initializer when m is
+// nil. The body it lowered keeps its sites, so they start afresh.
+func (lw *lowerer) reset(m *hier.Method) {
+	lw.method, lw.hasReturn, lw.sites = m, false, nil
+	lw.frames, lw.scope = lw.frames[:0], lw.scope[:0]
+	clear(lw.assignedFormals)
+	clear(lw.candidates)
+}
+
+func (lw *lowerer) lowerMethod(m *hier.Method) (*MethodBody, error) {
+	lw.reset(m)
 	f := &frame{numParams: len(m.Decl.Params)}
 	lw.frames = append(lw.frames, f)
 	for _, prm := range m.Decl.Params {

@@ -10,7 +10,6 @@ package profile
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"selspec/internal/hier"
@@ -118,8 +117,8 @@ scan:
 }
 
 // Entries returns the argument-tuple sample for a method, or nil when
-// none was recorded. Tuples are ordered as strings of their class IDs'
-// four little-endian bytes each, which keeps profile JSON stable.
+// none was recorded. Tuples are ordered as (*Wire).Sort orders them,
+// lexicographically by class ID, so profile JSON is canonical as built.
 func (g *CallGraph) Entries(m *hier.Method) *TupleSample {
 	ts := &g.entries[m.ID]
 	if len(ts.ids) == 0 && !ts.overflow {
@@ -133,15 +132,7 @@ func (g *CallGraph) Entries(m *hier.Method) *TupleSample {
 		}
 		out.Tuples = append(out.Tuples, ids)
 	}
-	sort.Slice(out.Tuples, func(i, j int) bool {
-		a, b := out.Tuples[i], out.Tuples[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return bits.ReverseBytes32(uint32(a[k])) < bits.ReverseBytes32(uint32(b[k]))
-			}
-		}
-		return len(a) < len(b)
-	})
+	sort.Slice(out.Tuples, func(i, j int) bool { return lessTuple(out.Tuples[i], out.Tuples[j]) })
 	return out
 }
 

@@ -719,33 +719,16 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			// (other prims, and all failure shapes) takes the shared seam,
 			// which charges first and then raises the tree tier's exact
 			// error — so the fast path charges nothing before deferring.
+			// aget and aput never come here: they compile to OpAGet,
+			// OpAGetField and OpAPut.
 			regs := st.regs
 			args := regs[i.C : i.C+i.D]
 			switch ir.Prim(i.B) {
-			case ir.PrimAGet:
-				if a, ix := args[0].Arr(), args[1]; a != nil && ix.K == interp.KInt &&
-					ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-					st.prims++
-					st.cyc += interp.CostPrim
-					regs[i.A] = a.Elems[ix.I]
-					break
-				}
-				m.callPrim(&st, i)
-			case ir.PrimAPut:
-				if a, ix := args[0].Arr(), args[1]; a != nil && ix.K == interp.KInt &&
-					ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-					st.prims++
-					st.cyc += interp.CostPrim
-					a.Elems[ix.I] = args[2]
-					regs[i.A] = args[2]
-					break
-				}
-				m.callPrim(&st, i)
 			case ir.PrimALen:
 				if a := args[0].Arr(); a != nil {
 					st.prims++
 					st.cyc += interp.CostPrim
-					regs[i.A] = interp.IntV(int64(len(a.Elems)))
+					regs[i.A] = interp.IntV(int64(a.Len()))
 					break
 				}
 				m.callPrim(&st, i)
@@ -849,16 +832,17 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 		case OpAGet:
 			regs := st.regs
 			a, ix := regs[i.B].Arr(), regs[i.C]
-			if a != nil && ix.K == interp.KInt &&
-				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-				st.prims++
-				st.cyc += interp.CostPrim
-				regs[i.A] = a.Elems[ix.I]
-			} else {
-				// Shared seam: charges first, then raises the tree tier's
-				// exact error for every failure shape.
-				m.agetSlow(&st, i.A, regs[i.B], ix)
+			if a != nil && ix.K == interp.KInt {
+				if v, ok := a.Load(ix.I); ok {
+					st.prims++
+					st.cyc += interp.CostPrim
+					regs[i.A] = v
+					break
+				}
 			}
+			// Shared seam: charges first, then raises the tree tier's
+			// exact error for every failure shape.
+			m.agetSlow(&st, i.A, regs[i.B], ix)
 
 		case OpAGetField:
 			p, regs := st.p, st.regs
@@ -869,24 +853,22 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 			}
 			st.cyc += interp.CostFieldCached
 			av, ix := o.Fields[f.Slot], regs[i.C]
-			if a := av.Arr(); a != nil && ix.K == interp.KInt &&
-				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
-				st.prims++
-				st.cyc += interp.CostPrim
-				regs[i.A] = a.Elems[ix.I]
-			} else {
-				m.agetSlow(&st, i.A, av, ix)
+			if a := av.Arr(); a != nil && ix.K == interp.KInt {
+				if v, ok := a.Load(ix.I); ok {
+					st.prims++
+					st.cyc += interp.CostPrim
+					regs[i.A] = v
+					break
+				}
 			}
+			m.agetSlow(&st, i.A, av, ix)
 
 		case OpAPut:
 			regs := st.regs
-			a, ix := regs[i.B].Arr(), regs[i.C]
-			if a != nil && ix.K == interp.KInt &&
-				ix.I >= 0 && ix.I < int64(len(a.Elems)) {
+			a, ix, v := regs[i.B].Arr(), regs[i.C], regs[i.D]
+			if a != nil && ix.K == interp.KInt && a.TryStore(ix.I, v) {
 				st.prims++
 				st.cyc += interp.CostPrim
-				v := regs[i.D]
-				a.Elems[ix.I] = v
 				regs[i.A] = v
 			} else {
 				m.aputSlow(&st, i.A, regs[i.B], ix, regs[i.D])
