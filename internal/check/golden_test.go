@@ -16,14 +16,34 @@ import (
 
 // checkGolden is the sha256 of checkDump. Any change to the analysis
 // that feeds possible-mnu and ambiguous-dispatch moves it.
-const checkGolden = "d90493939408c01ccbaca4a8cfb37cd88dafacfb9da8e9858c382180a36180bf"
+const checkGolden = "4f4206f681742ba6ae64e93c89d303b1508a366588c8152121d67b70ef955541"
 
 type namedSource struct{ name, src string }
 
 // goldenInputs lists the programs TestCheckMatchesGolden analyzes: the
-// registry, the checkdemo files, the FuzzCheck corpus and a spread of
-// generated programs.
+// sources of fixedInputs and a spread of generated programs.
 func goldenInputs(t testing.TB) []namedSource {
+	in := fixedInputs(t)
+	addGen := func(cfg gen.Config) {
+		g := gen.New(cfg)
+		in = append(in, namedSource{fmt.Sprintf("%s-c%d-clean=%v", g.Name(), cfg.Classes, cfg.CheckClean), g.Source()})
+	}
+	for _, classes := range []int{20, 50} {
+		for _, clean := range []bool{false, true} {
+			for seed := uint64(1); seed <= 10; seed++ {
+				addGen(gen.Config{Seed: seed, Classes: classes, CheckClean: clean})
+			}
+		}
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		addGen(gen.Config{Seed: seed, Classes: 200})
+	}
+	return in
+}
+
+// fixedInputs lists the registry, the checkdemo files, the FuzzCheck
+// corpus and the FuzzCheck seeds.
+func fixedInputs(t testing.TB) []namedSource {
 	var in []namedSource
 	for _, b := range programs.Registry() {
 		in = append(in, namedSource{b.Name, b.Source})
@@ -52,20 +72,6 @@ func goldenInputs(t testing.TB) []namedSource {
 	}
 	for i, s := range fuzzSeeds {
 		in = append(in, namedSource{fmt.Sprintf("seed-%d", i), s})
-	}
-	addGen := func(cfg gen.Config) {
-		g := gen.New(cfg)
-		in = append(in, namedSource{fmt.Sprintf("%s-c%d-clean=%v", g.Name(), cfg.Classes, cfg.CheckClean), g.Source()})
-	}
-	for _, classes := range []int{20, 50} {
-		for _, clean := range []bool{false, true} {
-			for seed := uint64(1); seed <= 10; seed++ {
-				addGen(gen.Config{Seed: seed, Classes: classes, CheckClean: clean})
-			}
-		}
-	}
-	for seed := uint64(1); seed <= 2; seed++ {
-		addGen(gen.Config{Seed: seed, Classes: 200})
 	}
 	return in
 }
