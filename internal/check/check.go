@@ -1,6 +1,6 @@
 // Package check is the static-analysis layer of the reproduction: a
-// reusable pass framework over the Mini-Cecil AST and lowered IR that
-// proves facts about message sends before running anything. It keeps
+// reusable pass framework over the lowered IR that proves facts about
+// message sends before running anything. It keeps
 // no class analysis of its own: the dispatch checks read each send's
 // argument class sets from the optimizer's intraprocedural class
 // analysis (opt.SendArgSets, run under CHA with inlining off) and
@@ -20,7 +20,8 @@
 //	dead-method             a method unreachable from the program's
 //	                        entry points under RTA
 //	arity-mismatch          a send whose argument count matches no
-//	                        defined method or primitive
+//	                        defined method or primitive, from the
+//	                        calls the lowerer could not resolve
 //	useless-specialization  a declared specialization whose class-set
 //	                        tuple is empty or subsumed by overriders
 //
@@ -29,8 +30,11 @@
 package check
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"selspec/internal/hier"
 	"selspec/internal/ir"
@@ -140,12 +144,12 @@ func Sort(ds []Diagnostic) {
 }
 
 // Source parses, builds and analyzes one Mini-Cecil compilation unit.
-// The file name is used only to label diagnostics. Parse and
-// class-hierarchy errors are returned as hard errors; everything the
-// analyses find comes back as sorted diagnostics. When arity/selector
-// mismatches make the program impossible to lower, the IR-level
-// analyses are skipped and the mismatch diagnostics alone are
-// returned.
+// The file name is used only to label diagnostics. Parse,
+// class-hierarchy and lowering errors are returned as hard errors;
+// everything the analyses find comes back as sorted diagnostics. When
+// the lowerer met calls it could not resolve, the IR-level analyses
+// are skipped and an arity-mismatch diagnostic for each such call is
+// returned instead.
 func Source(file, src string, opts Options) ([]Diagnostic, error) {
 	parsed, err := lang.Parse(src)
 	if err != nil {
@@ -155,22 +159,42 @@ func Source(file, src string, opts Options) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	diags := checkAST(file, parsed, h)
 	prog, err := ir.LowerWith(parsed, h)
 	if err != nil {
-		if len(diags) > 0 {
-			Sort(diags)
-			return diags, nil
+		var errs ir.Errors
+		errors.As(err, &errs)
+		var diags []Diagnostic
+		for _, e := range errs {
+			if uc, ok := e.(*ir.UnresolvedCall); ok {
+				diags = append(diags, arityMismatch(file, h, uc))
+			}
 		}
-		return nil, err
+		if len(diags) == 0 {
+			return nil, err
+		}
+		// A field initializer is lowered once per class that inherits
+		// it, so one call can be recorded more than once.
+		Sort(diags)
+		return slices.Compact(diags), nil
 	}
-	ds, err := Program(file, prog, opts)
-	if err != nil {
-		return nil, err
+	return Program(file, prog, opts)
+}
+
+// arityMismatch reports a call the lowerer could not resolve, listing
+// the arities its name is defined with.
+func arityMismatch(file string, h *hier.Hierarchy, uc *ir.UnresolvedCall) Diagnostic {
+	msg := fmt.Sprintf("unknown selector %s/%d", uc.Name, uc.Arity)
+	if uc.PrimArity >= 0 {
+		msg = fmt.Sprintf("primitive %s takes %d arguments, got %d", uc.Name, uc.PrimArity, uc.Arity)
+	} else if arities := h.Arities(uc.Name); len(arities) > 0 {
+		defined := make([]string, len(arities))
+		for i, a := range arities {
+			defined[i] = fmt.Sprintf("%s/%d", uc.Name, a)
+		}
+		msg = fmt.Sprintf("no method %s/%d; defined: %s", uc.Name, uc.Arity, strings.Join(defined, ", "))
 	}
-	diags = append(diags, ds...)
-	Sort(diags)
-	return diags, nil
+	return Diagnostic{Check: CheckArityMismatch, Severity: SevError, File: file,
+		Line: uc.Pos.Line, Col: uc.Pos.Col, Message: msg}
 }
 
 // Program runs the IR-level analyses over an already-lowered program:

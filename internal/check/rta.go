@@ -33,9 +33,8 @@ func analyzeReach(p *ir.Program) reach {
 	r.hasEntry = true
 
 	live := bits.New(h.NumClasses())
-	for _, n := range []string{hier.AnyName, hier.IntName, hier.BoolName,
-		hier.StringName, hier.NilName, hier.ArrayName, hier.ClosureName} {
-		live.Add(h.Builtin(n).ID)
+	for _, c := range h.BuiltinClasses() {
+		live.Add(c.ID)
 	}
 	called := map[*hier.GF]bool{}
 

@@ -278,6 +278,12 @@ type Builtins struct {
 // Any returns the root class.
 func (h *Hierarchy) Any() *Class { return h.any }
 
+// BuiltinClasses returns the built-in classes, which New adds first;
+// the slice is shared and must not be modified.
+func (h *Hierarchy) BuiltinClasses() []*Class {
+	return h.classes[:len(builtinNames):len(builtinNames)]
+}
+
 // Builtin returns the named builtin class; panics on unknown names
 // (programming error, not user error).
 func (h *Hierarchy) Builtin(name string) *Class {

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -356,6 +357,38 @@ func TestLowerErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Lower(%q) error = %v, want substring %q", c.src, err, c.wantSub)
 		}
+	}
+}
+
+// TestLowerRecordsEveryError: lowering goes on past each error, so one
+// run reports all of them in source order, the first one as its text.
+func TestLowerRecordsEveryError(t *testing.T) {
+	err := lowerErr(t, `var g := if 1 < 2 { var v := 1; var w := v(2); w.m(); };
+method f(x) { zzz; x := f(1, 2); new Nope(aget(1)); }
+method h() { fn(a) { var b := a; b(nosuch()); }; }`)
+	var got []string
+	for _, e := range err.(Errors) {
+		got = append(got, e.Error())
+	}
+	want := []string{
+		`1:21: 'var' not allowed in a global initializer expression`,
+		`1:33: 'var' not allowed in a global initializer expression`,
+		`1:50: no method m/1 (receiver syntax)`,
+		`2:15: undefined variable "zzz"`,
+		`2:25: unknown function f/2`,
+		`2:34: unknown class "Nope" in new`,
+		`2:43: primitive aget takes 2 arguments, got 1`,
+		`3:36: unknown function nosuch/0`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("errors:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if err.Error() != want[0] {
+		t.Errorf("Error() = %q, want the first error", err)
+	}
+	var uc *UnresolvedCall
+	if !errors.As(err.(Errors)[2], &uc) || uc.Name != "m" || uc.Arity != 1 || !uc.ReceiverSyntax {
+		t.Errorf("receiver-syntax error = %#v", err.(Errors)[2])
 	}
 }
 

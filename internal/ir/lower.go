@@ -62,8 +62,8 @@ type Program struct {
 // Site returns the call site with the given ID.
 func (p *Program) Site(id int) *CallSite { return p.Sites[id] }
 
-// Load parses nothing: it lowers an already-parsed program against its
-// hierarchy. Use Lower(prog) for the common path.
+// Lower builds src's class hierarchy and lowers src against it; use
+// LowerWith when the hierarchy is already built.
 func Lower(src *lang.Program) (*Program, error) {
 	h, err := hier.Build(src)
 	if err != nil {
@@ -72,7 +72,40 @@ func Lower(src *lang.Program) (*Program, error) {
 	return LowerWith(src, h)
 }
 
-// LowerWith lowers src against a pre-built (frozen) hierarchy.
+// UnresolvedCall is a call that names no variable, no generic function
+// of its arity and no primitive of its arity. Static checkers report
+// it from these fields; Error is the lowerer's own text.
+type UnresolvedCall struct {
+	Pos   lang.Pos
+	Name  string
+	Arity int // arguments at the call, a receiver included
+	// ReceiverSyntax marks a send written x.name(...), which never
+	// calls a primitive.
+	ReceiverSyntax bool
+	// PrimArity is the arity of the primitive called Name, or -1 when
+	// there is none or the call uses receiver syntax.
+	PrimArity int
+}
+
+func (e *UnresolvedCall) Error() string {
+	switch {
+	case e.ReceiverSyntax:
+		return fmt.Sprintf("%s: no method %s/%d (receiver syntax)", e.Pos, e.Name, e.Arity)
+	case e.PrimArity >= 0:
+		return fmt.Sprintf("%s: primitive %s takes %d arguments, got %d", e.Pos, e.Name, e.PrimArity, e.Arity)
+	}
+	return fmt.Sprintf("%s: unknown function %s/%d", e.Pos, e.Name, e.Arity)
+}
+
+// Errors is every front-end error one lowering met, in lowering order.
+// Its text is the first error's.
+type Errors []error
+
+func (es Errors) Error() string { return es[0].Error() }
+
+// LowerWith lowers src against a pre-built (frozen) hierarchy. On a
+// front-end error it returns Errors: lowering goes on past each error,
+// so the list holds every one.
 func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 	p := &Program{
 		H:          h,
@@ -80,11 +113,14 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 		Bodies:     map[*hier.Method]*MethodBody{},
 		FieldInits: map[*hier.Class][]Node{},
 	}
+	// One lowerer serves every initializer and method; reset keeps the
+	// capacity its scope, frame stack and maps grew to.
+	lw := &lowerer{prog: p, assignedFormals: map[int]bool{}, candidates: map[*CallSite][]PassPair{}}
 
 	// Reject generic functions that collide with primitives.
 	for _, g := range h.GFs() {
 		if sig, ok := primSigs[g.Name]; ok && sig.Arity == g.Arity {
-			return nil, fmt.Errorf("method %s/%d collides with built-in primitive", g.Name, g.Arity)
+			lw.fail(fmt.Errorf("method %s/%d collides with built-in primitive", g.Name, g.Arity))
 		}
 	}
 
@@ -92,22 +128,16 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 	// (later ones are still nil at evaluation time).
 	for _, g := range src.Globals {
 		if _, dup := p.GlobalIdx[g.Name]; dup {
-			return nil, fmt.Errorf("%s: global %s already defined", g.Pos, g.Name)
+			lw.fail(fmt.Errorf("%s: global %s already defined", g.Pos, g.Name))
+		} else {
+			p.GlobalIdx[g.Name] = len(p.Globals)
 		}
-		p.GlobalIdx[g.Name] = len(p.Globals)
 		p.Globals = append(p.Globals, &GlobalVar{Name: g.Name})
 	}
 	p.GlobalAssigned = make([]bool, len(p.Globals))
-	// One lowerer serves every initializer and method; reset keeps the
-	// capacity its scope, frame stack and maps grew to.
-	lw := &lowerer{prog: p, assignedFormals: map[int]bool{}, candidates: map[*CallSite][]PassPair{}}
 	for i, g := range src.Globals {
 		lw.reset(nil)
-		n, err := lw.expr(g.Init)
-		if err != nil {
-			return nil, err
-		}
-		p.Globals[i].Init = n
+		p.Globals[i].Init = lw.expr(g.Init)
 	}
 
 	// Field initializers, lowered in global scope.
@@ -121,22 +151,17 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 				continue
 			}
 			lw.reset(nil)
-			n, err := lw.expr(f.Init)
-			if err != nil {
-				return nil, err
-			}
-			inits[i] = n
+			inits[i] = lw.expr(f.Init)
 		}
 		p.FieldInits[c] = inits
 	}
 
 	// Method bodies.
 	for _, m := range h.Methods() {
-		body, err := lw.lowerMethod(m)
-		if err != nil {
-			return nil, err
-		}
-		p.Bodies[m] = body
+		p.Bodies[m] = lw.lowerMethod(m)
+	}
+	if lw.errs != nil {
+		return nil, lw.errs
 	}
 
 	if g, ok := h.GF("main", 0); ok {
@@ -146,7 +171,8 @@ func LowerWith(src *lang.Program, h *hier.Hierarchy) (*Program, error) {
 }
 
 // frame is one lexical frame (a method activation or a closure
-// activation) during lowering.
+// activation) during lowering. A frame with numParams -1 holds the
+// names an initializer declares in error (see stmt).
 type frame struct {
 	numParams     int
 	numSlots      int
@@ -171,9 +197,20 @@ type lowerer struct {
 	assignedFormals map[int]bool
 	hasReturn       bool // a return statement was lowered
 	sites           []*CallSite
-	// candidatePass maps each created site to the raw per-arg formal
+	// candidates maps each created site to the raw per-arg formal
 	// candidates, filtered against assignedFormals after lowering.
 	candidates map[*CallSite][]PassPair
+	errs       Errors // every error met so far, kept across reset
+}
+
+// failed is the node lowering continues with in place of a construct
+// it could not lower; the program is discarded, so nodes may share it.
+var failed = Const{Kind: KNil}
+
+// fail records err and returns the stand-in node.
+func (lw *lowerer) fail(err error) Node {
+	lw.errs = append(lw.errs, err)
+	return &failed
 }
 
 // reset readies lw for the method m, or for an initializer when m is
@@ -185,7 +222,7 @@ func (lw *lowerer) reset(m *hier.Method) {
 	clear(lw.candidates)
 }
 
-func (lw *lowerer) lowerMethod(m *hier.Method) (*MethodBody, error) {
+func (lw *lowerer) lowerMethod(m *hier.Method) *MethodBody {
 	lw.reset(m)
 	f := &frame{numParams: len(m.Decl.Params)}
 	lw.frames = append(lw.frames, f)
@@ -193,10 +230,7 @@ func (lw *lowerer) lowerMethod(m *hier.Method) (*MethodBody, error) {
 		lw.declare(prm.Name)
 	}
 
-	code, err := lw.block(m.Decl.Body)
-	if err != nil {
-		return nil, err
-	}
+	code := lw.block(m.Decl.Body)
 
 	// Finalize PassThroughArgs: drop formals that are assigned anywhere
 	// in the method (including inside closures).
@@ -213,7 +247,7 @@ func (lw *lowerer) lowerMethod(m *hier.Method) (*MethodBody, error) {
 		assigned[i] = lw.assignedFormals[i]
 	}
 	return &MethodBody{Method: m, NumSlots: f.numSlots, Code: code, Sites: lw.sites,
-		AssignedFormals: assigned, Size: Size(code), HasReturn: lw.hasReturn, ClosureWrites: f.closureWrites}, nil
+		AssignedFormals: assigned, Size: Size(code), HasReturn: lw.hasReturn, ClosureWrites: f.closureWrites}
 }
 
 func (lw *lowerer) curFrame() *frame { return lw.frames[len(lw.frames)-1] }
@@ -245,46 +279,40 @@ func (lw *lowerer) newSite(g *hier.GF, pos lang.Pos) *CallSite {
 	return s
 }
 
-func (lw *lowerer) block(b *lang.Block) (Node, error) {
+func (lw *lowerer) block(b *lang.Block) Node {
 	outer := len(lw.scope)
 	seq := &Seq{Nodes: make([]Node, len(b.Stmts))}
 	for i, s := range b.Stmts {
-		n, err := lw.stmt(s)
-		if err != nil {
-			return nil, err
-		}
-		seq.Nodes[i] = n
+		seq.Nodes[i] = lw.stmt(s)
 	}
 	lw.scope = lw.scope[:outer]
 	if len(seq.Nodes) == 1 {
-		return seq.Nodes[0], nil
+		return seq.Nodes[0]
 	}
-	return seq, nil
+	return seq
 }
 
-func (lw *lowerer) stmt(s lang.Stmt) (Node, error) {
+func (lw *lowerer) stmt(s lang.Stmt) Node {
 	switch s := s.(type) {
 	case *lang.VarStmt:
-		if len(lw.frames) == 0 {
-			return nil, fmt.Errorf("%s: 'var' not allowed in a global initializer expression", s.Pos)
-		}
-		init, err := lw.expr(s.Init)
-		if err != nil {
-			return nil, err
+		if len(lw.frames) == 0 || lw.curFrame().numParams < 0 {
+			lw.fail(fmt.Errorf("%s: 'var' not allowed in a global initializer expression", s.Pos))
+			if len(lw.frames) == 0 {
+				// Declare the name anyway, so later uses resolve to it.
+				lw.frames = append(lw.frames, &frame{numParams: -1})
+			}
 		}
 		// Evaluate the initializer before the slot is visible, so
 		// "var x := x;" refers to any outer x.
+		init := lw.expr(s.Init)
 		slot := lw.declare(s.Name)
-		return &SetLocal{Depth: 0, Slot: slot, Name: s.Name, X: init}, nil
+		return &SetLocal{Depth: 0, Slot: slot, Name: s.Name, X: init}
 
 	case *lang.ExprStmt:
 		return lw.expr(s.X)
 
 	case *lang.AssignStmt:
-		rhs, err := lw.expr(s.RHS)
-		if err != nil {
-			return nil, err
-		}
+		rhs := lw.expr(s.RHS)
 		switch lhs := s.LHS.(type) {
 		case *lang.Ident:
 			if depth, slot, frameIdx, ok := lw.resolve(lhs.Name); ok {
@@ -294,80 +322,48 @@ func (lw *lowerer) stmt(s lang.Stmt) (Node, error) {
 				if f := lw.frames[frameIdx]; depth > 0 && !slices.Contains(f.closureWrites, slot) {
 					f.closureWrites = append(f.closureWrites, slot)
 				}
-				return &SetLocal{Depth: depth, Slot: slot, Name: lhs.Name, X: rhs}, nil
+				return &SetLocal{Depth: depth, Slot: slot, Name: lhs.Name, X: rhs}
 			}
 			if gi, ok := lw.prog.GlobalIdx[lhs.Name]; ok {
 				lw.prog.GlobalAssigned[gi] = true
-				return &SetGlobal{Slot: gi, Name: lhs.Name, X: rhs}, nil
+				return &SetGlobal{Slot: gi, Name: lhs.Name, X: rhs}
 			}
-			return nil, fmt.Errorf("%s: assignment to undefined variable %q", s.Pos, lhs.Name)
+			return lw.fail(fmt.Errorf("%s: assignment to undefined variable %q", s.Pos, lhs.Name))
 		case *lang.FieldAccess:
-			obj, err := lw.expr(lhs.Recv)
-			if err != nil {
-				return nil, err
-			}
-			return &SetField{Obj: obj, Name: lhs.Name, Slot: -1, X: rhs}, nil
-		default:
-			return nil, fmt.Errorf("%s: invalid assignment target", s.Pos)
+			return &SetField{Obj: lw.expr(lhs.Recv), Name: lhs.Name, Slot: -1, X: rhs}
 		}
+		return lw.fail(fmt.Errorf("%s: invalid assignment target", s.Pos))
 
 	case *lang.ReturnStmt:
 		if lw.method == nil {
-			return nil, fmt.Errorf("%s: 'return' outside a method", s.Pos)
+			lw.fail(fmt.Errorf("%s: 'return' outside a method", s.Pos))
 		}
 		lw.hasReturn = true
 		var x Node
 		if s.X != nil {
-			var err error
-			x, err = lw.expr(s.X)
-			if err != nil {
-				return nil, err
-			}
+			x = lw.expr(s.X)
 		}
-		return &Return{X: x}, nil
+		return &Return{X: x}
 
 	case *lang.WhileStmt:
-		cond, err := lw.expr(s.Cond)
-		if err != nil {
-			return nil, err
-		}
-		body, err := lw.block(s.Body)
-		if err != nil {
-			return nil, err
-		}
-		return &While{Cond: cond, Body: body}, nil
+		return &While{Cond: lw.expr(s.Cond), Body: lw.block(s.Body)}
 
 	case *lang.IfStmt:
-		cond, err := lw.expr(s.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := lw.block(s.Then)
-		if err != nil {
-			return nil, err
-		}
-		var els Node
+		n := &If{Cond: lw.expr(s.Cond), Then: lw.block(s.Then)}
 		if s.Else != nil {
-			els, err = lw.block(s.Else)
-			if err != nil {
-				return nil, err
-			}
+			n.Else = lw.block(s.Else)
 		}
-		return &If{Cond: cond, Then: then, Else: els}, nil
+		return n
 	}
-	return nil, fmt.Errorf("ir: unknown statement %T", s)
+	return lw.fail(fmt.Errorf("ir: unknown statement %T", s))
 }
 
-func (lw *lowerer) exprs(es []lang.Expr) ([]Node, error) {
+func (lw *lowerer) exprs(es []lang.Expr) []Node {
 	out := make([]Node, len(es))
 	for i, e := range es {
-		n, err := lw.expr(e)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = n
+		out[i] = lw.expr(e)
 	}
-	return out, nil
+	return out
 }
 
 // send lowers a message send to the generic function g, recording
@@ -398,100 +394,75 @@ var smallInts = func() (t [1024]Const) {
 	return t
 }()
 
-func (lw *lowerer) expr(e lang.Expr) (Node, error) {
+func (lw *lowerer) expr(e lang.Expr) Node {
 	switch e := e.(type) {
 	case *lang.IntLit:
 		if 0 <= e.Val && e.Val < int64(len(smallInts)) {
-			return &smallInts[e.Val], nil
+			return &smallInts[e.Val]
 		}
-		return &Const{Kind: KInt, Int: e.Val}, nil
+		return &Const{Kind: KInt, Int: e.Val}
 	case *lang.StrLit:
-		return &Const{Kind: KStr, Str: e.Val}, nil
+		return &Const{Kind: KStr, Str: e.Val}
 	case *lang.BoolLit:
-		return &Const{Kind: KBool, Bool: e.Val}, nil
+		return &Const{Kind: KBool, Bool: e.Val}
 	case *lang.NilLit:
-		return &Const{Kind: KNil}, nil
+		return &Const{Kind: KNil}
 
 	case *lang.Ident:
 		if depth, slot, _, ok := lw.resolve(e.Name); ok {
-			return &Local{Depth: depth, Slot: slot, Name: e.Name}, nil
+			return &Local{Depth: depth, Slot: slot, Name: e.Name}
 		}
 		if gi, ok := lw.prog.GlobalIdx[e.Name]; ok {
-			return &Global{Slot: gi, Name: e.Name}, nil
+			return &Global{Slot: gi, Name: e.Name}
 		}
-		return nil, fmt.Errorf("%s: undefined variable %q", e.Pos, e.Name)
+		return lw.fail(fmt.Errorf("%s: undefined variable %q", e.Pos, e.Name))
 
 	case *lang.Call:
-		args, err := lw.exprs(e.Args)
-		if err != nil {
-			return nil, err
-		}
+		args := lw.exprs(e.Args)
 		// A name bound to a variable is a closure call; otherwise a
 		// generic-function send; otherwise a primitive.
 		if depth, slot, _, ok := lw.resolve(e.Name); ok {
-			return &CallClosure{Fn: &Local{Depth: depth, Slot: slot, Name: e.Name}, Args: args, Pos: e.Pos}, nil
+			return &CallClosure{Fn: &Local{Depth: depth, Slot: slot, Name: e.Name}, Args: args, Pos: e.Pos}
 		}
 		if gi, ok := lw.prog.GlobalIdx[e.Name]; ok {
-			return &CallClosure{Fn: &Global{Slot: gi, Name: e.Name}, Args: args, Pos: e.Pos}, nil
+			return &CallClosure{Fn: &Global{Slot: gi, Name: e.Name}, Args: args, Pos: e.Pos}
 		}
 		if g, ok := lw.prog.H.GF(e.Name, len(args)); ok {
-			return lw.send(g, e.Pos, args), nil
+			return lw.send(g, e.Pos, args)
 		}
-		if sig, ok := primSigs[e.Name]; ok {
-			if sig.Arity != len(args) {
-				return nil, fmt.Errorf("%s: primitive %s takes %d arguments, got %d", e.Pos, e.Name, sig.Arity, len(args))
-			}
-			return &PrimCall{Prim: sig.Prim, Args: args}, nil
+		sig, isPrim := primSigs[e.Name]
+		if isPrim && sig.Arity == len(args) {
+			return &PrimCall{Prim: sig.Prim, Args: args}
 		}
-		return nil, fmt.Errorf("%s: unknown function %s/%d", e.Pos, e.Name, len(args))
+		uc := &UnresolvedCall{Pos: e.Pos, Name: e.Name, Arity: len(args), PrimArity: -1}
+		if isPrim {
+			uc.PrimArity = sig.Arity
+		}
+		return lw.fail(uc)
 
 	case *lang.SendSugar:
-		recv, err := lw.expr(e.Recv)
-		if err != nil {
-			return nil, err
-		}
-		args, err := lw.exprs(e.Args)
-		if err != nil {
-			return nil, err
-		}
-		all := append([]Node{recv}, args...)
+		recv := lw.expr(e.Recv)
+		all := append([]Node{recv}, lw.exprs(e.Args)...)
 		g, ok := lw.prog.H.GF(e.Sel, len(all))
 		if !ok {
-			return nil, fmt.Errorf("%s: no method %s/%d (receiver syntax)", e.Pos, e.Sel, len(all))
+			return lw.fail(&UnresolvedCall{Pos: e.Pos, Name: e.Sel, Arity: len(all), ReceiverSyntax: true, PrimArity: -1})
 		}
-		return lw.send(g, e.Pos, all), nil
+		return lw.send(g, e.Pos, all)
 
 	case *lang.FieldAccess:
-		obj, err := lw.expr(e.Recv)
-		if err != nil {
-			return nil, err
-		}
-		return &GetField{Obj: obj, Name: e.Name, Slot: -1}, nil
+		return &GetField{Obj: lw.expr(e.Recv), Name: e.Name, Slot: -1}
 
 	case *lang.ApplyExpr:
-		fn, err := lw.expr(e.Fn)
-		if err != nil {
-			return nil, err
-		}
-		args, err := lw.exprs(e.Args)
-		if err != nil {
-			return nil, err
-		}
-		return &CallClosure{Fn: fn, Args: args, Pos: e.Pos}, nil
+		return &CallClosure{Fn: lw.expr(e.Fn), Args: lw.exprs(e.Args), Pos: e.Pos}
 
 	case *lang.NewExpr:
 		c, ok := lw.prog.H.Class(e.Class)
 		if !ok {
-			return nil, fmt.Errorf("%s: unknown class %q in new", e.Pos, e.Class)
+			lw.fail(fmt.Errorf("%s: unknown class %q in new", e.Pos, e.Class))
+		} else if len(e.Args) > len(c.Fields) {
+			lw.fail(fmt.Errorf("%s: new %s: %d arguments for %d fields", e.Pos, e.Class, len(e.Args), len(c.Fields)))
 		}
-		if len(e.Args) > len(c.Fields) {
-			return nil, fmt.Errorf("%s: new %s: %d arguments for %d fields", e.Pos, e.Class, len(e.Args), len(c.Fields))
-		}
-		args, err := lw.exprs(e.Args)
-		if err != nil {
-			return nil, err
-		}
-		return &New{Class: c, Args: args}, nil
+		return &New{Class: c, Args: lw.exprs(e.Args)}
 
 	case *lang.FnExpr:
 		f := &frame{numParams: len(e.Params)}
@@ -500,71 +471,58 @@ func (lw *lowerer) expr(e lang.Expr) (Node, error) {
 		for _, pn := range e.Params {
 			lw.declare(pn)
 		}
-		body, err := lw.block(e.Body)
+		body := lw.block(e.Body)
 		lw.scope = lw.scope[:outer]
 		lw.frames = lw.frames[:len(lw.frames)-1]
-		if err != nil {
-			return nil, err
-		}
 		return &MakeClosure{Fn: &ClosureCode{
 			NumParams:     len(e.Params),
 			NumSlots:      f.numSlots,
 			Body:          body,
 			Owner:         lw.method,
 			ClosureWrites: f.closureWrites,
-		}}, nil
+		}}
 
 	case *lang.UnaryExpr:
-		x, err := lw.expr(e.X)
-		if err != nil {
-			return nil, err
-		}
+		x := lw.expr(e.X)
 		if e.Op == lang.NOT {
-			return &Un{Op: OpNot, X: x}, nil
+			return &Un{Op: OpNot, X: x}
 		}
-		return &Un{Op: OpNeg, X: x}, nil
+		return &Un{Op: OpNeg, X: x}
 
 	case *lang.BinaryExpr:
-		l, err := lw.expr(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := lw.expr(e.R)
-		if err != nil {
-			return nil, err
-		}
+		l, r := lw.expr(e.L), lw.expr(e.R)
 		switch e.Op {
 		case lang.ANDAND:
-			return &And{L: l, R: r}, nil
+			return &And{L: l, R: r}
 		case lang.OROR:
-			return &Or{L: l, R: r}, nil
+			return &Or{L: l, R: r}
 		case lang.PLUS:
-			return &Bin{Op: OpAdd, L: l, R: r}, nil
+			return &Bin{Op: OpAdd, L: l, R: r}
 		case lang.MINUS:
-			return &Bin{Op: OpSub, L: l, R: r}, nil
+			return &Bin{Op: OpSub, L: l, R: r}
 		case lang.STAR:
-			return &Bin{Op: OpMul, L: l, R: r}, nil
+			return &Bin{Op: OpMul, L: l, R: r}
 		case lang.SLASH:
-			return &Bin{Op: OpDiv, L: l, R: r}, nil
+			return &Bin{Op: OpDiv, L: l, R: r}
 		case lang.PERCENT:
-			return &Bin{Op: OpMod, L: l, R: r}, nil
+			return &Bin{Op: OpMod, L: l, R: r}
 		case lang.EQ:
-			return &Bin{Op: OpEQ, L: l, R: r}, nil
+			return &Bin{Op: OpEQ, L: l, R: r}
 		case lang.NE:
-			return &Bin{Op: OpNE, L: l, R: r}, nil
+			return &Bin{Op: OpNE, L: l, R: r}
 		case lang.LT:
-			return &Bin{Op: OpLT, L: l, R: r}, nil
+			return &Bin{Op: OpLT, L: l, R: r}
 		case lang.LE:
-			return &Bin{Op: OpLE, L: l, R: r}, nil
+			return &Bin{Op: OpLE, L: l, R: r}
 		case lang.GT:
-			return &Bin{Op: OpGT, L: l, R: r}, nil
+			return &Bin{Op: OpGT, L: l, R: r}
 		case lang.GE:
-			return &Bin{Op: OpGE, L: l, R: r}, nil
+			return &Bin{Op: OpGE, L: l, R: r}
 		}
-		return nil, fmt.Errorf("%s: unknown binary operator", e.Pos)
+		return lw.fail(fmt.Errorf("%s: unknown binary operator", e.Pos))
 
 	case *lang.BlockExpr:
 		return lw.block(e.Block)
 	}
-	return nil, fmt.Errorf("ir: unknown expression %T", e)
+	return lw.fail(fmt.Errorf("ir: unknown expression %T", e))
 }

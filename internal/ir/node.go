@@ -246,14 +246,6 @@ var primSigs = map[string]struct {
 	"abort": {PrimAbort, 1}, "classname": {PrimClassName, 1}, "same": {PrimSame, 2},
 }
 
-// PrimSignature reports the arity of the named built-in primitive, if
-// one exists — the same table lowering resolves calls against, so
-// static checkers cannot drift from the runtime.
-func PrimSignature(name string) (arity int, ok bool) {
-	sig, ok := primSigs[name]
-	return sig.Arity, ok
-}
-
 // PrimCall invokes a built-in primitive.
 type PrimCall struct {
 	Prim Prim

@@ -322,9 +322,8 @@ func (c *Compiled) OnBody(fn func(staticBound, inlined int)) {
 func InstantiatedClasses(p *ir.Program) *bits.Set {
 	h := p.H
 	set := bits.New(h.NumClasses())
-	for _, n := range []string{hier.AnyName, hier.IntName, hier.BoolName,
-		hier.StringName, hier.NilName, hier.ArrayName, hier.ClosureName} {
-		set.Add(h.Builtin(n).ID)
+	for _, c := range h.BuiltinClasses() {
+		set.Add(c.ID)
 	}
 	collect := func(body ir.Node) {
 		ir.Walk(body, func(n ir.Node) bool {
@@ -1071,9 +1070,9 @@ func (a *analyzer) optimizeCallClosure(n *ir.CallClosure) (ir.Node, info) {
 	if mc != nil &&
 		len(a.frames) > 0 && // top-level code has no frame to host the slots
 		len(n.Args) == mc.Fn.NumParams &&
-		a.depth < a.c.Opts.maxInlineDepth() &&
+		a.depth < maxInlineDepth &&
 		!a.c.Opts.DisableInlining &&
-		ir.Size(mc.Fn.Body) <= 8*a.c.Opts.inlineThreshold() {
+		ir.Size(mc.Fn.Body) <= 8*inlineThreshold {
 		a.drop(m)
 		a.nodes--
 		return a.inlineClosure(mc.Fn, n.Args)
@@ -1217,11 +1216,9 @@ func (c *Compiled) selectVersionStatic(m *hier.Method, infos []info) (*ir.Versio
 		if infos[p].top || infos[p].set.Len() != 1 {
 			return nil, false
 		}
-		var buf [4]byte
-		if v, ok := mv.byKey[string(appendClassID(buf[:0], infos[p].set.Min()))]; ok {
-			return v, true
-		}
-		return c.General(m), true
+		classes := make([]*hier.Class, len(infos))
+		classes[p] = c.Prog.H.Classes()[infos[p].set.Min()]
+		return c.SelectVersion(m, classes), true
 
 	case CustMM:
 		positions := m.GF.DispatchedPositions()
@@ -1281,7 +1278,7 @@ func (c *Compiled) selectVersionStatic(m *hier.Method, infos []info) (*ir.Versio
 // keep their non-local returns, which is exactly the paper's Set
 // example).
 func (a *analyzer) canInline(m *hier.Method) bool {
-	if a.c.Opts.DisableInlining || a.depth >= a.c.Opts.maxInlineDepth() {
+	if a.c.Opts.DisableInlining || a.depth >= maxInlineDepth {
 		return false
 	}
 	if len(a.frames) == 0 {
@@ -1290,7 +1287,7 @@ func (a *analyzer) canInline(m *hier.Method) bool {
 		return false
 	}
 	src := a.c.Prog.Bodies[m]
-	if src == nil || src.HasReturn || src.Size > a.c.Opts.inlineThreshold() {
+	if src == nil || src.HasReturn || src.Size > inlineThreshold {
 		return false
 	}
 	for _, active := range a.inlineStack {

@@ -81,11 +81,6 @@ type Options struct {
 	// guarantees both).
 	Specializations map[*hier.Method][]hier.Tuple
 
-	// InlineThreshold is the maximum callee source-body size (IR nodes)
-	// eligible for inlining; 0 selects the default.
-	InlineThreshold int
-	// MaxInlineDepth bounds nested inlining; 0 selects the default.
-	MaxInlineDepth int
 	// DisableInlining turns inlining off (ablation of the indirect
 	// benefit of static binding).
 	DisableInlining bool
@@ -110,26 +105,12 @@ type Options struct {
 }
 
 const (
-	defaultInlineThreshold = 48
-	defaultMaxInlineDepth  = 4
+	// inlineThreshold is the largest callee source body (IR nodes)
+	// eligible for inlining.
+	inlineThreshold = 48
+	// maxInlineDepth bounds nested inlining.
+	maxInlineDepth = 4
 )
-
-func (o Options) inlineThreshold() int {
-	if o.DisableInlining {
-		return 0
-	}
-	if o.InlineThreshold == 0 {
-		return defaultInlineThreshold
-	}
-	return o.InlineThreshold
-}
-
-func (o Options) maxInlineDepth() int {
-	if o.MaxInlineDepth == 0 {
-		return defaultMaxInlineDepth
-	}
-	return o.MaxInlineDepth
-}
 
 // methodVersions tracks the compiled versions of one method.
 type methodVersions struct {
@@ -430,12 +411,27 @@ func (c *Compiled) defineVersion(m *hier.Method, tpl hier.Tuple) *ir.Version {
 	return v
 }
 
+// isGeneralTuple reports whether tpl is the tuple of m's general
+// version under the configuration: the one versionTuples defines for
+// Base, Cust-MM, CHA and Selective. It compares in place, building no
+// tuple.
 func (c *Compiled) isGeneralTuple(m *hier.Method, tpl hier.Tuple) bool {
 	switch c.Opts.Config {
-	case Base, CustMM:
-		return tpl.Equal(c.Prog.H.GeneralTuple(m))
 	case CHA, Selective:
-		return tpl.Equal(c.generalTuple(m))
+		if app, exact := c.Prog.H.ApplicableClassesExact(m); exact {
+			return tpl.Equal(app)
+		}
+		fallthrough
+	case Base, CustMM:
+		if len(tpl) != len(m.Specs) {
+			return false
+		}
+		for i, s := range m.Specs {
+			if !tpl[i].Equal(s.Cone()) {
+				return false
+			}
+		}
+		return true
 	case Cust:
 		return receiverPos(m.GF) < 0
 	}
